@@ -19,8 +19,7 @@ from .gradedring import (
     exp,
     hyperplane_class,
     reduce,
-    todd_coefficient,
-    apply_power_series,
+    todd_factor,
 )
 from .lattice import GroupDescriptor, Weight
 
@@ -190,12 +189,15 @@ def chern_character_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
 def todd_class_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
     """Product of x/(1-e^(-x)) over positive roots over the same for negatives.
 
-    Always a unit with constant term 1; trivial roots contribute the factor 1.
+    Always a unit with constant term 1.  A zero negative root, such as the
+    tangent's trivial one, contributes the factor 1 and is skipped; ch still
+    needs it (it subtracts the class of O).
     """
     positives, negatives = chern_roots(model, bundle)
     total = model.embed(1)
     for x in positives:
-        total = total * apply_power_series(todd_coefficient, x)
+        total = total * todd_factor(x)
     for x in negatives:
-        total = total * apply_power_series(todd_coefficient, x).inverse()
+        if not x.is_zero():
+            total = total * todd_factor(x).inverse()
     return total

@@ -4,7 +4,9 @@ Subcommands: chi, weyl, pushforward, sectors, support, segal, selftest.
 Common flags: --trunc N (default 16, overridable via EQUITAU_TRUNC) and
 --format text|json.  Output is deterministic for fixed flags; rationals are
 rendered as exact strings, never floats.  Exit status is 0 iff every embedded
-check passes, 1 on a check failure, 2 on bad flags.
+check passes, 1 on a check failure (a certificate that fails exact
+re-verification included, reported in one line on stderr), 2 on bad flags.
+A reader that closes the pipe early (`| head`) ends the run quietly with 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .charclass import LineTwist, mu_model, torus_model
+from .charclass import DEFAULT_TRUNCATION, LineTwist, mu_model, torus_model
 from .finitestab import (
     ktheory_free_module_dimension,
     sector_dimensions,
@@ -24,11 +26,9 @@ from .finitestab import (
 )
 from .gradedring import GradedSeries, odd_part_quotient, pushforward, reduce
 from .lattice import GroupDescriptor, TorsionCharacterPoint
-from .reprring import RepRingElement
+from .reprring import CertificateError, RepRingElement
 from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
 from .selftest import run_all, segal_certificate
-
-DEFAULT_TRUNCATION = 16
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +398,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
     except ValueError as exc:
         print(f"equitau: error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"equitau: check failed: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  Point stdout at devnull so
+        # the interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

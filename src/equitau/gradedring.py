@@ -5,6 +5,15 @@ fixed total degree N: all arithmetic silently discards degrees > N, so any
 equality of series is an equality *up to the configured truncation*, never an
 absolute one.
 
+Every series keeps one invariant: its terms map exponent tuples of length r
+with nonnegative entries and total degree <= N to nonzero ``Fraction``
+values.  The public constructor checks and normalizes its input into that
+form.  Results of add, sub, neg, scalar and series multiply, ``component``
+and ``truncate`` already satisfy it by construction, so those operations
+build their result through ``GradedSeries._trusted``, which skips the checks.
+Series multiply buckets the right operand by total degree and stops at the
+first bucket whose degree would overflow N.
+
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
 kept reduced below h-degree n+1.  The relation is homogeneous, so total
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from ._format import join_signed_terms, monomial_string, variable_names
 
@@ -39,6 +49,19 @@ class GradedSeries:
             if c != 0 and sum(exps) <= truncation:
                 clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, rank, truncation, terms):
+        """A series over `terms` as given, without the constructor's checks.
+
+        Only for terms that already hold the class invariant (see the module
+        docstring); the dict is taken over, not copied.
+        """
+        series = object.__new__(cls)
+        series.rank = rank
+        series.truncation = truncation
+        series.terms = terms
+        return series
 
     # -- constructors -------------------------------------------------------
 
@@ -97,7 +120,7 @@ class GradedSeries:
 
     def component(self, degree) -> GradedSeries:
         """Homogeneous part of the given total degree."""
-        return GradedSeries(
+        return GradedSeries._trusted(
             self.rank,
             self.truncation,
             {e: c for e, c in self.terms.items() if sum(e) == degree},
@@ -110,7 +133,9 @@ class GradedSeries:
     def truncate(self, new_truncation) -> GradedSeries:
         if new_truncation > self.truncation:
             raise ValueError("cannot extend a truncated series")
-        return GradedSeries(
+        if new_truncation < 0:
+            raise ValueError("rank and truncation must be nonnegative")
+        return GradedSeries._trusted(
             self.rank,
             new_truncation,
             {e: c for e, c in self.terms.items() if sum(e) <= new_truncation},
@@ -132,17 +157,19 @@ class GradedSeries:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
-        return GradedSeries(self.rank, self.truncation, terms)
+                del terms[e]
+        return GradedSeries._trusted(self.rank, self.truncation, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedSeries(self.rank, self.truncation, {e: -c for e, c in self.terms.items()})
+        return GradedSeries._trusted(
+            self.rank, self.truncation, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -157,26 +184,27 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return GradedSeries.zero(self.rank, self.truncation)
-            return GradedSeries(
+            return GradedSeries._trusted(
                 self.rank, self.truncation, {e: c * other for e, c in self.terms.items()}
             )
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._check_compatible(other)
         n = self.truncation
+        buckets = {}
+        for e2, c2 in other.terms.items():
+            buckets.setdefault(sum(e2), []).append((e2, c2))
+        buckets = sorted(buckets.items())
         terms = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > n:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return GradedSeries(self.rank, n, terms)
+            room = n - sum(e1)
+            for d2, bucket in buckets:
+                if d2 > room:
+                    break
+                for e2, c2 in bucket:
+                    e = tuple(map(add, e1, e2))
+                    terms[e] = terms.get(e, 0) + c1 * c2
+        return GradedSeries._trusted(self.rank, n, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 

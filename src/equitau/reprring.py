@@ -7,6 +7,16 @@ into truncated graded series (tori only), the symmetric-function model of
 R(GL_n) inside the rank-n torus ring, and a bounded cofactor search that
 produces explicit, re-verified ideal-membership certificates.
 
+The Chern character sends chi_w to exp(w.t) and is computed in closed form:
+the coefficient of t^e in ch(sum_w c_w chi_w) is
+
+    (sum_w c_w * prod_i w_i^e_i) / prod_i e_i!
+
+for every exponent vector e of total degree <= N.  No exp series is built;
+``charclass.chern_character_bundle`` and ``riemannroch.weyl_closed_form``
+still go through ``gradedring.exp``, so the section-oracle checks compare two
+independent routes.
+
 A failed certificate search is only "nothing found within the bound" and is
 never evidence of non-membership.
 """
@@ -16,9 +26,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from ._format import join_signed_terms, monomial_string, variable_names
-from .gradedring import GradedSeries, exp
+from .gradedring import GradedSeries
 from .lattice import GroupDescriptor, Weight
 
 
@@ -197,17 +208,39 @@ def lambda_minus_one(group: GroupDescriptor, weights) -> RepRingElement:
 def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     """Ring homomorphism into truncated series: each weight w maps to exp(w.t).
 
-    Only defined over a free character lattice (a torus).
+    Only defined over a free character lattice (a torus).  Closed form (see
+    the module docstring): the monomials of total degree <= truncation are
+    walked once, depth first, carrying prod_i w_i^e_i for every weight as an
+    integer, with the coefficients brought over one common denominator.
     """
     group = a.group
     if not group.is_free:
         raise ValueError("Chern character requires a torus (free character lattice)")
     rank = group.ngens
-    total = GradedSeries.zero(rank, truncation)
-    for coords, c in a.terms.items():
-        form = GradedSeries.linear_form(rank, truncation, coords)
-        total = total + exp(form) * Fraction(c)
-    return total
+    weights = list(a.terms)
+    denominator = math.lcm(*(c.denominator for c in a.terms.values()))
+    numerators = [c.numerator * (denominator // c.denominator) for c in a.terms.values()]
+    terms = {}
+
+    def walk(exps, powers, factorials, room):
+        # powers[j] = prod over the fixed exponents of weights[j][i]^e_i
+        i = len(exps)
+        if i == rank:
+            value = sum(map(mul, numerators, powers))
+            if value:
+                terms[exps] = Fraction(value, denominator * factorials)
+            return
+        column = [w[i] for w in weights]
+        for e in range(room + 1):
+            if e:
+                powers = list(map(mul, powers, column))
+                factorials *= e
+                if not any(powers):  # so is every later monomial of this branch
+                    return
+            walk(exps + (e,), powers, factorials, room - e)
+
+    walk((), [1] * len(weights), 1, truncation)
+    return GradedSeries(rank, truncation, terms)
 
 
 def augmentation_order(a: RepRingElement, truncation: int):
@@ -418,6 +451,10 @@ def _solve_sparse_linear(equations):
     return {var: val for var, (_, val) in pivot_rows.items() if val}
 
 
+class CertificateError(RuntimeError):
+    """A certificate found by the search failed exact re-verification."""
+
+
 def ideal_membership_certificate(target: RepRingElement, generators, degree_bound: int):
     """Search for cofactors c_i with target = sum_i c_i * g_i.
 
@@ -461,5 +498,5 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
     for c, g in zip(cofactors, generators):
         combo = combo + c * g
     if combo != target:
-        raise RuntimeError("certificate failed exact re-verification")
+        raise CertificateError("certificate failed exact re-verification")
     return cofactors

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import equitau.cli
 from equitau.cli import main, render_json
+from equitau.reprring import CertificateError
 
 
 def run(capsys, *argv):
@@ -152,3 +157,29 @@ def test_semantic_errors_exit_2(capsys):
     code = main(["sectors", "--weights", "0,1"])  # neither --order nor --orders
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_failed_certificate_reverification_exits_1(capsys, monkeypatch):
+    def failing_search(*args):
+        raise CertificateError("certificate failed exact re-verification")
+
+    monkeypatch.setattr(equitau.cli, "segal_certificate", failing_search)
+    code = main(["segal", "--n", "2", "--degree", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "equitau: check failed: certificate failed exact re-verification\n"
+
+
+def test_closed_pipe_exits_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equitau.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equitau.cli", "weyl", "--nmax", "10", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

@@ -106,6 +106,51 @@ def test_ring_laws_random():
         assert a * b == b * a
 
 
+def naive_product(a, b):
+    """Every pair of terms, through the validating constructor."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return GradedSeries(a.rank, a.truncation, terms)
+
+
+def assert_series_invariant(s):
+    assert s == GradedSeries(s.rank, s.truncation, s.terms)
+    for e, c in s.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(e) == s.rank and all(x >= 0 for x in e) and sum(e) <= s.truncation
+
+
+def test_arithmetic_results_hold_the_series_invariant():
+    rng = random.Random(404)
+
+    def rand_series(rank, n):
+        # few small exponents, so that sums and products cancel
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            e = tuple(rng.randint(0, 2) for _ in range(rank))
+            terms[e] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        return GradedSeries(rank, n, terms)
+
+    for _ in range(150):
+        rank, n = rng.randint(0, 3), rng.randint(0, 6)
+        a, b = rand_series(rank, n), rand_series(rank, n)
+        b = b + a.component(rng.randint(0, 2)) * -1
+        k = rng.choice((0, 1, -2, Fraction(3, 4)))
+        results = [
+            a + b, a - b, b - a, -a, a - a, a + k, k - a, a * k, k * a, a / 3,
+            a * b, b * a, a * a, a**3, a.component(rng.randint(0, 3)),
+            a.truncate(rng.randint(0, n)),
+        ]
+        for r in results:
+            assert r.rank == rank and r.truncation <= n
+            assert_series_invariant(r)
+        assert a * b == naive_product(a, b)
+        assert a * a == naive_product(a, a)
+
+
 def test_truncation_discards_high_degrees():
     t = GradedSeries.variable(1, 3)
     assert (t**2 * t**2).is_zero()
@@ -135,6 +180,24 @@ def test_todd_coefficients_by_series_division():
     inv = denom.inverse()
     for k in range(n + 1):
         assert todd_coefficient(k) == series_coeff(inv, k)
+
+
+def test_bernoulli_and_todd_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_exp, rs_series_inversion
+    from sympy.polys.rings import ring
+
+    n = 30
+    _, x = ring("x", sympy.QQ)
+    # x/(e^x - 1) = sum B_k x^k / k! (B_1 = -1/2); x/(1 - e^-x) = sum todd_k x^k
+    bernoulli_egf = rs_series_inversion((rs_exp(x, x, n + 2) - 1).quo(x), x, n + 1)
+    todd = rs_series_inversion((1 - rs_exp(-x, x, n + 2)).quo(x), x, n + 1)
+    for k in range(n + 1):
+        b = bernoulli_number(k)
+        assert b == Fraction(str(bernoulli_egf.coeff(x**k))) * math.factorial(k)
+        if k != 1:  # sympy's own B_1 convention changed between versions
+            assert b == Fraction(str(sympy.bernoulli(k)))
+        assert todd_coefficient(k) == Fraction(str(todd.coeff(x**k)))
 
 
 def test_todd_factor_of_zero_is_one():

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from equitau.gradedring import GradedSeries
+from equitau.gradedring import GradedSeries, exp
 from equitau.lattice import GroupDescriptor
 from equitau.reprring import (
     RepRingElement,
@@ -45,6 +45,15 @@ def convolve(terms1, terms2):
 def exp_coeff_list(w, n):
     """Coefficients of e^{w t} up to degree n."""
     return [Fraction(w**k, math.factorial(k)) for k in range(n + 1)]
+
+
+def chern_character_by_exp_series(a, truncation):
+    """The defining sum: sum_w c_w * exp(w.t), one exp series per weight."""
+    rank = a.group.ngens
+    total = GradedSeries.zero(rank, truncation)
+    for coords, c in a.terms.items():
+        total = total + exp(GradedSeries.linear_form(rank, truncation, coords)) * Fraction(c)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +158,32 @@ def test_chern_character_of_product_by_multiplying_expansions():
     got = chern_character(a * b, n)
     assert got == GradedSeries(1, n, {(k,): c for k, c in enumerate(prod)})
     assert got.low_degree() == 2
+
+
+def test_closed_form_chern_character_matches_exp_series_sum():
+    rng = random.Random(20260905)
+    seen = set()
+    for case in range(240):
+        rank = case % 4
+        truncation = case % 17 if case < 68 else rng.randint(0, 16)
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            coords = tuple(rng.randint(-4, 4) for _ in range(rank))
+            if rng.random() < 0.5:
+                c = rng.randint(-5, 5)
+            else:
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            terms[coords] = terms.get(coords, 0) + c
+        a = RepRingElement(torus_group(rank), terms)
+        got = chern_character(a, truncation)
+        expected = chern_character_by_exp_series(a, truncation)
+        assert got.terms == expected.terms, (rank, truncation, terms)
+        assert str(got) == str(expected)
+        assert all(type(c) is Fraction for c in got.terms.values())
+        seen.update((rank, truncation, type(c).__name__) for c in a.terms.values())
+    assert {r for r, _, _ in seen} == {0, 1, 2, 3}
+    assert {n for _, n, _ in seen} == set(range(17))
+    assert {kind for _, _, kind in seen} == {"int", "Fraction"}
 
 
 def test_chern_character_requires_torus():
