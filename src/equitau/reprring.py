@@ -17,6 +17,13 @@ for every exponent vector e of total degree <= N.  No exp series is built;
 still go through ``gradedring.exp``, so the section-oracle checks compare two
 independent routes.
 
+The certificate search solves its linear system modulo the prime 2^61 - 1,
+lifts each value by rational reconstruction and checks every equation
+exactly.  An inconsistent system is reported only with a Farkas vector y
+(y.A = 0, y.b = 1), lifted the same way and checked exactly; when a lift or a
+check fails, the exact ``Fraction`` elimination decides instead.  The search
+re-expands sum_i c_i g_i before it returns a certificate.
+
 A failed certificate search is only "nothing found within the bound" and is
 never evidence of non-membership.
 """
@@ -408,12 +415,171 @@ def gl_augmentation_generators(n: int) -> list[RepRingElement]:
 # Bounded ideal-membership certificates
 
 
+_PRIME = 2**61 - 1  # a Mersenne prime: residues stay small Python ints
+
+
 def _solve_sparse_linear(equations):
     """Solve a sparse rational linear system given as (row dict, rhs) pairs.
 
     Returns {var: Fraction} for one solution (absent vars are zero) or None
-    when the system is inconsistent.  Incremental triangular elimination with
-    mutually reduced pivot rows keeps the work proportional to the fill-in.
+    when the system is inconsistent.  Rows are taken in order and each fully
+    reduced row is pivoted on its least variable; free variables are set to
+    zero, which fixes the solution uniquely.
+
+    The elimination runs modulo the prime ``_PRIME``, and its answer is lifted
+    by rational reconstruction and checked against every equation exactly.
+    A "no solution" modulo the prime is kept only when a Farkas vector y,
+    lifted the same way, satisfies y.A = 0 and y.b = 1 exactly.  When a
+    coefficient's denominator vanishes modulo the prime, a reconstruction
+    fails or an exact check fails, the system is solved again over
+    ``Fraction``; an unlucky prime costs time, never a wrong answer.  (A prime
+    that divides a pivot of the rational elimination can also move the
+    pivots, and so pick another exact solution.)
+    """
+    equations = list(equations)
+    p = _PRIME
+    reduced = _reduce_mod_p(equations, p)
+    if reduced is not None:
+        residues = _solve_mod_p(reduced, p)
+        if residues is not None:
+            solution = _lift(residues, p)
+            if solution is not None and _satisfies(equations, solution):
+                return solution
+        elif _farkas_vector(equations, reduced, p) is not None:
+            return None
+    return _solve_over_fractions(equations)
+
+
+def _residue(value, p):
+    if isinstance(value, int):
+        return value % p
+    value = Fraction(value)
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def _reduce_mod_p(equations, p):
+    """The system with every entry reduced mod p (zeros dropped), or None
+    when some denominator is divisible by p."""
+    try:
+        return [
+            ({k: r for k, v in row.items() if (r := _residue(v, p))}, _residue(b, p))
+            for row, b in equations
+        ]
+    except ValueError:  # pow(): the denominator has no inverse mod p
+        return None
+
+
+def _solve_mod_p(equations, p):
+    """Forward elimination and back-substitution over GF(p).
+
+    Variables are numbered in sorted order.  Each new row is reduced by the
+    existing pivots in one increasing scan (eliminating pivot v only brings
+    in variables above v), then pivoted on its least remaining variable.
+    Returns {var: nonzero residue} with the free variables at zero, or None
+    when the system is inconsistent mod p.
+    """
+    names = sorted({k for row, _ in equations for k in row})
+    number = {k: i for i, k in enumerate(names)}
+    pivots = {}  # var -> (row of variables above var, rhs), pivot coefficient 1
+    for row, b in equations:
+        row = {number[k]: a for k, a in row.items()}
+        for var in range(min(row, default=len(names)), len(names)):
+            if var not in pivots or var not in row:
+                continue
+            c = row.pop(var)
+            prow, pb = pivots[var]
+            for k, a in prow.items():
+                s = (row.get(k, 0) - c * a) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]  # s = 0 needs k in row: c * a is nonzero mod p
+            b = (b - c * pb) % p
+        if not row:
+            if b:
+                return None
+            continue
+        var = min(row)
+        inverse = pow(row.pop(var), -1, p)
+        pivots[var] = ({k: a * inverse % p for k, a in row.items()}, b * inverse % p)
+    values = {}
+    for var in sorted(pivots, reverse=True):
+        prow, pb = pivots[var]
+        x = (pb - sum(a * values[k] for k, a in prow.items() if k in values)) % p
+        if x:
+            values[var] = x
+    return {names[var]: x for var, x in values.items()}
+
+
+def _rational_reconstruction(a, p):
+    """The r/s with |r|, |s| <= sqrt(p/2) and r = s*a mod p, or None (Wang)."""
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lift(residues, p):
+    lifted = {}
+    for var, a in residues.items():
+        value = _rational_reconstruction(a, p)
+        if value is None:
+            return None
+        lifted[var] = value
+    return lifted
+
+
+def _scaled(values):
+    """(D, {k: D*v}) for the least common denominator D of the values."""
+    denominator = math.lcm(*(v.denominator for v in values.values()))
+    return denominator, {k: v.numerator * (denominator // v.denominator) for k, v in values.items()}
+
+
+def _satisfies(equations, solution):
+    """Exact check of every equation at the solution (absent vars zero)."""
+    denominator, scaled = _scaled(solution)
+    return all(
+        sum(c * scaled[k] for k, c in row.items() if k in scaled) == b * denominator
+        for row, b in equations
+    )
+
+
+def _farkas_vector(equations, reduced, p):
+    """An exactly checked y with y.A = 0 and y.b = 1 ({row index: Fraction}),
+    solved mod p from the transposed system, or None if none was found."""
+    columns = {}
+    for i, (row, _) in enumerate(reduced):
+        for k, a in row.items():
+            columns.setdefault(k, {})[i] = a
+    transposed = [(columns[k], 0) for k in sorted(columns)]
+    transposed.append(({i: b for i, (_, b) in enumerate(reduced) if b}, 1))
+    residues = _solve_mod_p(transposed, p)
+    y = None if residues is None else _lift(residues, p)
+    if y is None:
+        return None
+    denominator, scaled = _scaled(y)
+    totals = {}
+    rhs = 0
+    for i, yi in scaled.items():
+        row, b = equations[i]
+        for k, a in row.items():
+            totals[k] = totals.get(k, 0) + a * yi
+        rhs += b * yi
+    if rhs != denominator or any(totals.values()):
+        return None
+    return y
+
+
+def _solve_over_fractions(equations):
+    """The exact reference solver: Gauss-Jordan elimination over Fraction.
+
+    Same pivot rule as ``_solve_sparse_linear``, with mutually reduced pivot
+    rows, so the two return the same solution unless the prime is unlucky.
     """
     pivot_rows = {}  # var -> (row dict without the pivot var, value)
     for row, b in equations:
@@ -461,8 +627,11 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
     Candidate cofactors range over monomials with every exponent in
     [-degree_bound, degree_bound].  A returned certificate has been
     re-verified by exact multiplication; None means nothing was found within
-    the bound, which proves nothing about non-membership.
+    the bound, which proves nothing about non-membership.  A negative bound
+    raises ValueError.
     """
+    if degree_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {degree_bound}")
     group = target.group
     if not group.is_free:
         raise ValueError("certificate search is defined over torus rings")

@@ -131,9 +131,10 @@ def verify_weyl(n_max: int, truncation: int) -> WeylReport:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     model = torus_model([1, -1], truncation)
+    td = todd_class_bundle(model, Tangent())  # hrr_chi's Todd class, once per table
     rows = []
     for n in range(-1, n_max + 1):
-        pipeline = hrr_chi(model, LineTwist(n))
+        pipeline = pushforward(chern_character_bundle(model, LineTwist(n)) * td)
         closed = weyl_closed_form(n, truncation)
         oracle = sections_character_oracle(model, n)
         oracle_series = chern_character(oracle, truncation)

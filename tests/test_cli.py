@@ -123,6 +123,14 @@ def test_segal_not_found_reports_failure(capsys):
     assert "not a proof of non-membership" in out
 
 
+def test_segal_negative_bound_exits_2(capsys):
+    code = main(["segal", "--n", "2", "--degree", "3", "--bound", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "equitau: error: search bound must be nonnegative, got -1\n"
+
+
 def test_env_var_truncation(capsys, monkeypatch):
     monkeypatch.setenv("EQUITAU_TRUNC", "4")
     code, doc = run_json(capsys, "chi", "--weights", "1,-1", "--twist", "1")

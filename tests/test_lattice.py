@@ -131,6 +131,27 @@ def test_snf_rectangular_and_random_vs_minor_gcds():
         assert assert_valid_snf(mat) == minor_gcd_factors(mat)
 
 
+def test_snf_invariant_factors_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(20)
+    for _ in range(120):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        mat = [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            mat[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in mat:
+                row[j] = 0
+        reference = sympy_snf(Matrix(mat), domain=ZZ)
+        expected = [abs(int(reference[i, i])) for i in range(min(m, n))]
+        assert smith_normal_form(mat)[0] == expected, mat
+
+
 def test_integer_kernel_basis():
     basis = integer_kernel_basis([[1, 3]])
     assert len(basis) == 1

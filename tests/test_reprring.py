@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from equitau import reprring
 from equitau.gradedring import GradedSeries, exp
 from equitau.lattice import GroupDescriptor
 from equitau.reprring import (
@@ -294,6 +295,13 @@ def test_images_are_symmetric():
 # ideal-membership certificates
 
 
+def test_certificate_search_rejects_a_negative_bound():
+    gens = gl_augmentation_generators(2)
+    target = (char(T2, 1, 0) - 1) ** 3
+    with pytest.raises(ValueError, match="nonnegative"):
+        ideal_membership_certificate(target, gens, -1)
+
+
 def combine(cofactors, generators):
     total = RepRingElement.zero(generators[0].group)
     for c, g in zip(cofactors, generators):
@@ -353,3 +361,138 @@ def test_gl_generators_have_zero_augmentation():
         for g in gl_augmentation_generators(n):
             assert augmentation(g) == 0
     assert elementary_symmetric_character(3, 2).augmentation() == 3
+
+
+# ---------------------------------------------------------------------------
+# the sparse linear solver: modular solve against the Fraction reference
+
+
+def random_system(rng, max_rows=40, max_cols=60):
+    """A sparse system of one of four kinds, as a list of (row dict, rhs).
+
+    "random" rows with a random rhs (solutions with denominators, often
+    inconsistent when tall), "consistent" rows with rhs A.x0, "deficient"
+    rows built from fewer base rows with rhs A.x0, and "inconsistent" ones:
+    deficient rows plus one combination of two rows with its rhs shifted.
+    About one system in six has one row and its rhs scaled by 1/d.
+    """
+    m = rng.randint(1, max_rows)
+    n = rng.randint(1, max_cols)
+    density = rng.uniform(0.05, 0.3)
+    kind = rng.choice(("random", "consistent", "deficient", "inconsistent"))
+
+    def sparse_row():
+        return {k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in range(n) if rng.random() < density}
+
+    if kind in ("random", "consistent"):
+        rows = [sparse_row() for _ in range(m)]
+    else:
+        base = [sparse_row() for _ in range(rng.randint(1, max(1, min(m, n) // 2)))]
+        rows = []
+        for _ in range(m):
+            row = {}
+            for j in rng.sample(range(len(base)), min(2, len(base))):
+                q = rng.choice((-2, -1, 1, 2))
+                for k, v in base[j].items():
+                    row[k] = row.get(k, 0) + q * v
+            rows.append({k: v for k, v in row.items() if v})
+    if kind == "random":
+        equations = [(row, rng.randint(-5, 5)) for row in rows]
+    else:
+        x0 = [rng.randint(-3, 3) for _ in range(n)]
+        equations = [(row, sum(v * x0[k] for k, v in row.items())) for row in rows]
+    if kind == "inconsistent":
+        (r1, b1), (r2, b2) = rng.choice(equations), rng.choice(equations)
+        q1, q2 = rng.choice((1, 2, -1)), rng.choice((1, -3))
+        row = {k: q1 * r1.get(k, 0) + q2 * r2.get(k, 0) for k in set(r1) | set(r2)}
+        row = {k: v for k, v in row.items() if v}
+        equations.insert(rng.randint(0, m), (row, q1 * b1 + q2 * b2 + rng.choice((-1, 1, 2))))
+    if rng.random() < 1 / 6:
+        i = rng.randrange(len(equations))
+        d = rng.randint(2, 7)
+        row, b = equations[i]
+        equations[i] = ({k: Fraction(v, d) for k, v in row.items()}, Fraction(b, d))
+    return equations
+
+
+def satisfies_exactly(equations, solution):
+    return all(
+        sum(Fraction(c) * solution.get(k, 0) for k, c in row.items()) == b
+        for row, b in equations
+    )
+
+
+def farkas_holds(equations, y):
+    """y.A = 0 and y.b = 1, summed exactly over Fraction."""
+    columns = {}
+    for i, yi in y.items():
+        for k, a in equations[i][0].items():
+            columns[k] = columns.get(k, 0) + Fraction(a) * yi
+    rhs = sum(Fraction(equations[i][1]) * yi for i, yi in y.items())
+    return not any(columns.values()) and rhs == 1
+
+
+fraction_solver = reprring._solve_over_fractions  # the reference, never patched
+
+
+@pytest.fixture
+def solver_log(monkeypatch):
+    """Counts the solver's internal paths; keeps every Farkas vector it accepts."""
+    log = {"fallbacks": 0, "failed_reconstructions": 0, "farkas": []}
+    reconstruction = reprring._rational_reconstruction
+    farkas_vector = reprring._farkas_vector
+
+    def counting_fallback(equations):
+        log["fallbacks"] += 1
+        return fraction_solver(equations)
+
+    def counting_reconstruction(a, p):
+        value = reconstruction(a, p)
+        log["failed_reconstructions"] += value is None
+        return value
+
+    def recording_farkas_vector(equations, reduced, p):
+        y = farkas_vector(equations, reduced, p)
+        if y is not None:
+            log["farkas"].append((equations, y))
+        return y
+
+    monkeypatch.setattr(reprring, "_solve_over_fractions", counting_fallback)
+    monkeypatch.setattr(reprring, "_rational_reconstruction", counting_reconstruction)
+    monkeypatch.setattr(reprring, "_farkas_vector", recording_farkas_vector)
+    return log
+
+
+def test_modular_solve_equals_the_fraction_solver(solver_log):
+    rng = random.Random(9905081)
+    systems = 200
+    outcomes = set()
+    for _ in range(systems):
+        equations = random_system(rng)
+        solution = reprring._solve_sparse_linear(equations)
+        assert solution == fraction_solver(equations)
+        if solution is not None:
+            assert satisfies_exactly(equations, solution)
+        outcomes.add(solution is None)
+    assert outcomes == {True, False}
+    # most answers come from the modular path, a few from the fallback
+    assert 0 < solver_log["fallbacks"] < systems // 4
+    assert solver_log["farkas"]
+    assert all(farkas_holds(eqs, y) for eqs, y in solver_log["farkas"])
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_small_primes_stay_exact_through_the_fallback(monkeypatch, solver_log, prime):
+    monkeypatch.setattr(reprring, "_PRIME", prime)
+    rng = random.Random(prime)
+    systems = 80
+    for _ in range(systems):
+        equations = random_system(rng, max_rows=25, max_cols=35)
+        solution = reprring._solve_sparse_linear(equations)
+        assert (solution is None) == (fraction_solver(equations) is None)
+        if solution is not None:
+            assert satisfies_exactly(equations, solution)
+    assert 0 < solver_log["fallbacks"] < systems
+    if prime > 3:  # mod 3 every residue reconstructs, to 0 or +-1
+        assert solver_log["failed_reconstructions"] > 0
+    assert all(farkas_holds(eqs, y) for eqs, y in solver_log["farkas"])
