@@ -9,6 +9,7 @@ from .lattice import (
     smith_normal_form,
 )
 from .gradedring import (
+    BundleRing,
     BundleRingElement,
     GradedSeries,
     bernoulli_number,

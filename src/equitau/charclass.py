@@ -11,13 +11,13 @@ w_i).  The tangent class is the Euler-sequence virtual difference
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gradedring import (
+    BundleRing,
     BundleRingElement,
     GradedSeries,
-    embed_series,
     exp,
-    hyperplane_class,
     reduce,
     todd_factor,
 )
@@ -60,23 +60,25 @@ class ProjSpaceModel:
     def weight_vectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(w.coords for w in self.weights)
 
-    def hyperplane(self) -> BundleRingElement:
+    @cached_property
+    def ring(self) -> BundleRing:
+        """The bundle ring of the model, built once: its elements share one relation."""
         self._require_torus()
-        return hyperplane_class(self.weight_vectors(), self.rank, self.truncation)
+        return BundleRing(self.weight_vectors(), self.rank, self.truncation)
+
+    def hyperplane(self) -> BundleRingElement:
+        return self.ring.hyperplane()
 
     def base_form(self, coords) -> BundleRingElement:
         """The degree-1 class w.t of a character, embedded in the bundle ring."""
-        self._require_torus()
-        series = GradedSeries.linear_form(self.rank, self.truncation, coords)
-        return embed_series(self.hyperplane(), series)
+        ring = self.ring
+        return ring.embed(GradedSeries.linear_form(ring.rank, ring.truncation, coords))
 
     def embed(self, value) -> BundleRingElement:
-        self._require_torus()
-        return embed_series(self.hyperplane(), value)
+        return self.ring.embed(value)
 
     def reduce_poly(self, coeffs) -> BundleRingElement:
-        self._require_torus()
-        return reduce(coeffs, self.weight_vectors(), self.rank, self.truncation)
+        return reduce(coeffs, self.ring)
 
 
 def torus_model(weights, truncation=DEFAULT_TRUNCATION, rank=None) -> ProjSpaceModel:

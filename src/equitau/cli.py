@@ -129,9 +129,7 @@ def cmd_chi(args) -> int:
     model = torus_model(weights, trunc)
     character = tuple(int(x) for x in args.char.split(",")) if args.char else None
     result = chi_with_oracle(model, LineTwist(args.twist, character))
-    checks = []
-    if result.matches_oracle is not None:
-        checks.append(("section-oracle agreement up to truncation", result.matches_oracle))
+    checks = [("section-oracle agreement up to truncation", result.matches_oracle)]
     is_weyl_model = model.rank == 1 and model.weight_vectors() == ((1,), (-1,)) and not character
     if is_weyl_model:
         closed = weyl_closed_form(args.twist, trunc)
@@ -140,21 +138,16 @@ def cmd_chi(args) -> int:
         "series": series_to_json(result.series),
         "series_text": str(result.series),
         "degree_zero": fraction_str(result.series.constant_term()),
-        "oracle_character": None
-        if result.oracle_character is None
-        else rep_to_json(result.oracle_character),
-        "oracle_character_text": None
-        if result.oracle_character is None
-        else str(result.oracle_character),
+        "oracle_character": rep_to_json(result.oracle_character),
+        "oracle_character_text": str(result.oracle_character),
     }
     inputs = {"weights": args.weights, "twist": args.twist, "char": args.char}
     doc = make_document("chi", inputs, trunc, results, checks)
     lines = [
         f"series: {results['series_text']}",
         f"degree-0 term: {results['degree_zero']}",
+        f"sections character: {results['oracle_character_text']}",
     ]
-    if result.oracle_character is not None:
-        lines.append(f"sections character: {results['oracle_character_text']}")
     return emit(doc, lines, args.format)
 
 
@@ -310,6 +303,8 @@ def cmd_segal(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.trunc is not None:
+        raise ValueError("selftest runs its criteria at fixed truncations; --trunc is not accepted")
     trunc = resolve_truncation(args)
     results = run_all(report=None)
     rows = [
@@ -378,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--bound", type=int, default=None,
-                   help="cofactor exponent box bound (default degree-1)")
+                   help="cofactor exponent box bound (default max(1, degree-1))")
     common(p)
     p.set_defaults(func=cmd_segal)
 

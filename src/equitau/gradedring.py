@@ -5,19 +5,30 @@ fixed total degree N: all arithmetic silently discards degrees > N, so any
 equality of series is an equality *up to the configured truncation*, never an
 absolute one.
 
-Every series keeps one invariant: its terms map exponent tuples of length r
-with nonnegative entries and total degree <= N to nonzero ``Fraction``
-values.  The public constructor checks and normalizes its input into that
-form.  Results of add, sub, neg, scalar and series multiply, ``component``
-and ``truncate`` already satisfy it by construction, so those operations
-build their result through ``GradedSeries._trusted``, which skips the checks.
-Series multiply buckets the right operand by total degree and stops at the
-first bucket whose degree would overflow N.
+A series is stored as integer numerators over one shared denominator:
+``num`` maps exponent tuples of length r with nonnegative entries and total
+degree <= N to nonzero ints, and ``den`` is a positive int.  The form is
+canonical: gcd(den, *numerators) == 1, and den == 1 for the zero series, so
+equality and hashing compare (rank, truncation, den, num) directly.  Add
+brings both operands over the lcm of their denominators, series multiply
+convolves the numerators and multiplies the denominators, and scalar multiply
+scales both.  ``terms`` is a derived view {exponent tuple: Fraction}, and
+``coefficient`` and ``constant_term`` return Fractions.
+
+The public constructor checks its input and brings it to that form.  Results
+of add, sub, neg, scalar and series multiply, ``component`` and ``truncate``
+are built through ``GradedSeries._trusted``, which skips the checks and
+restores the canonical form with one gcd.  Series multiply buckets the right
+operand by total degree and stops at the first bucket whose degree would
+overflow N.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
 kept reduced below h-degree n+1.  The relation is homogeneous, so total
-degree (t-degree + h-degree) is preserved by reduction.
+degree (t-degree + h-degree) is preserved by reduction.  Each element points
+to a BundleRing, which holds the weights, rank and truncation and builds the
+relation's coefficients once; products of elements of one ring reduce with
+that shared relation.
 """
 
 from __future__ import annotations
@@ -31,9 +42,9 @@ from ._format import join_signed_terms, monomial_string, variable_names
 
 
 class GradedSeries:
-    """Sparse truncated power series: {exponent tuple: nonzero Fraction}."""
+    """Sparse truncated power series: integer numerators over one denominator."""
 
-    __slots__ = ("rank", "truncation", "terms")
+    __slots__ = ("rank", "truncation", "num", "den")
 
     def __init__(self, rank, truncation, terms=None):
         if rank < 0 or truncation < 0:
@@ -48,20 +59,34 @@ class GradedSeries:
             c = Fraction(c)
             if c != 0 and sum(exps) <= truncation:
                 clean[exps] = c
-        self.terms = clean
+        # over the lcm of reduced denominators, the numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
 
     @classmethod
-    def _trusted(cls, rank, truncation, terms):
-        """A series over `terms` as given, without the constructor's checks.
+    def _trusted(cls, rank, truncation, num, den):
+        """The series num / den, brought to canonical form without the constructor's checks.
 
-        Only for terms that already hold the class invariant (see the module
-        docstring); the dict is taken over, not copied.
+        Only for nonzero integer numerators on valid exponents and a positive
+        den (see the module docstring); the dict is taken over, not copied.
         """
+        g = math.gcd(den, *num.values())
+        if g != 1:  # for the zero series g == den, so den becomes 1
+            den //= g
+            num = {e: c // g for e, c in num.items()}
         series = object.__new__(cls)
         series.rank = rank
         series.truncation = truncation
-        series.terms = terms
+        series.num = num
+        series.den = den
         return series
+
+    @property
+    def terms(self):
+        """{exponent tuple: nonzero Fraction}, built afresh on every access."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.num.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -107,28 +132,29 @@ class GradedSeries:
             )
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def _one(self) -> GradedSeries:
         return GradedSeries.one(self.rank, self.truncation)
 
     def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.num.get(tuple(exps), 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.rank, Fraction(0))
+        return Fraction(self.num.get((0,) * self.rank, 0), self.den)
 
     def component(self, degree) -> GradedSeries:
         """Homogeneous part of the given total degree."""
         return GradedSeries._trusted(
             self.rank,
             self.truncation,
-            {e: c for e, c in self.terms.items() if sum(e) == degree},
+            {e: c for e, c in self.num.items() if sum(e) == degree},
+            self.den,
         )
 
     def low_degree(self):
         """Smallest total degree with a nonzero term, or None for the zero series."""
-        return min((sum(e) for e in self.terms), default=None)
+        return min((sum(e) for e in self.num), default=None)
 
     def truncate(self, new_truncation) -> GradedSeries:
         if new_truncation > self.truncation:
@@ -138,7 +164,8 @@ class GradedSeries:
         return GradedSeries._trusted(
             self.rank,
             new_truncation,
-            {e: c for e, c in self.terms.items() if sum(e) <= new_truncation},
+            {e: c for e, c in self.num.items() if sum(e) <= new_truncation},
+            self.den,
         )
 
     # -- arithmetic ---------------------------------------------------------
@@ -155,20 +182,22 @@ class GradedSeries:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        den = math.lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        num = {e: c * m1 for e, c in self.num.items()} if m1 != 1 else dict(self.num)
+        for e, c in other.num.items():
+            s = num.get(e, 0) + c * m2
             if s:
-                terms[e] = s
+                num[e] = s
             else:
-                del terms[e]
-        return GradedSeries._trusted(self.rank, self.truncation, terms)
+                del num[e]
+        return GradedSeries._trusted(self.rank, self.truncation, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return GradedSeries._trusted(
-            self.rank, self.truncation, {e: -c for e, c in self.terms.items()}
+            self.rank, self.truncation, {e: -c for e, c in self.num.items()}, self.den
         )
 
     def __sub__(self, other):
@@ -182,29 +211,31 @@ class GradedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return GradedSeries.zero(self.rank, self.truncation)
+            p = other.numerator
+            num = {e: c * p for e, c in self.num.items()} if p else {}
             return GradedSeries._trusted(
-                self.rank, self.truncation, {e: c * other for e, c in self.terms.items()}
+                self.rank, self.truncation, num, self.den * other.denominator
             )
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._check_compatible(other)
         n = self.truncation
         buckets = {}
-        for e2, c2 in other.terms.items():
+        for e2, c2 in other.num.items():
             buckets.setdefault(sum(e2), []).append((e2, c2))
         buckets = sorted(buckets.items())
-        terms = {}
-        for e1, c1 in self.terms.items():
+        num = {}
+        for e1, c1 in self.num.items():
             room = n - sum(e1)
             for d2, bucket in buckets:
                 if d2 > room:
                     break
                 for e2, c2 in bucket:
                     e = tuple(map(add, e1, e2))
-                    terms[e] = terms.get(e, 0) + c1 * c2
-        return GradedSeries._trusted(self.rank, n, {e: c for e, c in terms.items() if c})
+                    num[e] = num.get(e, 0) + c1 * c2
+        return GradedSeries._trusted(
+            self.rank, n, {e: c for e, c in num.items() if c}, self.den * other.den
+        )
 
     __rmul__ = __mul__
 
@@ -238,11 +269,12 @@ class GradedSeries:
             isinstance(other, GradedSeries)
             and self.rank == other.rank
             and self.truncation == other.truncation
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rank, self.truncation, frozenset(self.terms.items())))
+        return hash((self.rank, self.truncation, self.den, frozenset(self.num.items())))
 
     # -- rendering ----------------------------------------------------------
 
@@ -322,7 +354,7 @@ def todd_factor(x):
     Accepts a GradedSeries or BundleRingElement with no constant term;
     todd_factor(0) = 1.
     """
-    if isinstance(x, GradedSeries) and any(sum(e) != 1 for e in x.terms):
+    if isinstance(x, GradedSeries) and any(sum(e) != 1 for e in x.num):
         raise ValueError("todd_factor expects a homogeneous degree-1 form or zero")
     return apply_power_series(todd_coefficient, x)
 
@@ -351,54 +383,125 @@ def relation_elementary_symmetric(weights, rank, truncation):
     return [poly[n1 - j] for j in range(1, n1 + 1)]
 
 
-class BundleRingElement:
-    """Element of (truncated series ring)[h] / prod_i(h + w_i.t), kept reduced."""
+class BundleRing:
+    """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
-    __slots__ = ("weights", "rank", "truncation", "coeffs")
+    Holds the weights, rank and truncation, and the relation's coefficients
+    e_1..e_{n+1}, built on the first reduction.  Elements derived from one
+    ring share it, so their products reduce without rebuilding the relation.
+    """
 
-    def __init__(self, weights, coeffs, rank=None, truncation=None):
+    __slots__ = ("weights", "rank", "truncation", "_relation")
+
+    def __init__(self, weights, rank, truncation):
         self.weights = tuple(tuple(int(c) for c in w) for w in weights)
         if not self.weights:
             raise ValueError("relation needs at least one weight")
-        if rank is None or truncation is None:
-            probe = next((c for c in coeffs if isinstance(c, GradedSeries)), None)
-            if probe is None:
-                raise ValueError("rank and truncation required without series coefficients")
-            rank, truncation = probe.rank, probe.truncation
         self.rank = rank
         self.truncation = truncation
+        self._relation = None
+
+    @property
+    def relation(self):
+        """[e_1, ..., e_{n+1}] (see ``relation_elementary_symmetric``)."""
+        if self._relation is None:
+            self._relation = relation_elementary_symmetric(
+                self.weights, self.rank, self.truncation
+            )
+        return self._relation
+
+    def _key(self):
+        return self.weights, self.rank, self.truncation
+
+    def __eq__(self, other):
+        return isinstance(other, BundleRing) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def one(self) -> BundleRingElement:
+        return self.embed(1)
+
+    def embed(self, value) -> BundleRingElement:
+        """Lift a scalar or base series into this ring."""
+        if isinstance(value, (int, Fraction)):
+            value = GradedSeries.const(self.rank, self.truncation, value)
+        return BundleRingElement(self, [value])
+
+    def hyperplane(self) -> BundleRingElement:
+        """The class h."""
+        if len(self.weights) < 2:
+            raise ValueError("need at least two weights for a positive-dimensional model")
+        zero = GradedSeries.zero(self.rank, self.truncation)
+        one = GradedSeries.one(self.rank, self.truncation)
+        return BundleRingElement(self, [zero, one])
+
+
+def _as_ring(weights, coeffs, rank, truncation) -> BundleRing:
+    """`weights` if it is a BundleRing, else the ring over those weights.
+
+    A missing rank or truncation is read off the first series in `coeffs`.
+    """
+    if isinstance(weights, BundleRing):
+        return weights
+    if rank is None or truncation is None:
+        probe = next((c for c in coeffs if isinstance(c, GradedSeries)), None)
+        if probe is None:
+            raise ValueError("rank and truncation required without series coefficients")
+        rank, truncation = probe.rank, probe.truncation
+    return BundleRing(weights, rank, truncation)
+
+
+class BundleRingElement:
+    """Element of (truncated series ring)[h] / prod_i(h + w_i.t), kept reduced."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, weights, coeffs, rank=None, truncation=None):
+        """`weights` is the relation's list of weight vectors, or a BundleRing."""
         coeffs = list(coeffs)
-        if len(coeffs) > len(self.weights):
+        ring = _as_ring(weights, coeffs, rank, truncation)
+        rank, truncation = ring.rank, ring.truncation
+        if len(coeffs) > len(ring.weights):
             raise ValueError("coefficients exceed the reduced h-degree bound")
-        coeffs += [GradedSeries.zero(rank, truncation)] * (len(self.weights) - len(coeffs))
+        coeffs += [GradedSeries.zero(rank, truncation)] * (len(ring.weights) - len(coeffs))
         for c in coeffs:
             if not isinstance(c, GradedSeries) or c.rank != rank or c.truncation != truncation:
                 raise ValueError("coefficients must be series of matching rank/truncation")
+        self.ring = ring
         self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _trusted(cls, ring, coeffs):
+        """An element over `ring` with one matching series per weight, unchecked."""
+        element = object.__new__(cls)
+        element.ring = ring
+        element.coeffs = tuple(coeffs)
+        return element
+
+    @property
+    def weights(self):
+        return self.ring.weights
+
+    @property
+    def rank(self):
+        return self.ring.rank
+
+    @property
+    def truncation(self):
+        return self.ring.truncation
 
     @property
     def hdim(self):
         """n, the largest retained power of h (= number of weights minus 1)."""
-        return len(self.weights) - 1
+        return len(self.ring.weights) - 1
 
     def _check_compatible(self, other):
-        if (
-            self.weights != other.weights
-            or self.rank != other.rank
-            or self.truncation != other.truncation
-        ):
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("bundle elements over different models")
 
-    def _series(self, value):
-        return GradedSeries.const(self.rank, self.truncation, value)
-
     def _one(self):
-        return BundleRingElement(
-            self.weights,
-            [GradedSeries.one(self.rank, self.truncation)],
-            self.rank,
-            self.truncation,
-        )
+        return self.ring.one()
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
@@ -408,27 +511,22 @@ class BundleRingElement:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GradedSeries)):
-            other = embed_series(self, other)
+            other = self.ring.embed(other)
         if not isinstance(other, BundleRingElement):
             return NotImplemented
         self._check_compatible(other)
-        return BundleRingElement(
-            self.weights,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.rank,
-            self.truncation,
+        return BundleRingElement._trusted(
+            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BundleRingElement(
-            self.weights, [-c for c in self.coeffs], self.rank, self.truncation
-        )
+        return BundleRingElement._trusted(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GradedSeries)):
-            other = embed_series(self, other)
+            other = self.ring.embed(other)
         if not isinstance(other, BundleRingElement):
             return NotImplemented
         return self + (-other)
@@ -437,14 +535,8 @@ class BundleRingElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BundleRingElement(
-                self.weights, [c * other for c in self.coeffs], self.rank, self.truncation
-            )
-        if isinstance(other, GradedSeries):
-            return BundleRingElement(
-                self.weights, [c * other for c in self.coeffs], self.rank, self.truncation
-            )
+        if isinstance(other, (int, Fraction, GradedSeries)):
+            return BundleRingElement._trusted(self.ring, [c * other for c in self.coeffs])
         if not isinstance(other, BundleRingElement):
             return NotImplemented
         self._check_compatible(other)
@@ -458,7 +550,7 @@ class BundleRingElement:
             for j, b in enumerate(other.coeffs):
                 if not b.is_zero():
                     prod[i + j] = prod[i + j] + a * b
-        return reduce(prod, self.weights, self.rank, self.truncation)
+        return reduce(prod, self.ring)
 
     __rmul__ = __mul__
 
@@ -507,36 +599,26 @@ class BundleRingElement:
     __repr__ = __str__
 
 
-def embed_series(template: BundleRingElement, value) -> BundleRingElement:
-    """Lift a scalar or base series into the bundle ring of `template`."""
-    if isinstance(value, (int, Fraction)):
-        value = GradedSeries.const(template.rank, template.truncation, value)
-    return BundleRingElement(template.weights, [value], template.rank, template.truncation)
-
-
 def hyperplane_class(weights, rank, truncation) -> BundleRingElement:
     """The class h in the quotient ring for the given relation weights."""
-    zero = GradedSeries.zero(rank, truncation)
-    one = GradedSeries.one(rank, truncation)
-    if len(weights) < 2:
-        raise ValueError("need at least two weights for a positive-dimensional model")
-    return BundleRingElement(weights, [zero, one], rank, truncation)
+    return BundleRing(weights, rank, truncation).hyperplane()
 
 
 def reduce(poly_coeffs, weights, rank=None, truncation=None) -> BundleRingElement:
-    """Reduce an h-polynomial (list of series, low degree first) modulo prod(h + w_i.t)."""
+    """Reduce an h-polynomial (list of series, low degree first) modulo prod(h + w_i.t).
+
+    `weights` is the relation's list of weight vectors, or a BundleRing,
+    whose relation is then reused.
+    """
     coeffs = list(poly_coeffs)
-    probe = next((c for c in coeffs if isinstance(c, GradedSeries)), None)
-    if rank is None or truncation is None:
-        if probe is None:
-            raise ValueError("rank and truncation required without series coefficients")
-        rank, truncation = probe.rank, probe.truncation
+    ring = _as_ring(weights, coeffs, rank, truncation)
+    rank, truncation = ring.rank, ring.truncation
     coeffs = [
         c if isinstance(c, GradedSeries) else GradedSeries.const(rank, truncation, c)
         for c in coeffs
     ]
-    n1 = len(weights)
-    es = relation_elementary_symmetric(weights, rank, truncation)
+    n1 = len(ring.weights)
+    es = ring.relation if len(coeffs) > n1 else ()
     for k in range(len(coeffs) - 1, n1 - 1, -1):
         top = coeffs[k]
         if top.is_zero():
@@ -544,7 +626,7 @@ def reduce(poly_coeffs, weights, rank=None, truncation=None) -> BundleRingElemen
         coeffs[k] = GradedSeries.zero(rank, truncation)
         for j in range(1, n1 + 1):
             coeffs[k - j] = coeffs[k - j] - es[j - 1] * top
-    return BundleRingElement(weights, coeffs[:n1], rank, truncation)
+    return BundleRingElement(ring, coeffs[:n1])
 
 
 def pushforward(p: BundleRingElement) -> GradedSeries:

@@ -51,44 +51,54 @@ def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
     return total
 
 
-def sections_character_oracle(model: ProjSpaceModel, twist: int):
+def sections_character_oracle(model: ProjSpaceModel, twist: int) -> RepRingElement:
     """Exact character of the cohomology Euler sum of O(twist), by enumeration.
 
     For twist >= 0 this lists the degree-`twist` monomials in the coordinates
     of V^* (each contributing the negated sum of the chosen action weights);
-    for -dim <= twist <= -1 all cohomology vanishes.  Returns None for
-    twist < -dim, where the enumeration does not apply.
+    for -dim <= twist <= -1 all cohomology vanishes.  For twist < -dim, Serre
+    duality gives chi(O(k)) = (-1)^dim * dual(H^0(O(-k-dim-1))) * chi_{sum w_i}:
+    the same enumeration in degree -k-dim-1 with the weights' signs flipped.
     """
     group = model.group
-    if twist < -model.dim:
-        return None
+    n = model.dim
+    if twist < -n:
+        det = Weight.zero(group)
+        for w in model.weights:
+            det = det + w
+        dual = _monomial_characters(model, -twist - n - 1, sign=1)
+        return dual * RepRingElement.character(group, det) * (-1) ** n
     if twist < 0:
         return RepRingElement.zero(group)
+    return _monomial_characters(model, twist, sign=-1)
+
+
+def _monomial_characters(model: ProjSpaceModel, degree: int, sign: int) -> RepRingElement:
+    """Sum over the degree-`degree` monomials of chi_{sign * (sum of their weights)}."""
+    group = model.group
     total = RepRingElement.zero(group)
-    for combo in combinations_with_replacement(range(len(model.weights)), twist):
+    for combo in combinations_with_replacement(range(len(model.weights)), degree):
         w = Weight.zero(group)
         for i in combo:
-            w = w - model.weights[i]
-        total = total + RepRingElement.character(group, w)
+            w = w + model.weights[i]
+        total = total + RepRingElement.character(group, w if sign > 0 else -w)
     return total
 
 
 @dataclass(frozen=True)
 class EulerCharacteristicResult:
     series: GradedSeries
-    oracle_character: RepRingElement | None
-    matches_oracle: bool | None
+    oracle_character: RepRingElement
+    matches_oracle: bool
 
 
 def chi_with_oracle(model: ProjSpaceModel, bundle: LineTwist) -> EulerCharacteristicResult:
-    """Run the pushforward pipeline and, when it applies, the section oracle."""
+    """Run the pushforward pipeline and the section oracle on a line twist."""
     series = hrr_chi(model, bundle)
     oracle = sections_character_oracle(model, bundle.power)
-    if oracle is not None and bundle.character is not None:
+    if bundle.character is not None:
         oracle = oracle * RepRingElement.character(model.group, bundle.character)
-    matches = None
-    if oracle is not None:
-        matches = chern_character(oracle, model.truncation) == series
+    matches = chern_character(oracle, model.truncation) == series
     return EulerCharacteristicResult(series, oracle, matches)
 
 

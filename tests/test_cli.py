@@ -155,6 +155,20 @@ def test_selftest_runs_every_criterion(capsys):
     assert all(row["pass"] for row in doc["results"]["criteria"])
 
 
+def test_chi_below_minus_dim_carries_a_check(capsys):
+    code, doc = run_json(capsys, "chi", "--weights", "1,0", "--twist", "-5")
+    assert code == 0
+    assert doc["checks"] == [{"name": "section-oracle agreement up to truncation", "pass": True}]
+    assert doc["results"]["degree_zero"] == "-4"
+
+
+def test_selftest_rejects_trunc(capsys):
+    assert main(["selftest", "--trunc", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--trunc" in captured.err
+
+
 def test_flag_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chi", "--weights", "1,-1"])  # missing --twist

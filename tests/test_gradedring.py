@@ -348,3 +348,194 @@ def test_bundle_exp_homomorphism():
     x = h * 2
     y = h._one() * t - h  # t - h, degree 1, no constant term
     assert exp(x) * exp(y) == exp(x + y)
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator kernel against the Fraction-dict kernel it replaced
+
+
+def fraction_kernel_mul(a, b, n):
+    """The old kernel's product: all pairs of Fraction terms, degrees above n dropped."""
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= n:
+                terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def fraction_kernel_add(a, b):
+    terms = dict(a)
+    for e, c in b.items():
+        s = terms.get(e, 0) + c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    return terms
+
+
+def fraction_kernel_scale(a, k):
+    return {e: c * k for e, c in a.items()} if k else {}
+
+
+def fraction_kernel_pow(a, k, rank, n):
+    result = {(0,) * rank: Fraction(1)} if n >= 0 else {}
+    for _ in range(k):
+        result = fraction_kernel_mul(result, a, n)
+    return result
+
+
+def fraction_kernel_inverse(a, rank, n):
+    """1/a as (1/a0) * sum_k u^k with u = 1 - a/a0, as the old kernel did."""
+    one = {(0,) * rank: Fraction(1)}
+    a0 = a[(0,) * rank]
+    u = fraction_kernel_add(one, fraction_kernel_scale(a, -1 / a0))
+    total, power = dict(one), dict(one)
+    while True:
+        power = fraction_kernel_mul(power, u, n)
+        if not power:
+            return fraction_kernel_scale(total, 1 / a0)
+        total = fraction_kernel_add(total, power)
+
+
+def assert_canonical(s):
+    assert s.den >= 1 and math.gcd(s.den, *s.num.values()) == 1
+    assert all(type(c) is int and c != 0 for c in s.num.values())
+    if not s.num:
+        assert s.den == 1
+    assert_series_invariant(s)
+
+
+def test_integer_kernel_matches_the_fraction_kernel():
+    rng = random.Random(2024)
+    seen = set()
+
+    def rand_terms(rank, n):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randint(0, min(n, 3)) for _ in range(rank))
+            if sum(e) <= n:
+                terms[e] = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 9, 35)))
+        return {e: c for e, c in terms.items() if c}
+
+    for case in range(240):
+        rank, n = case % 4, rng.randint(0, 16)
+        ta, tb = rand_terms(rank, n), rand_terms(rank, n)
+        a, b = GradedSeries(rank, n, ta), GradedSeries(rank, n, tb)
+        # b2 cancels against part of a, so sums and differences reach zero
+        tb2 = fraction_kernel_add(tb, {e: -c for e, c in ta.items() if rng.random() < 0.7})
+        b2 = GradedSeries(rank, n, tb2)
+        k = rng.choice((0, 1, -1, 3, -4, Fraction(-5, 6), Fraction(7, 2)))
+        d = rng.choice((1, -2, 3, Fraction(2, 5), Fraction(-9, 4)))
+        degree = rng.randint(0, n)
+        cut = rng.randint(0, n)
+        power = rng.randint(0, 3)
+        expected = [
+            (a + b, fraction_kernel_add(ta, tb)),
+            (a + b2, fraction_kernel_add(ta, tb2)),
+            (a - b, fraction_kernel_add(ta, fraction_kernel_scale(tb, -1))),
+            (a - a, {}),
+            (-a, fraction_kernel_scale(ta, -1)),
+            (a * k, fraction_kernel_scale(ta, Fraction(k))),
+            (k * a, fraction_kernel_scale(ta, Fraction(k))),
+            (a / d, fraction_kernel_scale(ta, 1 / Fraction(d))),
+            (a * b, fraction_kernel_mul(ta, tb, n)),
+            (a * b2, fraction_kernel_mul(ta, tb2, n)),
+            (a**power, fraction_kernel_pow(ta, power, rank, n)),
+            (a.component(degree), {e: c for e, c in ta.items() if sum(e) == degree}),
+            (a.truncate(cut), {e: c for e, c in ta.items() if sum(e) <= cut}),
+        ]
+        unit = a + (1 - a.constant_term())  # constant term 1
+        expected.append((unit.inverse(), fraction_kernel_inverse(unit.terms, rank, n)))
+        for got, want in expected:
+            assert_canonical(got)
+            assert got.terms == want, (case, rank, n)
+            assert got == GradedSeries(rank, got.truncation, want)
+            seen.add((rank, not want, got.den == 1))
+    # every rank met a zero result, a nonzero integer one and a fractional one
+    assert seen == {(r, z, i) for r in range(4) for z, i in ((True, True), (False, True), (False, False))}
+
+
+def test_canonical_form_of_constructed_series():
+    assert GradedSeries.zero(2, 5).den == 1
+    s = GradedSeries(1, 4, {(0,): Fraction(1, 6), (1,): Fraction(1, 4), (2,): 3})
+    assert (s.num, s.den) == ({(0,): 2, (1,): 3, (2,): 36}, 12)
+    assert (s * 12).den == 1 and (s * 12).num == {(0,): 2, (1,): 3, (2,): 36}
+    assert (s - s).den == 1 and (s * 0).den == 1
+    assert s.coefficient((1,)) == Fraction(1, 4) and s.constant_term() == Fraction(1, 6)
+    view = s.terms
+    view[(3,)] = Fraction(1)
+    assert (3,) not in s.terms  # the view is derived, not the storage
+    for series in (s, s * s, s.inverse(), s - s, s / 7):
+        assert_canonical(series)
+
+
+def test_equal_series_by_different_routes_hash_equal():
+    t = GradedSeries.variable(2, 9)
+    u = GradedSeries.variable(2, 9, 1)
+    a = exp(t + u * Fraction(1, 3))
+    routes = [
+        (exp(t) * exp(-t), GradedSeries.one(2, 9)),
+        ((a + t) - t, a),
+        (a * 6 / 6, a),
+        (a * Fraction(2, 3) + a * Fraction(1, 3), a),
+        (exp(t) * exp(u * Fraction(1, 3)), a),
+        (a.inverse().inverse(), a),
+        (GradedSeries(2, 9, a.terms), a),
+        (a - a, GradedSeries.zero(2, 9)),
+        (GradedSeries(2, 9, {(1, 0): Fraction(2, 4)}), t / 2),
+    ]
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
+        assert (x.den, x.num) == (y.den, y.num)
+    h = make_h()
+    t1 = GradedSeries.variable(1, 8)
+    other = BundleRingElement(P1, [t1 * t1, GradedSeries.zero(1, 8)])
+    assert h * h == other and hash(h * h) == hash(other)
+
+
+def test_hrr_chi_builds_the_relation_at_most_once(monkeypatch):
+    from equitau import gradedring
+    from equitau.charclass import LineTwist, torus_model
+    from equitau.riemannroch import hrr_chi
+
+    calls = []
+    original = gradedring.relation_elementary_symmetric
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gradedring, "relation_elementary_symmetric", counting)
+    model = torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 6)
+    chi = hrr_chi(model, LineTwist(1, (1, -2, 3)))
+    assert chi.constant_term() == 4
+    assert len(calls) <= 1
+    hrr_chi(model, LineTwist(0))
+    assert len(calls) <= 1  # the model keeps its ring, and the ring its relation
+
+
+def test_exp_of_linear_forms_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_exp
+    from sympy.polys.rings import ring
+
+    rng = random.Random(31)
+    cases = [(0, 5, ())] + [
+        (rank, n, tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(rank)))
+        for rank, n in ((1, 16), (1, 7), (2, 16), (2, 9), (3, 12), (3, 16), (3, 0), (2, 1))
+    ]
+    for rank, n, coeffs in cases:
+        # s grades by total degree: exp(s * (a . t)) cut above s^n
+        names = ["s"] + [f"t{i}" for i in range(rank)]
+        R, *gens = ring(",".join(names), sympy.QQ)
+        s, ts = gens[0], gens[1:]
+        form = sum((sympy.QQ(c.numerator, c.denominator) * x for c, x in zip(coeffs, ts)), R.zero)
+        expansion = rs_exp(s * form, s, n + 1) if rank else R.one
+        expected = {}
+        for monom, c in expansion.terms():
+            expected[monom[1:]] = Fraction(int(c.numerator), int(c.denominator))
+        got = exp(GradedSeries.linear_form(rank, n, coeffs))
+        assert got.terms == expected, (rank, n, coeffs)

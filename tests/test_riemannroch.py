@@ -58,7 +58,8 @@ def test_sections_oracle_examples():
         T1, {(2,): 1, (0,): 1, (-2,): 1}
     )
     assert sections_character_oracle(P1, -1) == RepRingElement.zero(T1)
-    assert sections_character_oracle(P1, -2) is None
+    # Serre duality below -dim: chi(O(-2)) on P^1 is -H^0(O(0))^dual = -1
+    assert sections_character_oracle(P1, -2) == -RepRingElement.one(T1)
 
     p2 = torus_model([0, 0, 0], TRUNC)
     assert sections_character_oracle(p2, 2) == 6 * RepRingElement.one(T1)
@@ -106,9 +107,9 @@ def test_chi_with_oracle_flags():
     assert chern_character(res.oracle_character, TRUNC) == res.series
 
     res_neg = chi_with_oracle(P1, LineTwist(-2))
-    assert res_neg.oracle_character is None
-    assert res_neg.matches_oracle is None
-    # certified by the closed form instead
+    assert res_neg.oracle_character == -RepRingElement.one(T1)
+    assert res_neg.matches_oracle is True
+    # and the closed form agrees
     assert res_neg.series == weyl_closed_form(-2, TRUNC)
 
 
@@ -134,3 +135,26 @@ def test_rank_two_torus_oracle_agreement():
 def test_verify_weyl_rejects_negative_nmax():
     with pytest.raises(ValueError):
         verify_weyl(-1, 8)
+
+
+def test_serre_duality_oracle_below_minus_dim():
+    """Below -dim the oracle is the Serre dual, and the pipeline matches it exactly."""
+    models = [
+        torus_model([1, -1], 10),
+        torus_model([3, 1], 10),
+        torus_model([(1, 0), (0, 1)], 8),
+        torus_model([(2, -1), (0, 3)], 8),
+        torus_model([2, 0, -1], 8),
+        torus_model([5, 5, 5], 8),
+        torus_model([(1, 0), (0, 1), (1, 1)], 6),
+        torus_model([(1, 2), (-1, 0), (0, -3)], 6),
+    ]
+    for model in models:
+        n = model.dim
+        for twist in range(-n - 1, -n - 6, -1):
+            oracle = sections_character_oracle(model, twist)
+            # rank of chi(O(k)) is (-1)^n * C(-k-1, n) below -dim
+            assert oracle.augmentation() == (-1) ** n * math.comb(-twist - 1, n)
+            assert chern_character(oracle, model.truncation) == hrr_chi(model, LineTwist(twist))
+            res = chi_with_oracle(model, LineTwist(twist, (1,) * model.rank))
+            assert res.matches_oracle is True
