@@ -1,8 +1,15 @@
-"""Canonical text rendering shared by the ring element types."""
+"""Canonical text rendering shared by the ring element types.
+
+Coefficients are rendered from integers: a coefficient is anything with
+``.numerator`` and ``.denominator`` (an int or a ``Fraction``), optionally over
+one extra shared denominator, and each one is brought to lowest terms with a
+single ``math.gcd``.  The text is exactly what ``str(Fraction(...))`` gives,
+but no ``Fraction`` is built.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 def variable_names(stem: str, count: int) -> list[str]:
@@ -22,18 +29,29 @@ def monomial_string(names, exponents) -> str:
     return " ".join(parts)
 
 
-def join_signed_terms(terms) -> str:
-    """Join (coefficient, monomial) pairs as "2 - u + 1/12 t^4"; empty input is "0"."""
+def rational_str(numerator: int, denominator: int = 1) -> str:
+    """numerator/denominator (denominator > 0) in lowest terms: "-3/4", "2", "0"."""
+    g = gcd(numerator, denominator)
+    if g != denominator:
+        return f"{numerator // g}/{denominator // g}"
+    return str(numerator // g)
+
+
+def join_signed_terms(terms, den=1) -> str:
+    """Join (coefficient, monomial) pairs as "2 - u + 1/12 t^4"; empty input is "0".
+
+    Each coefficient stands for coefficient / den, with den a positive int.
+    """
     out = []
     for coeff, mono in terms:
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        p = coeff.numerator
+        if not p:
             continue
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
+        sign = "-" if p < 0 else "+"
+        mag = rational_str(abs(p), coeff.denominator * den)
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag} {mono}"

@@ -5,7 +5,8 @@ Common flags: --trunc N (default 16, overridable via EQUITAU_TRUNC) and
 --format text|json.  Output is deterministic for fixed flags; rationals are
 rendered as exact strings, never floats.  Exit status is 0 iff every embedded
 check passes, 1 on a check failure (a certificate that fails exact
-re-verification included, reported in one line on stderr), 2 on bad flags.
+re-verification included, reported in one line on stderr), 2 on bad flags or
+input (a negative truncation, a zero denominator), also in one line.
 A reader that closes the pipe early (`| head`) ends the run quietly with 1.
 """
 
@@ -17,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
+from ._format import rational_str
 from .charclass import DEFAULT_TRUNCATION, LineTwist, mu_model, torus_model
 from .finitestab import (
     ktheory_free_module_dimension,
@@ -36,14 +38,16 @@ from .selftest import run_all, segal_certificate
 
 
 def fraction_str(value) -> str:
-    return str(Fraction(value))
+    """An int or Fraction as exact text, the same as ``str(Fraction(value))``."""
+    return rational_str(value.numerator, value.denominator)
 
 
 def series_to_json(s: GradedSeries):
     by_degree: dict[int, list] = {}
-    for exps, coeff in s.sorted_terms():
+    den = s.den
+    for exps, p in s.sorted_num():
         by_degree.setdefault(sum(exps), []).append(
-            {"exponents": list(exps), "coeff": fraction_str(coeff)}
+            {"exponents": list(exps), "coeff": rational_str(p, den)}
         )
     return [
         {"degree": d, "monomials": monos} for d, monos in sorted(by_degree.items())
@@ -88,12 +92,15 @@ def parse_orders(args) -> tuple[int, ...]:
 
 
 def resolve_truncation(args) -> int:
+    """--trunc, else EQUITAU_TRUNC, else the default; a negative value is rejected."""
     if args.trunc is not None:
-        return args.trunc
-    env = os.environ.get("EQUITAU_TRUNC")
-    if env is not None:
-        return int(env)
-    return DEFAULT_TRUNCATION
+        trunc = args.trunc
+    else:
+        env = os.environ.get("EQUITAU_TRUNC")
+        trunc = DEFAULT_TRUNCATION if env is None else int(env)
+    if trunc < 0:
+        raise ValueError(f"truncation must be nonnegative, got {trunc}")
+    return trunc
 
 
 def make_document(command, inputs, truncation, results, checks):
@@ -255,7 +262,10 @@ def cmd_support(args) -> int:
     trunc = resolve_truncation(args)
     orders = parse_orders(args)
     group = GroupDescriptor(0, tuple(d for d in orders if d != 1))
-    values = tuple(Fraction(x) for x in args.point.split(","))
+    try:
+        values = tuple(Fraction(x) for x in args.point.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"--point {args.point!r} has a zero denominator") from None
     point = TorsionCharacterPoint(group, values)
     support = support_subgroup(group, point)
     checks = [("support order equals the order of the character point",

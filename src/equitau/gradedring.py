@@ -13,7 +13,9 @@ equality and hashing compare (rank, truncation, den, num) directly.  Add
 brings both operands over the lcm of their denominators, series multiply
 convolves the numerators and multiplies the denominators, and scalar multiply
 scales both.  ``terms`` is a derived view {exponent tuple: Fraction}, and
-``coefficient`` and ``constant_term`` return Fractions.
+``coefficient`` and ``constant_term`` return Fractions.  ``str()`` renders
+from ``num`` and ``den`` directly (``sorted_num`` gives the items in print
+order), so printing builds no Fraction either.
 
 The public constructor checks its input and brings it to that form.  Results
 of add, sub, neg, scalar and series multiply, ``component`` and ``truncate``
@@ -278,13 +280,14 @@ class GradedSeries:
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+    def sorted_num(self):
+        """The (exponents, numerator) items by total degree, then exponents."""
+        return sorted(self.num.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def __str__(self):
         names = variable_names("t", self.rank)
         return join_signed_terms(
-            (c, monomial_string(names, e)) for e, c in self.sorted_terms()
+            ((c, monomial_string(names, e)) for e, c in self.sorted_num()), self.den
         )
 
     __repr__ = __str__
@@ -584,17 +587,17 @@ class BundleRingElement:
         return hash((self.weights, self.coeffs))
 
     def __str__(self):
-        names = variable_names("t", self.rank)
+        names = variable_names("t", self.rank) + ["h"]
+        den = math.lcm(*(c.den for c in self.coeffs))
         items = []
         for k, c in enumerate(self.coeffs):
-            for e, coeff in c.sorted_terms():
-                items.append((sum(e) + k, e, k, coeff))
-        items.sort(key=lambda it: (it[0], it[1], it[2]))
-        parts = []
-        for _, e, k, coeff in items:
-            mono = monomial_string(names + ["h"], tuple(e) + (k,))
-            parts.append((coeff, mono))
-        return join_signed_terms(parts)
+            scale = den // c.den
+            for e, p in c.num.items():
+                items.append((sum(e) + k, e, k, p * scale))
+        items.sort(key=lambda it: it[:3])
+        return join_signed_terms(
+            ((p, monomial_string(names, e + (k,))) for _, e, k, p in items), den
+        )
 
     __repr__ = __str__
 

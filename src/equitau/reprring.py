@@ -12,10 +12,21 @@ the coefficient of t^e in ch(sum_w c_w chi_w) is
 
     (sum_w c_w * prod_i w_i^e_i) / prod_i e_i!
 
-for every exponent vector e of total degree <= N.  No exp series is built;
-``charclass.chern_character_bundle`` and ``riemannroch.weyl_closed_form``
-still go through ``gradedring.exp``, so the section-oracle checks compare two
-independent routes.
+for every exponent vector e of total degree <= N.  It is built without any
+``Fraction``: the numerator of t^e is (sum_w D c_w w^e) * (N! / e!) over the
+shared denominator D * N!, where D is the lcm of the coefficients'
+denominators, and ``GradedSeries._trusted`` brings that to canonical form
+with one gcd.  No exp series is built; ``charclass.chern_character_bundle``
+and ``riemannroch.weyl_closed_form`` still go through ``gradedring.exp``, so
+the section-oracle checks compare two independent routes.
+
+The public ``RepRingElement`` constructor checks and reduces its input.
+Results of add, sub, neg, scalar multiply and multiply are built through
+``RepRingElement._trusted``, which takes the terms as they are: the
+operations themselves keep coordinates reduced, drop zero coefficients and
+turn integral ``Fraction`` values into ints.  A product adds coordinate
+tuples with ``map(add, ...)`` and reduces them only over a group with
+torsion.
 
 The certificate search solves its linear system modulo the prime 2^61 - 1,
 lifts each value by rational reconstruction and checks every equation
@@ -33,7 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import add, mul
 
 from ._format import join_signed_terms, monomial_string, variable_names
 from .gradedring import GradedSeries
@@ -68,15 +79,28 @@ class RepRingElement:
                 clean.pop(coords, None)
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, group, terms):
+        """The element with these terms, built without the constructor's checks.
+
+        Only for reduced coordinate tuples and nonzero coefficients, with
+        integral ``Fraction`` values already turned into ints; the dict is
+        taken over, not copied.
+        """
+        element = object.__new__(cls)
+        element.group = group
+        element.terms = terms
+        return element
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(group):
-        return RepRingElement(group, {})
+        return RepRingElement._trusted(group, {})
 
     @staticmethod
     def one(group):
-        return RepRingElement(group, {(0,) * group.ngens: 1})
+        return RepRingElement._trusted(group, {(0,) * group.ngens: 1})
 
     @staticmethod
     def character(group, weight):
@@ -94,7 +118,8 @@ class RepRingElement:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return RepRingElement(self.group, {(0,) * self.group.ngens: other})
+            terms = {(0,) * self.group.ngens: _normalize_coeff(other)} if other else {}
+            return RepRingElement._trusted(self.group, terms)
         return None
 
     def __add__(self, other):
@@ -108,12 +133,12 @@ class RepRingElement:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-        return RepRingElement(self.group, terms)
+        return RepRingElement._trusted(self.group, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RepRingElement(self.group, {k: -c for k, c in self.terms.items()})
+        return RepRingElement._trusted(self.group, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -128,21 +153,25 @@ class RepRingElement:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return RepRingElement.zero(self.group)
-            return RepRingElement(self.group, {k: c * other for k, c in self.terms.items()})
+            return RepRingElement._trusted(
+                self.group, {k: _normalize_coeff(c * other) for k, c in self.terms.items()}
+            )
         if not isinstance(other, RepRingElement):
             return NotImplemented
         self._check(other)
         group = self.group
+        reduce_coords = None if group.is_free else group.reduce_coords
+        right = list(other.terms.items())
         terms = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = group.reduce_coords(tuple(a + b for a, b in zip(k1, k2)))
-                s = terms.get(k, 0) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return RepRingElement(group, terms)
+            for k2, c2 in right:
+                k = tuple(map(add, k1, k2))
+                if reduce_coords is not None:
+                    k = reduce_coords(k)
+                terms[k] = terms.get(k, 0) + c1 * c2
+        return RepRingElement._trusted(
+            group, {k: _normalize_coeff(c) for k, c in terms.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -218,16 +247,21 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     Only defined over a free character lattice (a torus).  Closed form (see
     the module docstring): the monomials of total degree <= truncation are
     walked once, depth first, carrying prod_i w_i^e_i for every weight as an
-    integer, with the coefficients brought over one common denominator.
+    integer.  The series is built as integer numerators over the denominator
+    D * N!, where D is the lcm of the coefficients' denominators: the
+    numerator of t^e is (sum_w D c_w w^e) * (N! / e!).
     """
     group = a.group
     if not group.is_free:
         raise ValueError("Chern character requires a torus (free character lattice)")
+    if truncation < 0:
+        raise ValueError("rank and truncation must be nonnegative")
     rank = group.ngens
     weights = list(a.terms)
     denominator = math.lcm(*(c.denominator for c in a.terms.values()))
     numerators = [c.numerator * (denominator // c.denominator) for c in a.terms.values()]
-    terms = {}
+    top = math.factorial(truncation)
+    num = {}
 
     def walk(exps, powers, factorials, room):
         # powers[j] = prod over the fixed exponents of weights[j][i]^e_i
@@ -235,7 +269,7 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
         if i == rank:
             value = sum(map(mul, numerators, powers))
             if value:
-                terms[exps] = Fraction(value, denominator * factorials)
+                num[exps] = value * (top // factorials)
             return
         column = [w[i] for w in weights]
         for e in range(room + 1):
@@ -247,7 +281,7 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
             walk(exps + (e,), powers, factorials, room - e)
 
     walk((), [1] * len(weights), 1, truncation)
-    return GradedSeries(rank, truncation, terms)
+    return GradedSeries._trusted(rank, truncation, num, denominator * top)
 
 
 def augmentation_order(a: RepRingElement, truncation: int):

@@ -74,15 +74,18 @@ def sections_character_oracle(model: ProjSpaceModel, twist: int) -> RepRingEleme
 
 
 def _monomial_characters(model: ProjSpaceModel, degree: int, sign: int) -> RepRingElement:
-    """Sum over the degree-`degree` monomials of chi_{sign * (sum of their weights)}."""
-    group = model.group
-    total = RepRingElement.zero(group)
-    for combo in combinations_with_replacement(range(len(model.weights)), degree):
-        w = Weight.zero(group)
-        for i in combo:
-            w = w + model.weights[i]
-        total = total + RepRingElement.character(group, w if sign > 0 else -w)
-    return total
+    """Sum over the degree-`degree` monomials of chi_{sign * (sum of their weights)}.
+
+    The coordinate sums are counted in one dict; the element's constructor
+    then reduces them (torsion coordinates) and merges what coincides.
+    """
+    vectors = [tuple(sign * c for c in w) for w in model.weight_vectors()]
+    zero = (0,) * model.group.ngens
+    counts = {}
+    for combo in combinations_with_replacement(vectors, degree):
+        key = tuple(map(sum, zip(*combo))) if combo else zero
+        counts[key] = counts.get(key, 0) + 1
+    return RepRingElement(model.group, counts)
 
 
 @dataclass(frozen=True)

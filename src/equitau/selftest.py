@@ -3,7 +3,8 @@
 Each criterion is a function returning (passed, detail).  The CLI `selftest`
 subcommand and the acceptance test module both run exactly these checks, at
 the tolerances fixed here (exact rational equality throughout; the single
-runtime bound is on the Weyl table).
+runtime bound is on the Weyl table).  ``run_all`` reports each criterion's
+elapsed time at the end of its detail.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ WEYL_TIME_LIMIT = 5.0
 
 def check_weyl_three_way():
     """chi(O(n)) on P^1 (1,-1): pipeline = closed form = section oracle, n in [-1, 10]."""
-    start = time.time()
+    start = time.perf_counter()
     report = verify_weyl(WEYL_NMAX, WEYL_TRUNCATION)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     failures = [r.twist for r in report.rows if not r.ok]
     ok = not failures and elapsed < WEYL_TIME_LIMIT
-    return ok, f"{len(report.rows)} rows, failures {failures}, {elapsed:.2f}s"
+    return ok, f"{len(report.rows)} rows, failures {failures}"  # run_all adds the time
 
 
 def check_pushforward_lemma(cases=100, seed=20260809):
@@ -224,10 +225,15 @@ CRITERIA = [
 
 
 def run_all(report=print):
-    """Run every criterion; returns the list of (name, passed, detail)."""
+    """Run every criterion; returns the list of (name, passed, detail).
+
+    Each detail ends with the criterion's elapsed wall time, ", X.XXs".
+    """
     results = []
     for name, fn in CRITERIA:
+        start = time.perf_counter()
         passed, detail = fn()
+        detail = f"{detail}, {time.perf_counter() - start:.2f}s"
         results.append((name, passed, detail))
         if report is not None:
             report(f"{'pass' if passed else 'FAIL'}  {name}  ({detail})")

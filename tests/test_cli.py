@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import equitau.cli
+import equitau.selftest
 from equitau.cli import main, render_json
 from equitau.reprring import CertificateError
 
@@ -205,3 +207,45 @@ def test_closed_pipe_exits_without_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_support_point_with_zero_denominator_exits_2(capsys):
+    code = main(["support", "--order", "6", "--point", "1/0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "equitau: error: --point '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sectors", "--order", "6", "--weights", "0,1"],
+        ["support", "--order", "6", "--point", "1/3"],
+        ["segal", "--n", "2", "--degree", "2"],
+        ["chi", "--weights", "1,-1", "--twist", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_truncation_exits_2(capsys, monkeypatch, argv, source):
+    if source == "flag":
+        argv = [*argv, "--trunc", "-1"]
+    else:
+        monkeypatch.setenv("EQUITAU_TRUNC", "-1")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "equitau: error: truncation must be nonnegative, got -1\n"
+
+
+def test_selftest_reports_every_criterion_time(capsys, monkeypatch):
+    criteria = [("first", lambda: (True, "one")), ("second", lambda: (False, "two"))]
+    monkeypatch.setattr(equitau.selftest, "CRITERIA", criteria)
+    code, doc = run_json(capsys, "selftest")
+    assert code == 1
+    assert sorted(doc.keys()) == ["checks", "command", "inputs", "results", "truncation"]
+    rows = doc["results"]["criteria"]
+    assert [sorted(row) for row in rows] == [["detail", "name", "pass"]] * 2
+    for row, stem in zip(rows, ("one", "two")):
+        assert re.fullmatch(stem + r", \d+\.\d\ds", row["detail"]), row["detail"]

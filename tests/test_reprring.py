@@ -1,11 +1,12 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from equitau import reprring
+from equitau.charclass import mu_model
 from equitau.gradedring import GradedSeries, exp
 from equitau.lattice import GroupDescriptor
 from equitau.reprring import (
@@ -496,3 +497,128 @@ def test_small_primes_stay_exact_through_the_fallback(monkeypatch, solver_log, p
     if prime > 3:  # mod 3 every residue reconstructs, to 0 or +-1
         assert solver_log["failed_reconstructions"] > 0
     assert all(farkas_holds(eqs, y) for eqs, y in solver_log["farkas"])
+
+
+# ---------------------------------------------------------------------------
+# the trusted group-algebra kernel and the integer Chern character, against
+# constructor-built results
+
+
+KERNEL_GROUPS = [
+    torus_group(1),
+    torus_group(2),
+    mu_model(6, [0, 1]).group,
+    mu_model((2, 4), [(0, 0), (1, 3)]).group,
+    GroupDescriptor(1, (3,)),
+]
+
+
+def random_raw_terms(rng, group):
+    """Unreduced coordinates; half-integral coefficients, so sums and products
+    of Fractions often become integers."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        coords = tuple(rng.randint(-7, 7) for _ in range(group.ngens))
+        c = rng.randint(-3, 3) if rng.random() < 0.5 else Fraction(rng.randint(-5, 5), 2)
+        terms[coords] = terms.get(coords, 0) + c
+    return terms
+
+
+def accumulate(pairs):
+    out = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def assert_canonical_and_equal(got, expected):
+    """Equal terms, reduced keys, nonzero coefficients, integral values as ints."""
+    group = got.group
+    assert got.group == expected.group
+    assert sorted((k, c, type(c)) for k, c in got.terms.items()) == sorted(
+        (k, c, type(c)) for k, c in expected.terms.items()
+    )
+    for k, c in got.terms.items():
+        assert group.reduce_coords(k) == k
+        assert c != 0
+        assert type(c) is int or c.denominator != 1
+
+
+@pytest.mark.parametrize("group", KERNEL_GROUPS, ids=str)
+def test_kernel_arithmetic_matches_constructor_built_results(group):
+    rng = random.Random(f"kernel/{group}")
+    for _ in range(300):
+        a = RepRingElement(group, random_raw_terms(rng, group))
+        b = RepRingElement(group, random_raw_terms(rng, group))
+        s = rng.choice((0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)))
+        neg_b = RepRingElement(group, {k: -c for k, c in b.terms.items()})
+        product_terms = accumulate(
+            (tuple(x + y for x, y in zip(k1, k2)), c1 * c2)
+            for k1, c1 in a.terms.items()
+            for k2, c2 in b.terms.items()
+        )
+        zero = (0,) * group.ngens
+        cases = [
+            (a + b, accumulate([*a.terms.items(), *b.terms.items()])),
+            (a - b, accumulate([*a.terms.items(), *neg_b.terms.items()])),
+            (-b, neg_b.terms),
+            (a * s, {k: c * s for k, c in a.terms.items()}),
+            (s * a, {k: c * s for k, c in a.terms.items()}),
+            (a + s, accumulate([*a.terms.items(), (zero, s)])),
+            (s - a, accumulate([(zero, s), *((k, -c) for k, c in a.terms.items())])),
+            (a * b, product_terms),
+        ]
+        for got, terms in cases:
+            assert_canonical_and_equal(got, RepRingElement(group, terms))
+
+
+def test_fraction_products_that_become_integers_are_ints():
+    half = RepRingElement(T1, {(1,): Fraction(1, 2), (0,): Fraction(3, 2)})
+    two = RepRingElement(T1, {(-1,): 2})
+    for got in (half * two, two * half, half * 2, half + half, (half * 4) - half * 2):
+        assert all(type(c) is int for c in got.terms.values()), got.terms
+    assert (half * two).terms == {(0,): 1, (-1,): 3}
+    z6 = mu_model(6, [0, 1]).group
+    x = RepRingElement(z6, {(5,): Fraction(1, 2)})
+    y = RepRingElement(z6, {(1,): 2, (4,): Fraction(1, 2)})
+    assert_canonical_and_equal(x * y, RepRingElement(z6, {(0,): 1, (3,): Fraction(1, 4)}))
+
+
+def chern_character_by_fractions(a, truncation):
+    """sum_w c_w w^e / e! for every e of degree <= N, as Fractions, through the
+    public constructor."""
+    rank = a.group.ngens
+    terms = {}
+    for e in product(range(truncation + 1), repeat=rank):
+        if sum(e) <= truncation:
+            value = sum(
+                Fraction(c) * math.prod(wi**ei for wi, ei in zip(w, e)) for w, c in a.terms.items()
+            )
+            terms[e] = value / math.prod(math.factorial(ei) for ei in e)
+    return GradedSeries(rank, truncation, terms)
+
+
+def test_integer_chern_character_is_canonical_and_matches_fractions():
+    rng = random.Random(20261018)
+    for case in range(200):
+        rank = case % 4
+        truncation = rng.randint(0, 10 if rank < 3 else 6)
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            coords = tuple(rng.randint(-4, 4) for _ in range(rank))
+            c = rng.randint(-5, 5) if rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            terms[coords] = terms.get(coords, 0) + c
+        a = RepRingElement(torus_group(rank), terms)
+        got = chern_character(a, truncation)
+        assert got == chern_character_by_fractions(a, truncation), (rank, truncation, terms)
+        assert (got.rank, got.truncation) == (rank, truncation)
+        assert got.den > 0 and math.gcd(got.den, *got.num.values()) == 1
+        assert got.num or got.den == 1
+        for e, c in got.num.items():
+            assert type(c) is int and c != 0
+            assert len(e) == rank and min(e, default=0) >= 0 and sum(e) <= truncation
+
+
+def test_chern_character_rejects_a_negative_truncation():
+    with pytest.raises(ValueError, match="nonnegative"):
+        chern_character(RepRingElement.one(T1), -1)

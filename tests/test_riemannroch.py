@@ -1,11 +1,14 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
 from equitau.charclass import LineTwist, mu_model, torus_model
 from equitau.gradedring import GradedSeries, exp
+from equitau.lattice import Weight
 from equitau.reprring import RepRingElement, chern_character, torus_group
 from equitau.riemannroch import (
+    _monomial_characters,
     chi_with_oracle,
     hrr_chi,
     sections_character_oracle,
@@ -158,3 +161,52 @@ def test_serre_duality_oracle_below_minus_dim():
             assert chern_character(oracle, model.truncation) == hrr_chi(model, LineTwist(twist))
             res = chi_with_oracle(model, LineTwist(twist, (1,) * model.rank))
             assert res.matches_oracle is True
+
+
+def weight_sum_characters(model, degree, sign):
+    """The Weight-by-Weight enumeration the counted one replaced, kept as the oracle."""
+    group = model.group
+    total = RepRingElement.zero(group)
+    for combo in combinations_with_replacement(range(len(model.weights)), degree):
+        w = Weight.zero(group)
+        for i in combo:
+            w = w + model.weights[i]
+        total = total + RepRingElement.character(group, w if sign > 0 else -w)
+    return total
+
+
+ORACLE_MODELS = [
+    torus_model([1, -1], 6),
+    torus_model([2, 0, -1], 6),
+    torus_model([(1, 0), (0, 1), (1, 1)], 6),
+    torus_model([(2, -1), (0, 3)], 6),
+    mu_model(6, [0, 1, 5], 6),
+    mu_model((2, 4), [(0, 0), (1, 3), (1, 1)], 6),
+]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{m.group}:{m.weight_vectors()}")
+def test_counted_monomial_characters_match_the_weight_sums(model):
+    for degree in range(6):
+        for sign in (1, -1):
+            got = _monomial_characters(model, degree, sign)
+            assert got == weight_sum_characters(model, degree, sign), (degree, sign)
+            assert all(model.group.reduce_coords(k) == k for k in got.terms)
+            assert got.augmentation() == math.comb(degree + model.dim, model.dim)
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: f"{m.group}:{m.weight_vectors()}")
+def test_sections_oracle_matches_the_weight_sum_route_on_both_branches(model):
+    group, n = model.group, model.dim
+    det = Weight.zero(group)
+    for w in model.weights:
+        det = det + w
+    for twist in range(-n - 5, 5):
+        if twist >= 0:
+            expected = weight_sum_characters(model, twist, -1)
+        elif twist < -n:
+            dual = weight_sum_characters(model, -twist - n - 1, 1)
+            expected = dual * RepRingElement.character(group, det) * (-1) ** n
+        else:
+            expected = RepRingElement.zero(group)
+        assert sections_character_oracle(model, twist) == expected, twist
