@@ -66,6 +66,11 @@ class ProjSpaceModel:
         self._require_torus()
         return BundleRing(self.weight_vectors(), self.rank, self.truncation)
 
+    @cached_property
+    def tangent_todd(self) -> BundleRingElement:
+        """td of the tangent class, built once per model (``hrr_chi`` uses it)."""
+        return todd_class_bundle(self, TANGENT)
+
     def hyperplane(self) -> BundleRingElement:
         return self.ring.hyperplane()
 

@@ -17,20 +17,34 @@ scales both.  ``terms`` is a derived view {exponent tuple: Fraction}, and
 from ``num`` and ``den`` directly (``sorted_num`` gives the items in print
 order), so printing builds no Fraction either.
 
-The public constructor checks its input and brings it to that form.  Results
-of add, sub, neg, scalar and series multiply, ``component`` and ``truncate``
-are built through ``GradedSeries._trusted``, which skips the checks and
-restores the canonical form with one gcd.  Series multiply buckets the right
-operand by total degree and stops at the first bucket whose degree would
-overflow N.
+The public constructor checks its input and brings it to that form.  Every
+other series - results of arithmetic, ``component``, ``truncate`` and the
+named constructors ``zero``, ``one``, ``const``, ``variable`` and
+``linear_form`` - is built through ``GradedSeries._trusted``, which skips the
+checks and restores the canonical form with one gcd.
+
+Multiplication works on packed exponents (Monagan-Pearce): with B = N + 1,
+the monomial t^e becomes the single int |e|.B^r + sum_i e_i.B^(r-1-i).  Every
+entry of an exponent of degree <= N is below B, so adding two keys adds the
+exponents without a carry as long as the product stays in degree <= N, which
+is exactly ``k1 + k2 < B^(r+1)``; sorted keys run by total degree, then by
+exponent, which is also the print order.  ``_convolve`` adds the product of
+two packed numerator lists into a dict, scanning the sorted right operand
+only up to that bound.  Packing is internal: ``num`` keeps tuple keys, and a
+``_Packing`` translates at the boundary of each multiply.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
 kept reduced below h-degree n+1.  The relation is homogeneous, so total
 degree (t-degree + h-degree) is preserved by reduction.  Each element points
-to a BundleRing, which holds the weights, rank and truncation and builds the
-relation's coefficients once; products of elements of one ring reduce with
-that shared relation.
+to a BundleRing, which holds the weights, rank and truncation, one
+``_Packing`` and the relation's coefficients e_1..e_{n+1} as sorted packed
+lists, built on the first reduction.  A product of two elements is one fused
+kernel: both operands' slots are packed over one denominator each, every slot
+pair is convolved into 2n+1 packed dicts, and ``_reduce_slots`` folds slots
+2n..n+1 back from the top down with h^(n+1) = -(e_1 h^n + ... + e_{n+1}).
+The public ``reduce`` runs the same reduction, and ``GradedSeries.__mul__``
+the same convolution.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import mul
 
 from ._format import join_signed_terms, monomial_string, variable_names
 
@@ -94,35 +108,41 @@ class GradedSeries:
 
     @staticmethod
     def zero(rank, truncation):
-        return GradedSeries(rank, truncation, {})
+        return GradedSeries._trusted(rank, truncation, {}, 1)
 
     @staticmethod
     def const(rank, truncation, value):
-        return GradedSeries(rank, truncation, {(0,) * rank: Fraction(value)})
+        value = Fraction(value)
+        num = {(0,) * rank: value.numerator} if value else {}
+        return GradedSeries._trusted(rank, truncation, num, value.denominator)
 
     @staticmethod
     def one(rank, truncation):
-        return GradedSeries.const(rank, truncation, 1)
+        return GradedSeries._trusted(rank, truncation, {(0,) * rank: 1}, 1)
 
     @staticmethod
     def variable(rank, truncation, index=0):
         exps = [0] * rank
         exps[index] = 1
-        return GradedSeries(rank, truncation, {tuple(exps): Fraction(1)})
+        num = {tuple(exps): 1} if truncation else {}
+        return GradedSeries._trusted(rank, truncation, num, 1)
 
     @staticmethod
     def linear_form(rank, truncation, coeffs):
         """Sum of coeffs[i] * t_i; the degree-1 series attached to a weight vector."""
-        coeffs = list(coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != rank:
             raise ValueError(f"expected {rank} coefficients")
-        terms = {}
+        if not truncation:
+            return GradedSeries.zero(rank, truncation)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = {}
         for i, c in enumerate(coeffs):
-            if c != 0:
+            if c:
                 exps = [0] * rank
                 exps[i] = 1
-                terms[tuple(exps)] = Fraction(c)
-        return GradedSeries(rank, truncation, terms)
+                num[tuple(exps)] = c.numerator * (den // c.denominator)
+        return GradedSeries._trusted(rank, truncation, num, den)
 
     # -- structure ----------------------------------------------------------
 
@@ -221,22 +241,11 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._check_compatible(other)
-        n = self.truncation
-        buckets = {}
-        for e2, c2 in other.num.items():
-            buckets.setdefault(sum(e2), []).append((e2, c2))
-        buckets = sorted(buckets.items())
+        packing = _Packing(self.rank, self.truncation)
         num = {}
-        for e1, c1 in self.num.items():
-            room = n - sum(e1)
-            for d2, bucket in buckets:
-                if d2 > room:
-                    break
-                for e2, c2 in bucket:
-                    e = tuple(map(add, e1, e2))
-                    num[e] = num.get(e, 0) + c1 * c2
+        _convolve(packing.pack(self.num), packing.pack(other.num), packing.limit, num)
         return GradedSeries._trusted(
-            self.rank, n, {e: c for e, c in num.items() if c}, self.den * other.den
+            self.rank, self.truncation, packing.unpack(num), self.den * other.den
         )
 
     __rmul__ = __mul__
@@ -291,6 +300,95 @@ class GradedSeries:
         )
 
     __repr__ = __str__
+
+
+# ---------------------------------------------------------------------------
+# Packed exponents and the shared multiply / reduce helpers
+
+
+class _Packing:
+    """Packed keys for the monomials of rank r and truncation N (module docstring).
+
+    ``keys`` and ``exponents`` translate the monomials met so far in both
+    directions, so each exponent tuple is packed and unpacked once per packing.
+    """
+
+    __slots__ = ("base", "places", "limit", "keys", "exponents")
+
+    def __init__(self, rank, truncation):
+        base = truncation + 1
+        top = base**rank
+        self.base = base
+        # key(e) = sum_i e_i * places[i] = |e| * B^r + sum_i e_i * B^(r-1-i)
+        self.places = tuple(top + base ** (rank - 1 - i) for i in range(rank))
+        self.limit = base * top  # key sums below this stay in degree <= N
+        self.keys = {}
+        self.exponents = {}
+
+    def _key(self, exps):
+        key = sum(map(mul, exps, self.places))
+        self.keys[exps] = key
+        self.exponents[key] = exps
+        return key
+
+    def _exps(self, key):
+        base, exps = self.base, []
+        low = key % (self.limit // base)  # drop the total-degree digit
+        for _ in self.places:
+            low, e = divmod(low, base)
+            exps.append(e)
+        exps = tuple(reversed(exps))
+        self.keys[exps] = key
+        self.exponents[key] = exps
+        return exps
+
+    def pack(self, num, scale=1):
+        """The items of a numerator dict as [(key, numerator * scale)], sorted by key."""
+        keys = self.keys
+        return sorted(
+            [(keys[e] if e in keys else self._key(e), c * scale) for e, c in num.items()]
+        )
+
+    def unpack(self, packed):
+        """{exponent tuple: numerator} of a {key: numerator} dict, zeros dropped."""
+        exponents = self.exponents
+        return {
+            exponents[k] if k in exponents else self._exps(k): c
+            for k, c in packed.items()
+            if c
+        }
+
+
+def _convolve(a, b, limit, out):
+    """Add the product of the packed lists a and b into the {key: numerator} dict out.
+
+    b is sorted by key, so its scan stops at the first key whose sum with the
+    current key of a would leave degree <= N (sum >= limit).
+    """
+    get = out.get
+    for ka, ca in a:
+        room = limit - ka
+        for kb, cb in b:
+            if kb >= room:
+                break
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+
+
+def _reduce_slots(slots, relation, limit):
+    """Reduce packed h-coefficients (low h-degree first) in place, down to n+1 slots.
+
+    ``relation`` is [e_1, ..., e_{n+1}] as sorted packed lists; each slot k
+    above n is folded into slots k-1 .. k-n-1 by
+    h^k = -(e_1 h^(k-1) + ... + e_{n+1} h^(k-n-1)), from the top down.
+    """
+    n1 = len(relation)
+    for k in range(len(slots) - 1, n1 - 1, -1):
+        top = [(key, -c) for key, c in slots[k].items() if c]
+        if top:
+            for j, e in enumerate(relation, 1):
+                _convolve(top, e, limit, slots[k - j])
+    del slots[n1:]
 
 
 def apply_power_series(coeff_fn, x):
@@ -389,20 +487,26 @@ def relation_elementary_symmetric(weights, rank, truncation):
 class BundleRing:
     """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
-    Holds the weights, rank and truncation, and the relation's coefficients
-    e_1..e_{n+1}, built on the first reduction.  Elements derived from one
-    ring share it, so their products reduce without rebuilding the relation.
+    Holds the weights, rank and truncation, the ``_Packing`` of its series,
+    and the relation's coefficients e_1..e_{n+1}, built on the first
+    reduction, both as series and as sorted packed lists.  Elements derived
+    from one ring share it, so their products reduce without rebuilding the
+    relation.
     """
 
-    __slots__ = ("weights", "rank", "truncation", "_relation")
+    __slots__ = ("weights", "rank", "truncation", "_packing", "_relation", "_packed_relation")
 
     def __init__(self, weights, rank, truncation):
         self.weights = tuple(tuple(int(c) for c in w) for w in weights)
         if not self.weights:
             raise ValueError("relation needs at least one weight")
+        if rank < 0 or truncation < 0:
+            raise ValueError("rank and truncation must be nonnegative")
         self.rank = rank
         self.truncation = truncation
+        self._packing = _Packing(rank, truncation)
         self._relation = None
+        self._packed_relation = None
 
     @property
     def relation(self):
@@ -425,19 +529,46 @@ class BundleRing:
     def one(self) -> BundleRingElement:
         return self.embed(1)
 
+    def _padded(self, coeffs):
+        zero = GradedSeries.zero(self.rank, self.truncation)
+        return BundleRingElement._trusted(
+            self, list(coeffs) + [zero] * (len(self.weights) - len(coeffs))
+        )
+
     def embed(self, value) -> BundleRingElement:
         """Lift a scalar or base series into this ring."""
         if isinstance(value, (int, Fraction)):
             value = GradedSeries.const(self.rank, self.truncation, value)
-        return BundleRingElement(self, [value])
+        self._check_series(value)
+        return self._padded([value])
 
     def hyperplane(self) -> BundleRingElement:
         """The class h."""
         if len(self.weights) < 2:
             raise ValueError("need at least two weights for a positive-dimensional model")
         zero = GradedSeries.zero(self.rank, self.truncation)
-        one = GradedSeries.one(self.rank, self.truncation)
-        return BundleRingElement(self, [zero, one])
+        return self._padded([zero, GradedSeries.one(self.rank, self.truncation)])
+
+    def _check_series(self, c):
+        if not isinstance(c, GradedSeries) or (c.rank, c.truncation) != (self.rank, self.truncation):
+            raise ValueError("coefficients must be series of matching rank/truncation")
+
+    def _pack_slots(self, coeffs):
+        """([sorted packed numerators per series], den): the series over one denominator."""
+        den = math.lcm(*(c.den for c in coeffs))
+        pack = self._packing.pack
+        return [pack(c.num, den // c.den) for c in coeffs], den
+
+    def _element(self, slots, den) -> BundleRingElement:
+        """The reduced element of packed h-coefficients {key: numerator} over den."""
+        if any(slots[len(self.weights):]):
+            if self._packed_relation is None:
+                self._packed_relation = [self._packing.pack(e.num) for e in self.relation]
+            _reduce_slots(slots, self._packed_relation, self._packing.limit)
+        unpack, rank, n = self._packing.unpack, self.rank, self.truncation
+        return self._padded(
+            [GradedSeries._trusted(rank, n, unpack(s), den) for s in slots[: len(self.weights)]]
+        )
 
 
 def _as_ring(weights, coeffs, rank, truncation) -> BundleRing:
@@ -543,17 +674,17 @@ class BundleRingElement:
         if not isinstance(other, BundleRingElement):
             return NotImplemented
         self._check_compatible(other)
-        prod = [
-            GradedSeries.zero(self.rank, self.truncation)
-            for _ in range(len(self.coeffs) + len(other.coeffs) - 1)
-        ]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    prod[i + j] = prod[i + j] + a * b
-        return reduce(prod, self.ring)
+        ring = self.ring
+        a, da = ring._pack_slots(self.coeffs)
+        b, db = ring._pack_slots(other.coeffs)
+        limit = ring._packing.limit
+        prod = [{} for _ in range(len(a) + len(b) - 1)]
+        for i, pa in enumerate(a):
+            if pa:
+                for j, pb in enumerate(b):
+                    if pb:
+                        _convolve(pa, pb, limit, prod[i + j])
+        return ring._element(prod, da * db)
 
     __rmul__ = __mul__
 
@@ -611,25 +742,18 @@ def reduce(poly_coeffs, weights, rank=None, truncation=None) -> BundleRingElemen
     """Reduce an h-polynomial (list of series, low degree first) modulo prod(h + w_i.t).
 
     `weights` is the relation's list of weight vectors, or a BundleRing,
-    whose relation is then reused.
+    whose relation is then reused.  Scalars are lifted to constant series.
     """
     coeffs = list(poly_coeffs)
     ring = _as_ring(weights, coeffs, rank, truncation)
-    rank, truncation = ring.rank, ring.truncation
     coeffs = [
-        c if isinstance(c, GradedSeries) else GradedSeries.const(rank, truncation, c)
+        c if isinstance(c, GradedSeries) else GradedSeries.const(ring.rank, ring.truncation, c)
         for c in coeffs
     ]
-    n1 = len(ring.weights)
-    es = ring.relation if len(coeffs) > n1 else ()
-    for k in range(len(coeffs) - 1, n1 - 1, -1):
-        top = coeffs[k]
-        if top.is_zero():
-            continue
-        coeffs[k] = GradedSeries.zero(rank, truncation)
-        for j in range(1, n1 + 1):
-            coeffs[k - j] = coeffs[k - j] - es[j - 1] * top
-    return BundleRingElement(ring, coeffs[:n1])
+    for c in coeffs:
+        ring._check_series(c)
+    packed, den = ring._pack_slots(coeffs)
+    return ring._element([dict(p) for p in packed], den)
 
 
 def pushforward(p: BundleRingElement) -> GradedSeries:
@@ -647,20 +771,16 @@ def odd_part_quotient(coeffs, truncation) -> GradedSeries:
     """(p(t) - p(-t)) / (2t) for an h-polynomial given by its coefficient list.
 
     This is the closed-form pushforward on P^1 with weights (1, -1);
-    coefficients may be integers, Fractions, or rank-1 series.
+    coefficients may be integers, Fractions, or rank-1 series.  The
+    difference is formed at truncation N + 1, so its degree-(N+1) part
+    survives the division by t.
     """
-    t = GradedSeries.variable(1, truncation)
-    p_plus = GradedSeries.zero(1, truncation)
-    p_minus = GradedSeries.zero(1, truncation)
+    top = truncation + 1
+    t = GradedSeries.variable(1, top)
+    diff = GradedSeries.zero(1, top)
     for k, c in enumerate(coeffs):
-        if not isinstance(c, GradedSeries):
-            c = GradedSeries.const(1, truncation, c)
-        p_plus = p_plus + c * t**k
-        p_minus = p_minus + c * (-t) ** k
-    diff = p_plus - p_minus
-    terms = {}
-    for (e,), c in diff.terms.items():
-        if e == 0:
-            raise ValueError("difference is not divisible by t")
-        terms[(e - 1,)] = c / 2
-    return GradedSeries(1, truncation, terms)
+        if isinstance(c, GradedSeries):
+            c = GradedSeries(1, top, c.terms)
+        diff = diff + (t**k - (-t) ** k) * c
+    # every term of t^k - (-t)^k has degree k >= 1
+    return GradedSeries(1, truncation, {(e - 1,): c / 2 for (e,), c in diff.terms.items()})

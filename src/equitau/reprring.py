@@ -17,8 +17,9 @@ for every exponent vector e of total degree <= N.  It is built without any
 shared denominator D * N!, where D is the lcm of the coefficients'
 denominators, and ``GradedSeries._trusted`` brings that to canonical form
 with one gcd.  No exp series is built; ``charclass.chern_character_bundle``
-and ``riemannroch.weyl_closed_form`` still go through ``gradedring.exp``, so
-the section-oracle checks compare two independent routes.
+still goes through ``gradedring.exp``, and ``riemannroch.weyl_closed_form``
+sums k^e in its own code, so the section-oracle checks compare independent
+routes.
 
 The public ``RepRingElement`` constructor checks and reduces its input.
 Results of add, sub, neg, scalar multiply and multiply are built through

@@ -126,3 +126,26 @@ def test_ch_multiplicative_over_tensor_of_twists():
         lhs = chern_character_bundle(P1, tensor_line_twists(a, b))
         rhs = chern_character_bundle(P1, a) * chern_character_bundle(P1, b)
         assert lhs == rhs
+
+
+def test_tangent_todd_is_built_once_per_model(monkeypatch):
+    from equitau import charclass
+    from equitau.riemannroch import hrr_chi, verify_weyl
+
+    calls = []
+    original = charclass.todd_class_bundle
+
+    def counting(model, bundle):
+        calls.append(bundle)
+        return original(model, bundle)
+
+    monkeypatch.setattr(charclass, "todd_class_bundle", counting)
+    model = torus_model([(1, 0), (0, 1), (1, 1)], 6)
+    first = hrr_chi(model, LineTwist(1))
+    assert hrr_chi(model, LineTwist(1)) == first and hrr_chi(model, LineTwist(2)) != first
+    assert calls == [TANGENT]
+    assert model.tangent_todd == original(model, TANGENT)
+    assert torus_model([(1, 0), (0, 1), (1, 1)], 6).tangent_todd is not model.tangent_todd
+    calls.clear()
+    assert verify_weyl(4, 8).all_pass
+    assert calls == [TANGENT]  # one Todd class for the whole table

@@ -89,6 +89,14 @@ def test_pushforward_closed_form_check(capsys):
     assert "check [pass] odd-part closed form agreement" in out
 
 
+@pytest.mark.parametrize("poly, trunc, series", [("0,1", "0", "1"), ("0,0,0,0,0,1", "4", "t^4")])
+def test_pushforward_check_passes_at_the_top_degree(capsys, poly, trunc, series):
+    code, out = run(capsys, "pushforward", "--weights=1,-1", f"--poly={poly}", f"--trunc={trunc}")
+    assert code == 0
+    assert f"pushforward: {series}" in out
+    assert "check [pass] odd-part closed form agreement" in out
+
+
 def test_sectors_totals(capsys):
     code, doc = run_json(capsys, "sectors", "--order", "6", "--weights", "0,1")
     assert code == 0

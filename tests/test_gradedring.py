@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from equitau.gradedring import (
+    BundleRing,
     BundleRingElement,
     GradedSeries,
     bernoulli_number,
@@ -539,3 +540,132 @@ def test_exp_of_linear_forms_against_sympy():
             expected[monom[1:]] = Fraction(int(c.numerator), int(c.denominator))
         got = exp(GradedSeries.linear_form(rank, n, coeffs))
         assert got.terms == expected, (rank, n, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the fused packed bundle kernel against the slot-by-slot multiply and reduce
+# it replaced, here on the Fraction-dict kernel above
+
+
+def reference_relation(weights, rank, n):
+    """e_1..e_{n+1} of prod_i(h + w_i.t) as Fraction dicts, multiplied out slot by slot."""
+    poly = [{(0,) * rank: Fraction(1)}]
+    for w in weights:
+        form = {tuple(int(i == j) for j in range(rank)): Fraction(c) for i, c in enumerate(w) if c}
+        new = [{} for _ in range(len(poly) + 1)]
+        for k, c in enumerate(poly):
+            new[k + 1] = fraction_kernel_add(new[k + 1], c)
+            new[k] = fraction_kernel_add(new[k], fraction_kernel_mul(c, form, n))
+        poly = new
+    return [poly[len(weights) - j] for j in range(1, len(weights) + 1)]
+
+
+def reference_reduce(coeffs, relation, n):
+    """Fold h^k for k > n down by h^(n+1) = -(e_1 h^n + ... + e_(n+1)), from the top."""
+    coeffs = list(coeffs)
+    n1 = len(relation)
+    for k in range(len(coeffs) - 1, n1 - 1, -1):
+        top = coeffs[k]
+        coeffs[k] = {}
+        for j in range(1, n1 + 1):
+            product = fraction_kernel_mul(relation[j - 1], top, n)
+            coeffs[k - j] = fraction_kernel_add(coeffs[k - j], fraction_kernel_scale(product, -1))
+    return coeffs[:n1] + [{}] * (n1 - len(coeffs))
+
+
+def reference_bundle_mul(a, b, relation, n):
+    prod = [{} for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = fraction_kernel_add(prod[i + j], fraction_kernel_mul(x, y, n))
+    return reference_reduce(prod, relation, n)
+
+
+def test_fused_bundle_kernel_matches_the_slot_by_slot_reference():
+    rng = random.Random(606)
+    seen = set()
+
+    def rand_slot(rank, n):
+        terms = {}
+        if rng.random() < 0.3:
+            return terms  # a zero slot
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, min(n, 3)) for _ in range(rank))
+            if sum(e) <= n:
+                terms[e] = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4, 6)))
+        return {e: c for e, c in terms.items() if c}
+
+    for case in range(150):
+        rank, dim, n = 1 + case % 3, rng.randint(1, 4), case % 13
+        weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        relation = reference_relation(weights, rank, n)
+        ring = BundleRing(weights, rank, n)
+        slots = [[rand_slot(rank, n) for _ in range(dim + 1)] for _ in range(3)]
+        x, y, z = (BundleRingElement(ring, [GradedSeries(rank, n, s) for s in ss]) for ss in slots)
+        product = x * y
+        want = reference_bundle_mul(slots[0], slots[1], relation, n)
+        assert [c.terms for c in product.coeffs] == want, (case, weights, n)
+        for c in product.coeffs:
+            assert_canonical(c)
+        assert product == y * x
+        assert (x * y) * z == x * (y * z)
+        # the public reduce runs the same reduction on a longer h-polynomial
+        poly = [rand_slot(rank, n) for _ in range(rng.randint(0, 2 * dim + 3))]
+        reduced = reduce([GradedSeries(rank, n, s) for s in poly], ring)
+        assert [c.terms for c in reduced.coeffs] == reference_reduce(poly, relation, n)
+        seen.add((n == 0, product.is_zero()))
+    assert seen == {(z, p) for z in (True, False) for p in (True, False)}
+
+
+def test_reduce_lifts_scalars_and_rejects_mismatched_series():
+    ring = BundleRing(P1, 1, 6)
+    t = GradedSeries.variable(1, 6)
+    assert reduce([Fraction(1, 2), 0, 3], ring) == reduce(
+        [GradedSeries.const(1, 6, Fraction(1, 2)), t * 0, GradedSeries.const(1, 6, 3)], ring
+    )
+    assert reduce([0, 0, 3], ring) == BundleRingElement(ring, [t * t * 3])
+    with pytest.raises(ValueError):
+        reduce([GradedSeries.one(1, 5)], ring)
+    with pytest.raises(ValueError):
+        ring.embed(GradedSeries.one(2, 6))
+
+
+def test_named_constructors_are_canonical():
+    for rank, n in ((0, 0), (1, 0), (2, 0), (1, 3), (3, 5)):
+        built = [
+            (GradedSeries.zero(rank, n), {}),
+            (GradedSeries.one(rank, n), {(0,) * rank: 1}),
+            (GradedSeries.const(rank, n, Fraction(-3, 6)), {(0,) * rank: Fraction(-1, 2)}),
+            (GradedSeries.const(rank, n, 0), {}),
+        ]
+        coeffs = [Fraction(i - 1, 1 + i % 3) for i in range(rank)]
+        unit = {tuple(int(i == j) for j in range(rank)): c for i, c in enumerate(coeffs) if c}
+        built.append((GradedSeries.linear_form(rank, n, coeffs), unit if n else {}))
+        for index in range(rank):
+            e = tuple(int(i == index) for i in range(rank))
+            built.append((GradedSeries.variable(rank, n, index), {e: 1} if n else {}))
+        for got, terms in built:
+            assert_canonical(got)
+            assert got == GradedSeries(rank, n, terms)
+        if rank:
+            ring = BundleRing([(1,) * rank, (0,) * rank], rank, n)
+            h = BundleRingElement(ring, [GradedSeries(rank, n), GradedSeries.one(rank, n)])
+            half = GradedSeries(rank, n, {(0,) * rank: Fraction(1, 2)})
+            assert ring.hyperplane() == h
+            assert ring.embed(Fraction(2, 4)) == BundleRingElement(ring, [half])
+
+
+# ---------------------------------------------------------------------------
+# odd_part_quotient keeps its top degree
+
+
+def test_odd_part_quotient_keeps_the_top_degree():
+    rng = random.Random(23)
+    for n in range(7):
+        ring = BundleRing(P1, 1, n)
+        for degree in range(n + 4):
+            for coeffs in ([0] * degree + [1], [rng.randint(-4, 4) for _ in range(degree + 1)]):
+                # p(h) pushes forward to sum over odd k of c_k t^(k-1)
+                expected = GradedSeries(1, n, {(k - 1,): c for k, c in enumerate(coeffs) if k % 2})
+                assert odd_part_quotient(coeffs, n) == expected, (n, coeffs)
+                assert pushforward(reduce(coeffs, ring)) == expected

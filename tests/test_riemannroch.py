@@ -210,3 +210,19 @@ def test_sections_oracle_matches_the_weight_sum_route_on_both_branches(model):
         else:
             expected = RepRingElement.zero(group)
         assert sections_character_oracle(model, twist) == expected, twist
+
+
+def test_closed_form_equals_the_sum_of_exp_series():
+    for n in range(41):
+        # e^(kt) as an exp series, the route the closed form replaced
+        exps = {k: exp(GradedSeries.linear_form(1, n, (k,))) for k in range(-12, 13)}
+
+        def exp_sum(m):
+            if m == -1:
+                return GradedSeries.zero(1, n)
+            if m < -1:
+                return -exp_sum(-m - 2)
+            return sum((exps[k] for k in range(-m, m + 1, 2)), GradedSeries.zero(1, n))
+
+        for m in range(-12, 13):
+            assert weyl_closed_form(m, n) == exp_sum(m), (m, n)
