@@ -21,14 +21,12 @@ from .gradedring import (
 )
 from .reprring import (
     RepRingElement,
-    SymmetricElement,
     augmentation,
     augmentation_order,
     chern_character,
     gl_augmentation_generators,
     ideal_membership_certificate,
     lambda_minus_one,
-    symmetric_to_laurent,
     torus_group,
 )
 from .charclass import (

@@ -13,6 +13,7 @@ A reader that closes the pipe early (`| head`) ends the run quietly with 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,7 +334,13 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every subcommand, built once and cached.
+
+    Every call returns the same parser object, so callers must not mutate
+    it (add arguments, change defaults); ``parse_args`` leaves it as it is.
+    """
     parser = argparse.ArgumentParser(
         prog="equitau",
         description="Exact equivariant Riemann-Roch computations on projective-space models.",

@@ -64,6 +64,11 @@ def fixed_locus(model: ProjSpaceModel, vanishing_characters) -> list[FixedCompon
     partition the coordinate set (trivial H gives the whole space back).
     """
     _, project = quotient_with_projection(model.group, vanishing_characters)
+    return _components(model, project)
+
+
+def _components(model: ProjSpaceModel, project) -> list[FixedComponent]:
+    """The coordinates grouped by their image under `project`, as components."""
     groups: dict[Weight, list[int]] = {}
     for i, w in enumerate(model.weights):
         groups.setdefault(project(w), []).append(i)
@@ -107,24 +112,27 @@ def character_orbit_representatives(group: GroupDescriptor):
 
     The orbit of phi is {a * phi : gcd(a, ord phi) = 1} and has size
     phi_Euler(ord phi); representatives are the orbit-minimal value tuples.
+    The orbits are enumerated on integer residue tuples (r_i for the value
+    r_i / d_i): each coordinate has a fixed denominator d_i, so the least
+    residue tuple is the least value tuple.
     """
     if not group.is_finite:
         raise ValueError("character enumeration requires a finite group")
+    orders = group.torsion_orders
     seen = set()
     reps = []
-    for residues in product(*(range(d) for d in group.torsion_orders)):
-        values = tuple(Fraction(r, d) for r, d in zip(residues, group.torsion_orders))
-        if values in seen:
+    for residues in product(*(range(d) for d in orders)):
+        if residues in seen:
             continue
-        point = TorsionCharacterPoint(group, values)
-        e = point.order()
+        e = math.lcm(*(d // math.gcd(r, d) for r, d in zip(residues, orders)))
         orbit = {
-            tuple((a * v) % 1 for v in values)
+            tuple(a * r % d for r, d in zip(residues, orders))
             for a in range(1, e + 1)
             if math.gcd(a, e) == 1
         }
         seen.update(orbit)
-        reps.append(TorsionCharacterPoint(group, min(orbit)))
+        values = tuple(Fraction(r, d) for r, d in zip(min(orbit), orders))
+        reps.append(TorsionCharacterPoint(group, values))
     return reps
 
 
@@ -141,8 +149,8 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     for point in character_orbit_representatives(group):
         e = point.order()
         kernel = kernel_of_character_point(group, point)
-        support = quotient_group(group, kernel)
-        components = tuple(fixed_locus(model, kernel))
+        support, project = quotient_with_projection(group, kernel)
+        components = tuple(_components(model, project))
         chow_dim = sum(c.dim + 1 for c in components)
         residue = euler_phi(e)
         sectors.append(Sector(point, e, residue, support, components, chow_dim * residue))

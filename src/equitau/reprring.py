@@ -3,9 +3,9 @@
 R(G) = Z[N] for the character group N: elements are finite combinations of
 weights, stored sparsely.  Includes the augmentation (virtual rank), the
 alternating classes lambda_{-1}(V) = prod(1 - chi_i), the Chern character
-into truncated graded series (tori only), the symmetric-function model of
-R(GL_n) inside the rank-n torus ring, and a bounded cofactor search that
-produces explicit, re-verified ideal-membership certificates.
+into truncated graded series (tori only), the generators e_i - C(n, i) of the
+rank-0 ideal of R(GL_n) inside the rank-n torus ring, and a bounded cofactor
+search that produces explicit, re-verified ideal-membership certificates.
 
 The Chern character sends chi_w to exp(w.t) and is computed in closed form:
 the coefficient of t^e in ch(sum_w c_w chi_w) is
@@ -29,12 +29,13 @@ turn integral ``Fraction`` values into ints.  A product adds coordinate
 tuples with ``map(add, ...)`` and reduces them only over a group with
 torsion.
 
-The certificate search solves its linear system modulo the prime 2^61 - 1,
-lifts each value by rational reconstruction and checks every equation
-exactly.  An inconsistent system is reported only with a Farkas vector y
-(y.A = 0, y.b = 1), lifted the same way and checked exactly; when a lift or a
-check fails, the exact ``Fraction`` elimination decides instead.  The search
-re-expands sum_i c_i g_i before it returns a certificate.
+The certificate search solves its linear system modulo the prime 2^61 - 1
+in one forward elimination, lifts each value by rational reconstruction and
+checks every equation exactly.  An inconsistent system is reported only with
+a Farkas vector y (y.A = 0, y.b = 1), read off the same elimination's record
+of pivot rows and multipliers, lifted the same way and checked exactly; when
+a lift or a check fails, the exact ``Fraction`` elimination decides instead.
+The search re-expands sum_i c_i g_i before it returns a certificate.
 
 A failed certificate search is only "nothing found within the bound" and is
 never evidence of non-membership.
@@ -43,6 +44,7 @@ never evidence of non-membership.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mul
@@ -295,103 +297,7 @@ def augmentation_order(a: RepRingElement, truncation: int):
 
 
 # ---------------------------------------------------------------------------
-# The symmetric-function model of R(GL_n)
-
-
-class SymmetricElement:
-    """Integer polynomial in e_1..e_n and e_n^(-1): {exponent tuple: coefficient}.
-
-    The last exponent may be negative (e_n is the determinant character, a
-    unit); all others must be nonnegative.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("need at least one elementary symmetric generator")
-        self.n = n
-        clean = {}
-        for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n:
-                raise ValueError(f"expected {n} exponents, got {len(exps)}")
-            if any(e < 0 for e in exps[:-1]):
-                raise ValueError("only e_n may carry a negative exponent")
-            c = _normalize_coeff(clean.get(exps, 0) + c)
-            if c:
-                clean[exps] = c
-            else:
-                clean.pop(exps, None)
-        self.terms = clean
-
-    @staticmethod
-    def generator(n, i, power=1):
-        """e_i^power (power may be negative only for i = n)."""
-        exps = [0] * n
-        exps[i - 1] = power
-        return SymmetricElement(n, {tuple(exps): 1})
-
-    def _lift(self, other):
-        if isinstance(other, SymmetricElement):
-            if self.n != other.n:
-                raise ValueError("mismatched symmetric rings")
-            return other
-        if isinstance(other, int):
-            return SymmetricElement(self.n, {(0,) * self.n: other})
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return SymmetricElement(self.n, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymmetricElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SymmetricElement(self.n, {k: c * other for k, c in self.terms.items()})
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                terms[k] = terms.get(k, 0) + c1 * c2
-        return SymmetricElement(self.n, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, SymmetricElement) and self.n == other.n and self.terms == other.terms
-
-    def __str__(self):
-        names = [f"e{i + 1}" for i in range(self.n)]
-        items = sorted(self.terms.items(), key=lambda it: (sum(abs(e) for e in it[0]), it[0]))
-        return join_signed_terms((c, monomial_string(names, e)) for e, c in items)
-
-    __repr__ = __str__
+# The rank-0 ideal of R(GL_n) inside the torus ring
 
 
 def torus_group(rank: int) -> GroupDescriptor:
@@ -408,30 +314,6 @@ def elementary_symmetric_character(n: int, i: int) -> RepRingElement:
             coords[j] = 1
         terms[tuple(coords)] = 1
     return RepRingElement(group, terms)
-
-
-def symmetric_to_laurent(s: SymmetricElement, n: int | None = None) -> RepRingElement:
-    """Evaluate e_i at the elementary symmetric polynomials of t_1..t_n.
-
-    e_n^(-1) maps to the inverse determinant monomial (t_1...t_n)^(-1); the
-    image is always S_n-symmetric.
-    """
-    if n is None:
-        n = s.n
-    if n != s.n:
-        raise ValueError("rank does not match the symmetric element")
-    group = torus_group(n)
-    es = [elementary_symmetric_character(n, i) for i in range(1, n + 1)]
-    total = RepRingElement.zero(group)
-    for exps, c in s.terms.items():
-        factor = RepRingElement.one(group) * c
-        for i, a in enumerate(exps):
-            if i == n - 1 and a < 0:
-                factor = factor * RepRingElement.character(group, (-1,) * n) ** (-a)
-            elif a:
-                factor = factor * es[i] ** a
-        total = total + factor
-    return total
 
 
 def gl_augmentation_generators(n: int) -> list[RepRingElement]:
@@ -463,25 +345,29 @@ def _solve_sparse_linear(equations):
 
     The elimination runs modulo the prime ``_PRIME``, and its answer is lifted
     by rational reconstruction and checked against every equation exactly.
-    A "no solution" modulo the prime is kept only when a Farkas vector y,
-    lifted the same way, satisfies y.A = 0 and y.b = 1 exactly.  When a
-    coefficient's denominator vanishes modulo the prime, a reconstruction
-    fails or an exact check fails, the system is solved again over
-    ``Fraction``; an unlucky prime costs time, never a wrong answer.  (A prime
-    that divides a pivot of the rational elimination can also move the
-    pivots, and so pick another exact solution.)
+    A "no solution" modulo the prime comes with a Farkas vector y, expanded
+    from the elimination's record of pivot rows and multipliers (no second
+    elimination); it is kept only when y, lifted the same way, satisfies
+    y.A = 0 and y.b = 1 exactly.  When a coefficient's denominator vanishes
+    modulo the prime, a reconstruction fails or an exact check fails, the
+    system is solved again over ``Fraction``; an unlucky prime costs time,
+    never a wrong answer.  (A prime that divides a pivot of the rational
+    elimination can also move the pivots, and so pick another exact
+    solution.)
     """
     equations = list(equations)
     p = _PRIME
     reduced = _reduce_mod_p(equations, p)
     if reduced is not None:
-        residues = _solve_mod_p(reduced, p)
+        residues, farkas = _solve_mod_p(reduced, p)
         if residues is not None:
             solution = _lift(residues, p)
             if solution is not None and _satisfies(equations, solution):
                 return solution
-        elif _farkas_vector(equations, reduced, p) is not None:
-            return None
+        else:
+            y = _lift(farkas, p)
+            if y is not None and _is_farkas_vector(equations, y):
+                return None
     return _solve_over_fractions(equations)
 
 
@@ -505,45 +391,88 @@ def _reduce_mod_p(equations, p):
 
 
 def _solve_mod_p(equations, p):
-    """Forward elimination and back-substitution over GF(p).
+    """One forward pass of elimination over GF(p), then back-substitution.
 
-    Variables are numbered in sorted order.  Each new row is reduced by the
-    existing pivots in one increasing scan (eliminating pivot v only brings
-    in variables above v), then pivoted on its least remaining variable.
-    Returns {var: nonzero residue} with the free variables at zero, or None
-    when the system is inconsistent mod p.
+    Variables are numbered in sorted order.  Each row is reduced in a dense
+    scratch list by one increasing scan (eliminating pivot v only brings in
+    variables above v); an entry is reduced mod p only when the scan reaches
+    it, and the first variable left nonzero becomes the row's pivot.  A
+    pivot row is stored with pivot coefficient 1 as two arrays, the
+    variables above the pivot and their residues, next to its source row,
+    the inverse that normalized it and its reduction steps (pivot slot,
+    multiplier).
+
+    Returns (values, None), with {var: nonzero residue} and the free
+    variables at zero, or (None, y) when row j reduces to 0 = b != 0: then
+    y = (e_j - sum_v c_v P_v) / b, each pivot row P_v expanded into the
+    source rows by one sweep over the record in reverse creation order, is a
+    Farkas vector {row index: nonzero residue} with y.A = 0 and y.b = 1 mod p.
     """
     names = sorted({k for row, _ in equations for k in row})
     number = {k: i for i, k in enumerate(names)}
-    pivots = {}  # var -> (row of variables above var, rhs), pivot coefficient 1
-    for row, b in equations:
-        row = {number[k]: a for k, a in row.items()}
-        for var in range(min(row, default=len(names)), len(names)):
-            if var not in pivots or var not in row:
+    n = len(names)
+    scratch = [0] * n
+    slot = [-1] * n  # var -> its index in the pivot record, -1 for no pivot
+    keys, residues, rhs, sources, inverses, step_slots, step_mults = ([] for _ in range(7))
+    for j, (row, b) in enumerate(equations):
+        low = n
+        for k, a in row.items():
+            var = number[k]
+            scratch[var] = a
+            low = min(low, var)
+        slots, mults = array("q"), array("q")
+        pivot = -1
+        for var in range(low, n):
+            x = scratch[var]
+            if not x:
                 continue
-            c = row.pop(var)
-            prow, pb = pivots[var]
-            for k, a in prow.items():
-                s = (row.get(k, 0) - c * a) % p
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]  # s = 0 needs k in row: c * a is nonzero mod p
-            b = (b - c * pb) % p
-        if not row:
-            if b:
-                return None
-            continue
-        var = min(row)
-        inverse = pow(row.pop(var), -1, p)
-        pivots[var] = ({k: a * inverse % p for k, a in row.items()}, b * inverse % p)
-    values = {}
-    for var in sorted(pivots, reverse=True):
-        prow, pb = pivots[var]
-        x = (pb - sum(a * values[k] for k, a in prow.items() if k in values)) % p
-        if x:
-            values[var] = x
-    return {names[var]: x for var, x in values.items()}
+            scratch[var] = 0
+            x %= p
+            if not x:
+                continue
+            s = slot[var]
+            if s >= 0:
+                for k, a in zip(keys[s], residues[s]):
+                    scratch[k] -= x * a
+                b -= x * rhs[s]
+                slots.append(s)
+                mults.append(x)
+            elif pivot < 0:
+                pivot, inverse = var, pow(x, -1, p)
+                row_keys, row_residues = array("q"), array("q")
+            else:
+                row_keys.append(var)
+                row_residues.append(x * inverse % p)
+        b %= p
+        if pivot >= 0:
+            slot[pivot] = len(sources)
+            keys.append(row_keys)
+            residues.append(row_residues)
+            rhs.append(b * inverse % p)
+            sources.append(j)
+            inverses.append(inverse)
+            step_slots.append(slots)
+            step_mults.append(mults)
+        elif b:
+            weights = [0] * len(sources)
+            for s, c in zip(slots, mults):
+                weights[s] = c
+            y = {j: 1}
+            for s in range(len(sources) - 1, -1, -1):
+                t = weights[s] % p * inverses[s] % p
+                if t:
+                    y[sources[s]] = -t
+                    for s2, c in zip(step_slots[s], step_mults[s]):
+                        weights[s2] -= t * c
+            scale = pow(b, -1, p)
+            return None, {i: r for i, v in y.items() if (r := v * scale % p)}
+    values = [0] * n
+    for var in range(n - 1, -1, -1):
+        s = slot[var]
+        if s >= 0:
+            x = rhs[s] - sum(map(mul, residues[s], map(values.__getitem__, keys[s])))
+            values[var] = x % p
+    return {names[var]: x for var, x in enumerate(values) if x}, None
 
 
 def _rational_reconstruction(a, p):
@@ -584,19 +513,8 @@ def _satisfies(equations, solution):
     )
 
 
-def _farkas_vector(equations, reduced, p):
-    """An exactly checked y with y.A = 0 and y.b = 1 ({row index: Fraction}),
-    solved mod p from the transposed system, or None if none was found."""
-    columns = {}
-    for i, (row, _) in enumerate(reduced):
-        for k, a in row.items():
-            columns.setdefault(k, {})[i] = a
-    transposed = [(columns[k], 0) for k in sorted(columns)]
-    transposed.append(({i: b for i, (_, b) in enumerate(reduced) if b}, 1))
-    residues = _solve_mod_p(transposed, p)
-    y = None if residues is None else _lift(residues, p)
-    if y is None:
-        return None
+def _is_farkas_vector(equations, y):
+    """Exact check of y.A = 0 and y.b = 1 for y = {row index: Fraction}."""
     denominator, scaled = _scaled(y)
     totals = {}
     rhs = 0
@@ -605,9 +523,7 @@ def _farkas_vector(equations, reduced, p):
         for k, a in row.items():
             totals[k] = totals.get(k, 0) + a * yi
         rhs += b * yi
-    if rhs != denominator or any(totals.values()):
-        return None
-    return y
+    return rhs == denominator and not any(totals.values())
 
 
 def _solve_over_fractions(equations):

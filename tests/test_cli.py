@@ -257,3 +257,43 @@ def test_selftest_reports_every_criterion_time(capsys, monkeypatch):
     assert [sorted(row) for row in rows] == [["detail", "name", "pass"]] * 2
     for row, stem in zip(rows, ("one", "two")):
         assert re.fullmatch(stem + r", \d+\.\d\ds", row["detail"]), row["detail"]
+
+
+def test_build_parser_is_built_once():
+    assert equitau.cli.build_parser() is equitau.cli.build_parser()
+
+
+def test_in_process_runs_match_fresh_processes(capsys, monkeypatch):
+    """The cached parser keeps no state between calls: a mixed sequence of
+    in-process runs, errors first, prints what fresh interpreters print."""
+    monkeypatch.delenv("EQUITAU_TRUNC", raising=False)
+    runs = [
+        ["support", "--order", "6", "--point", "1/0"],  # exit 2, one-line error
+        ["chi", "--weights", "1,-1"],  # argparse usage error, exit 2
+        ["segal", "--n", "2", "--degree", "3", "--format", "json"],
+        ["sectors", "--orders", "6,12", "--weights", "0,1;1,0", "--format", "json"],
+        ["chi", "--weights", "1,-1", "--twist", "2", "--trunc", "6"],
+        ["segal", "--n", "2", "--degree", "4", "--bound", "1"],  # nothing found, exit 1
+        ["weyl", "--nmax", "2", "--trunc", "6", "--format", "json"],
+        ["support", "--orders", "4,8", "--point", "1/4,3/8"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equitau.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "equitau.cli", *argv],
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        for argv in runs
+    ]
+    in_process = []
+    for argv in runs:
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        in_process.append((status, capsys.readouterr().out))
+    fresh = []
+    for proc in procs:
+        out, _ = proc.communicate(timeout=120)
+        fresh.append((proc.returncode, out.decode()))
+    assert in_process == fresh
+    assert [status for status, _ in fresh] == [2, 2, 0, 0, 0, 1, 0, 0]

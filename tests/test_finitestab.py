@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -139,3 +140,34 @@ def test_sector_requires_finite_group():
 
     with pytest.raises(ValueError):
         sector_dimensions(torus_model([1, -1]))
+
+
+def fraction_orbit_representatives(group):
+    """The Galois-orbit enumeration on Fraction value tuples, as first written."""
+    seen = set()
+    reps = []
+    for residues in product(*(range(d) for d in group.torsion_orders)):
+        values = tuple(Fraction(r, d) for r, d in zip(residues, group.torsion_orders))
+        if values in seen:
+            continue
+        point = TorsionCharacterPoint(group, values)
+        e = point.order()
+        orbit = {
+            tuple((a * v) % 1 for v in values)
+            for a in range(1, e + 1)
+            if math.gcd(a, e) == 1
+        }
+        seen.update(orbit)
+        reps.append(TorsionCharacterPoint(group, min(orbit)))
+    return reps
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [(), *((d,) for d in range(2, 31)), (6, 12), (12, 60), (4, 8), (8, 8), (2, 2, 2)],
+    ids=lambda orders: "x".join(map(str, orders)) or "trivial",
+)
+def test_integer_orbits_equal_the_fraction_enumeration(orders):
+    group = GroupDescriptor(0, orders)
+    got = character_orbit_representatives(group)
+    assert got == fraction_orbit_representatives(group)

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
@@ -11,7 +11,6 @@ from equitau.gradedring import GradedSeries, exp
 from equitau.lattice import GroupDescriptor
 from equitau.reprring import (
     RepRingElement,
-    SymmetricElement,
     augmentation,
     augmentation_order,
     chern_character,
@@ -19,7 +18,6 @@ from equitau.reprring import (
     gl_augmentation_generators,
     ideal_membership_certificate,
     lambda_minus_one,
-    symmetric_to_laurent,
     torus_group,
 )
 
@@ -248,51 +246,6 @@ def test_augmentation_order_filtration():
 
 
 # ---------------------------------------------------------------------------
-# symmetric functions
-
-
-def test_e1_in_two_variables():
-    assert symmetric_to_laurent(SymmetricElement.generator(2, 1)) == char(T2, 1, 0) + char(T2, 0, 1)
-
-
-def test_power_sum_via_newton_identity():
-    e1 = SymmetricElement.generator(2, 1)
-    e2 = SymmetricElement.generator(2, 2)
-    p2 = e1 * e1 - 2 * e2
-    assert symmetric_to_laurent(p2) == char(T2, 2, 0) + char(T2, 0, 2)
-
-
-def test_inverse_determinant_twist():
-    e1 = SymmetricElement.generator(2, 1)
-    e2inv = SymmetricElement.generator(2, 2, power=-1)
-    assert symmetric_to_laurent(e1 * e2inv) == char(T2, -1, 0) + char(T2, 0, -1)
-
-
-def test_negative_exponent_only_on_last_generator():
-    with pytest.raises(ValueError):
-        SymmetricElement.generator(2, 1, power=-1)
-
-
-def permute_element(a, perm):
-    return RepRingElement(
-        a.group, {tuple(k[p] for p in perm): c for k, c in a.terms.items()}
-    )
-
-
-def test_images_are_symmetric():
-    rng = random.Random(13)
-    for _ in range(20):
-        n = rng.choice((2, 3))
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            exps = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (rng.randint(-2, 2),)
-            terms[exps] = rng.randint(-3, 3)
-        img = symmetric_to_laurent(SymmetricElement(n, terms))
-        for perm in permutations(range(n)):
-            assert permute_element(img, perm) == img
-
-
-# ---------------------------------------------------------------------------
 # ideal-membership certificates
 
 
@@ -441,7 +394,7 @@ def solver_log(monkeypatch):
     """Counts the solver's internal paths; keeps every Farkas vector it accepts."""
     log = {"fallbacks": 0, "failed_reconstructions": 0, "farkas": []}
     reconstruction = reprring._rational_reconstruction
-    farkas_vector = reprring._farkas_vector
+    is_farkas_vector = reprring._is_farkas_vector
 
     def counting_fallback(equations):
         log["fallbacks"] += 1
@@ -452,15 +405,15 @@ def solver_log(monkeypatch):
         log["failed_reconstructions"] += value is None
         return value
 
-    def recording_farkas_vector(equations, reduced, p):
-        y = farkas_vector(equations, reduced, p)
-        if y is not None:
+    def recording_farkas_check(equations, y):
+        holds = is_farkas_vector(equations, y)
+        if holds:
             log["farkas"].append((equations, y))
-        return y
+        return holds
 
     monkeypatch.setattr(reprring, "_solve_over_fractions", counting_fallback)
     monkeypatch.setattr(reprring, "_rational_reconstruction", counting_reconstruction)
-    monkeypatch.setattr(reprring, "_farkas_vector", recording_farkas_vector)
+    monkeypatch.setattr(reprring, "_is_farkas_vector", recording_farkas_check)
     return log
 
 
@@ -497,6 +450,134 @@ def test_small_primes_stay_exact_through_the_fallback(monkeypatch, solver_log, p
     if prime > 3:  # mod 3 every residue reconstructs, to 0 or +-1
         assert solver_log["failed_reconstructions"] > 0
     assert all(farkas_holds(eqs, y) for eqs, y in solver_log["farkas"])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass modular elimination against the two-pass reference: forward
+# elimination with dict pivot rows, and a Farkas vector solved from the
+# transposed system by a second elimination
+
+
+def two_pass_solve_mod_p(equations, p):
+    """{var: nonzero residue} with free variables at zero, or None when the
+    system is inconsistent mod p."""
+    names = sorted({k for row, _ in equations for k in row})
+    number = {k: i for i, k in enumerate(names)}
+    pivots = {}  # var -> (row of variables above var, rhs), pivot coefficient 1
+    for row, b in equations:
+        row = {number[k]: a for k, a in row.items()}
+        for var in range(min(row, default=len(names)), len(names)):
+            if var not in pivots or var not in row:
+                continue
+            c = row.pop(var)
+            prow, pb = pivots[var]
+            for k, a in prow.items():
+                s = (row.get(k, 0) - c * a) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            b = (b - c * pb) % p
+        if not row:
+            if b:
+                return None
+            continue
+        var = min(row)
+        inverse = pow(row.pop(var), -1, p)
+        pivots[var] = ({k: a * inverse % p for k, a in row.items()}, b * inverse % p)
+    values = {}
+    for var in sorted(pivots, reverse=True):
+        prow, pb = pivots[var]
+        x = (pb - sum(a * values[k] for k, a in prow.items() if k in values)) % p
+        if x:
+            values[var] = x
+    return {names[var]: x for var, x in values.items()}
+
+
+def two_pass_farkas_vector(equations, reduced, p):
+    """y with y.A = 0 and y.b = 1 ({row index: Fraction}), solved mod p from
+    the transposed system and lifted, or None if it does not lift or hold."""
+    columns = {}
+    for i, (row, _) in enumerate(reduced):
+        for k, a in row.items():
+            columns.setdefault(k, {})[i] = a
+    transposed = [(columns[k], 0) for k in sorted(columns)]
+    transposed.append(({i: b for i, (_, b) in enumerate(reduced) if b}, 1))
+    residues = two_pass_solve_mod_p(transposed, p)
+    y = None if residues is None else reprring._lift(residues, p)
+    return y if y is not None and farkas_holds(equations, y) else None
+
+
+def farkas_holds_mod_p(reduced, y, p):
+    columns = {}
+    for i, yi in y.items():
+        for k, a in reduced[i][0].items():
+            columns[k] = (columns.get(k, 0) + a * yi) % p
+    return not any(columns.values()) and sum(reduced[i][1] * yi for i, yi in y.items()) % p == 1
+
+
+def compare_one_pass_with_two_pass(equations):
+    """Checks the one-pass answer against the two-pass one.
+
+    Returns (outcome, y): "solved", "farkas" (the one-pass Farkas vector y
+    lifts and holds exactly), "unlifted" (it holds mod p but does not lift)
+    or "unreduced" (a denominator vanishes mod p).
+    """
+    p = reprring._PRIME
+    reduced = reprring._reduce_mod_p(equations, p)
+    if reduced is None:
+        return "unreduced", None
+    values, farkas = reprring._solve_mod_p(reduced, p)
+    assert values == two_pass_solve_mod_p(reduced, p)
+    if values is not None:
+        assert farkas is None
+        return "solved", None
+    assert farkas and all(0 < r < p for r in farkas.values())
+    assert farkas_holds_mod_p(reduced, farkas, p)
+    y = reprring._lift(farkas, p)
+    if y is None:
+        return "unlifted", None
+    assert farkas_holds(equations, y)
+    return "farkas", y
+
+
+def test_one_pass_equals_two_pass_on_random_systems():
+    rng = random.Random(9905081)
+    outcomes = {}
+    two_pass_lifted = 0
+    for _ in range(200):
+        equations = random_system(rng)
+        outcome, _ = compare_one_pass_with_two_pass(equations)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        if outcome in ("farkas", "unlifted"):
+            reduced = reprring._reduce_mod_p(equations, reprring._PRIME)
+            y = two_pass_farkas_vector(equations, reduced, reprring._PRIME)
+            two_pass_lifted += y is not None
+    assert outcomes["solved"] > 0 and outcomes["farkas"] > 0
+    # reading y off the record lifts no less often than the transposed solve
+    assert outcomes["farkas"] >= two_pass_lifted
+
+
+def test_one_pass_equals_two_pass_on_segal_systems(monkeypatch):
+    """Every segal system of n = 2 (degree 2-7, bound 1-6) and n = 3
+    (degree 2-4, bound 1-2): same residues, and each Farkas vector lifts with
+    numerators and denominators of at most 7 bits and holds exactly."""
+    systems = []
+    monkeypatch.setattr(reprring, "_solve_sparse_linear", lambda eqs: systems.append(eqs))
+    cases = [(2, d, b) for d in range(2, 8) for b in range(1, 7)]
+    cases += [(3, d, b) for d in range(2, 5) for b in (1, 2)]
+    for n, degree, bound in cases:
+        target = (char(torus_group(n), 1, *(0,) * (n - 1)) - 1) ** degree
+        ideal_membership_certificate(target, gl_augmentation_generators(n), bound)
+    assert len(systems) == len(cases)
+    outcomes = set()
+    for case, equations in zip(cases, systems):
+        outcome, y = compare_one_pass_with_two_pass(equations)
+        assert outcome in ("solved", "farkas"), case
+        outcomes.add(outcome)
+        if y is not None:
+            assert max(max(abs(v.numerator), v.denominator) for v in y.values()) < 2**7, case
+    assert outcomes == {"solved", "farkas"}
 
 
 # ---------------------------------------------------------------------------
