@@ -13,7 +13,6 @@ from .gradedring import (
     BundleRingElement,
     GradedSeries,
     bernoulli_number,
-    compose,
     exp,
     pushforward,
     reduce,
@@ -21,7 +20,6 @@ from .gradedring import (
 )
 from .reprring import (
     RepRingElement,
-    augmentation,
     augmentation_order,
     chern_character,
     gl_augmentation_generators,
@@ -38,7 +36,6 @@ from .charclass import (
     chern_character_bundle,
     chern_roots,
     mu_model,
-    tensor_line_twists,
     todd_class_bundle,
     torus_model,
 )

@@ -145,20 +145,6 @@ class BundleSum:
                 raise ValueError("only line twists can be summed")
 
 
-def tensor_line_twists(a: LineTwist, b: LineTwist) -> LineTwist:
-    """Tensor product of line twists: powers and characters add."""
-    if a.character is None and b.character is None:
-        character = None
-    else:
-        ca = a.character or ()
-        cb = b.character or ()
-        if ca and cb:
-            character = tuple(x + y for x, y in zip(ca, cb))
-        else:
-            character = tuple(ca or cb)
-    return LineTwist(a.power + b.power, character)
-
-
 TANGENT = Tangent()
 
 

@@ -27,7 +27,7 @@ from .finitestab import (
     support_subgroup,
     vistoli_kernel_dimension,
 )
-from .gradedring import GradedSeries, odd_part_quotient, pushforward, reduce
+from .gradedring import GradedSeries, odd_part_quotient, pushforward
 from .lattice import GroupDescriptor, TorsionCharacterPoint
 from .reprring import CertificateError, RepRingElement
 from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
@@ -192,7 +192,7 @@ def cmd_pushforward(args) -> int:
     weights = parse_weights(args.weights)
     model = torus_model(weights, trunc)
     coeffs = [int(x) for x in args.poly.split(",")]
-    reduced = reduce(coeffs, model.weight_vectors(), model.rank, trunc)
+    reduced = model.reduce_poly(coeffs)
     series = pushforward(reduced)
     checks = []
     if model.rank == 1 and model.weight_vectors() == ((1,), (-1,)):

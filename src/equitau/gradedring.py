@@ -5,46 +5,39 @@ fixed total degree N: all arithmetic silently discards degrees > N, so any
 equality of series is an equality *up to the configured truncation*, never an
 absolute one.
 
-A series is stored as integer numerators over one shared denominator:
-``num`` maps exponent tuples of length r with nonnegative entries and total
-degree <= N to nonzero ints, and ``den`` is a positive int.  The form is
-canonical: gcd(den, *numerators) == 1, and den == 1 for the zero series, so
-equality and hashing compare (rank, truncation, den, num) directly.  Add
-brings both operands over the lcm of their denominators, series multiply
-convolves the numerators and multiplies the denominators, and scalar multiply
-scales both.  ``terms`` is a derived view {exponent tuple: Fraction}, and
-``coefficient`` and ``constant_term`` return Fractions.  ``str()`` renders
-from ``num`` and ``den`` directly (``sorted_num`` gives the items in print
-order), so printing builds no Fraction either.
+A series is a ``_sparse.SparseElement``: integer numerators over one shared
+denominator in canonical form (gcd 1, denominator 1 for zero), whose context
+``ctx`` is the ``SeriesRing`` of its rank and truncation, built once per pair
+by ``series_ring``.  Add, negate, scalar multiply, powers, equality and
+hashing are the core's; this module adds the series product, the named
+constructors and the rendering.
 
-The public constructor checks its input and brings it to that form.  Every
-other series - results of arithmetic, ``component``, ``truncate`` and the
-named constructors ``zero``, ``one``, ``const``, ``variable`` and
-``linear_form`` - is built through ``GradedSeries._trusted``, which skips the
-checks and restores the canonical form with one gcd.
-
-Multiplication works on packed exponents (Monagan-Pearce): with B = N + 1,
-the monomial t^e becomes the single int |e|.B^r + sum_i e_i.B^(r-1-i).  Every
-entry of an exponent of degree <= N is below B, so adding two keys adds the
-exponents without a carry as long as the product stays in degree <= N, which
-is exactly ``k1 + k2 < B^(r+1)``; sorted keys run by total degree, then by
-exponent, which is also the print order.  ``_convolve`` adds the product of
-two packed numerator lists into a dict, scanning the sorted right operand
-only up to that bound.  Packing is internal: ``num`` keeps tuple keys, and a
-``_Packing`` translates at the boundary of each multiply.
+Monomials are keyed by packed ints (Monagan-Pearce): with B = N + 1, t^e has
+the key |e|.B^r + sum_i e_i.B^(r-1-i), the ring's ``top`` = B^r times the
+total degree plus the exponents' base-B digits.  Every entry of an exponent
+of degree <= N is below B, so adding two keys adds the exponents without a
+carry as long as the product stays in degree <= N, which is exactly
+``k1 + k2 < limit`` = B^(r+1); sorted keys run by total degree, then by
+exponent, which is also the print order.  Only this module computes keys:
+the public constructor, ``_from_exponents`` (integer numerators on exponent
+tuples, for the closed forms of ``reprring`` and ``riemannroch``) and
+``truncate`` encode them, and ``terms``, ``coefficient`` and ``sorted_num``
+decode them.  ``terms`` is a view {exponent tuple: Fraction}; ``coefficient``
+is 0 for an exponent vector outside the ring.  A product sorts the right
+operand's items and ``_convolve`` adds the products into a dict, scanning the
+right operand only up to the bound.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
 kept reduced below h-degree n+1.  The relation is homogeneous, so total
 degree (t-degree + h-degree) is preserved by reduction.  Each element points
-to a BundleRing, which holds the weights, rank and truncation, one
-``_Packing`` and the relation's coefficients e_1..e_{n+1} as sorted packed
-lists, built on the first reduction.  A product of two elements is one fused
-kernel: both operands' slots are packed over one denominator each, every slot
-pair is convolved into 2n+1 packed dicts, and ``_reduce_slots`` folds slots
-2n..n+1 back from the top down with h^(n+1) = -(e_1 h^n + ... + e_{n+1}).
-The public ``reduce`` runs the same reduction, and ``GradedSeries.__mul__``
-the same convolution.
+to a BundleRing, which holds the weights, the series ring and the relation's
+coefficients e_1..e_{n+1}, built on the first reduction, also as sorted key
+lists.  A product of two elements is one fused kernel: both operands' slots
+are brought over one denominator each, every slot pair is convolved into
+2n+1 dicts, and ``_reduce_slots`` folds slots 2n..n+1 back from the top down
+with h^(n+1) = -(e_1 h^n + ... + e_{n+1}).  The public ``reduce`` runs the
+same reduction.
 """
 
 from __future__ import annotations
@@ -52,21 +45,66 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from typing import NamedTuple
 
 from ._format import join_signed_terms, monomial_string, variable_names
+from ._sparse import SparseElement
 
 
-class GradedSeries:
+class SeriesRing(NamedTuple):
+    """The series ring in `rank` variables cut above total degree `truncation`.
+
+    Holds its monomials' key layout (module docstring): ``base`` B = N + 1,
+    ``top`` B^r, ``digits`` (B^(r-1-i), the place of exponent i below the
+    degree digit), ``places`` (top + digits[i], the key of t_i) and
+    ``limit`` B^(r+1).  Build it with ``series_ring``.
+    """
+
+    rank: int
+    truncation: int
+    base: int
+    top: int
+    digits: tuple
+    places: tuple
+    limit: int
+
+    # Both conversions work a column (one variable) at a time over all the
+    # monomials, which is about twice as fast as one monomial at a time.
+
+    def keys(self, exponents):
+        """The keys of a sized collection of exponent tuples of the ring, in order."""
+        keys = [0] * len(exponents)
+        for column, place in zip(zip(*exponents), self.places):
+            keys = [k + e * place for k, e in zip(keys, column)]
+        return keys
+
+    def exponents(self, keys):
+        """The exponent tuples of a list of keys, in the same order."""
+        # top is a multiple of B times every digit, so the degree digit drops out
+        base = self.base
+        columns = [[k // d % base for k in keys] for d in self.digits]
+        return list(zip(*columns)) if columns else [()] * len(keys)
+
+
+@lru_cache(maxsize=None)
+def series_ring(rank, truncation) -> SeriesRing:
+    if rank < 0 or truncation < 0:
+        raise ValueError("rank and truncation must be nonnegative")
+    base = truncation + 1
+    top = base**rank
+    digits = tuple(base ** (rank - 1 - i) for i in range(rank))
+    # key(e) = sum_i e_i * places[i] = |e| * B^r + sum_i e_i * B^(r-1-i)
+    places = tuple(top + d for d in digits)
+    return SeriesRing(rank, truncation, base, top, digits, places, base * top)
+
+
+class GradedSeries(SparseElement):
     """Sparse truncated power series: integer numerators over one denominator."""
 
-    __slots__ = ("rank", "truncation", "num", "den")
+    __slots__ = ()
 
     def __init__(self, rank, truncation, terms=None):
-        if rank < 0 or truncation < 0:
-            raise ValueError("rank and truncation must be nonnegative")
-        self.rank = rank
-        self.truncation = truncation
+        ctx = series_ring(rank, truncation)
         clean = {}
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -77,55 +115,58 @@ class GradedSeries:
                 clean[exps] = c
         # over the lcm of reduced denominators, the numerators share no factor with it
         den = math.lcm(*(c.denominator for c in clean.values()))
-        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.ctx = ctx
+        self.num = dict(
+            zip(ctx.keys(clean), [c.numerator * (den // c.denominator) for c in clean.values()])
+        )
         self.den = den
 
     @classmethod
-    def _trusted(cls, rank, truncation, num, den):
-        """The series num / den, brought to canonical form without the constructor's checks.
+    def _from_exponents(cls, rank, truncation, num, den):
+        """num / den for int numerators on exponent tuples of degree <= N, unchecked.
 
-        Only for nonzero integer numerators on valid exponents and a positive
-        den (see the module docstring); the dict is taken over, not copied.
+        Zero numerators are not allowed; the canonical form is restored.
         """
-        g = math.gcd(den, *num.values())
-        if g != 1:  # for the zero series g == den, so den becomes 1
-            den //= g
-            num = {e: c // g for e, c in num.items()}
-        series = object.__new__(cls)
-        series.rank = rank
-        series.truncation = truncation
-        series.num = num
-        series.den = den
-        return series
+        ctx = series_ring(rank, truncation)
+        return cls._trusted(ctx, dict(zip(ctx.keys(num), num.values())), den)
+
+    @staticmethod
+    def _unit_key(ctx):
+        return 0
+
+    @property
+    def rank(self):
+        return self.ctx.rank
+
+    @property
+    def truncation(self):
+        return self.ctx.truncation
 
     @property
     def terms(self):
         """{exponent tuple: nonzero Fraction}, built afresh on every access."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.num.items()}
+        num, den = self.num, self.den
+        return {e: Fraction(c, den) for e, c in zip(self.ctx.exponents(list(num)), num.values())}
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(rank, truncation):
-        return GradedSeries._trusted(rank, truncation, {}, 1)
+        return GradedSeries._trusted(series_ring(rank, truncation), {}, 1)
 
     @staticmethod
     def const(rank, truncation, value):
-        value = Fraction(value)
-        num = {(0,) * rank: value.numerator} if value else {}
-        return GradedSeries._trusted(rank, truncation, num, value.denominator)
+        return GradedSeries.zero(rank, truncation)._lift(Fraction(value))
 
     @staticmethod
     def one(rank, truncation):
-        return GradedSeries._trusted(rank, truncation, {(0,) * rank: 1}, 1)
+        return GradedSeries._trusted(series_ring(rank, truncation), {0: 1}, 1)
 
     @staticmethod
     def variable(rank, truncation, index=0):
-        exps = [0] * rank
-        exps[index] = 1
-        num = {tuple(exps): 1} if truncation else {}
-        return GradedSeries._trusted(rank, truncation, num, 1)
+        ctx = series_ring(rank, truncation)
+        num = {ctx.places[index]: 1} if truncation else {}
+        return GradedSeries._trusted(ctx, num, 1)
 
     @staticmethod
     def linear_form(rank, truncation, coeffs):
@@ -133,119 +174,65 @@ class GradedSeries:
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != rank:
             raise ValueError(f"expected {rank} coefficients")
+        ctx = series_ring(rank, truncation)
         if not truncation:
-            return GradedSeries.zero(rank, truncation)
+            return GradedSeries._trusted(ctx, {}, 1)
         den = math.lcm(*(c.denominator for c in coeffs))
-        num = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                exps = [0] * rank
-                exps[i] = 1
-                num[tuple(exps)] = c.numerator * (den // c.denominator)
-        return GradedSeries._trusted(rank, truncation, num, den)
+        num = {
+            place: c.numerator * (den // c.denominator)
+            for place, c in zip(ctx.places, coeffs)
+            if c
+        }
+        return GradedSeries._trusted(ctx, num, den)
 
     # -- structure ----------------------------------------------------------
 
-    def _check_compatible(self, other):
-        if self.rank != other.rank or self.truncation != other.truncation:
-            raise ValueError(
-                f"rank/truncation mismatch: ({self.rank},{self.truncation}) "
-                f"vs ({other.rank},{other.truncation})"
-            )
-
-    def is_zero(self):
-        return not self.num
-
-    def _one(self) -> GradedSeries:
-        return GradedSeries.one(self.rank, self.truncation)
-
     def coefficient(self, exps) -> Fraction:
-        return Fraction(self.num.get(tuple(exps), 0), self.den)
+        """The coefficient of t^exps; 0 for an exponent vector outside the ring."""
+        exps, ctx = tuple(exps), self.ctx
+        if len(exps) != ctx.rank or min(exps, default=0) < 0 or sum(exps) > ctx.truncation:
+            return Fraction(0)
+        return Fraction(self.num.get(ctx.keys([exps])[0], 0), self.den)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.num.get((0,) * self.rank, 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     def component(self, degree) -> GradedSeries:
         """Homogeneous part of the given total degree."""
-        return GradedSeries._trusted(
-            self.rank,
-            self.truncation,
-            {e: c for e, c in self.num.items() if sum(e) == degree},
-            self.den,
-        )
+        top = self.ctx.top
+        num = {k: c for k, c in self.num.items() if k // top == degree}
+        return GradedSeries._trusted(self.ctx, num, self.den)
 
     def low_degree(self):
         """Smallest total degree with a nonzero term, or None for the zero series."""
-        return min((sum(e) for e in self.num), default=None)
+        return min(self.num) // self.ctx.top if self.num else None
 
     def truncate(self, new_truncation) -> GradedSeries:
         if new_truncation > self.truncation:
             raise ValueError("cannot extend a truncated series")
-        if new_truncation < 0:
-            raise ValueError("rank and truncation must be nonnegative")
-        return GradedSeries._trusted(
-            self.rank,
-            new_truncation,
-            {e: c for e, c in self.num.items() if sum(e) <= new_truncation},
-            self.den,
-        )
+        old, ctx = self.ctx, series_ring(self.rank, new_truncation)
+        bound = (new_truncation + 1) * old.top  # the keys of degree <= new_truncation
+        keys = [k for k in self.num if k < bound]
+        num = dict(zip(ctx.keys(old.exponents(keys)), map(self.num.__getitem__, keys)))
+        return GradedSeries._trusted(ctx, num, self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _lift(self, other):
-        if isinstance(other, GradedSeries):
-            self._check_compatible(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GradedSeries.const(self.rank, self.truncation, other)
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        den = math.lcm(self.den, other.den)
-        m1, m2 = den // self.den, den // other.den
-        num = {e: c * m1 for e, c in self.num.items()} if m1 != 1 else dict(self.num)
-        for e, c in other.num.items():
-            s = num.get(e, 0) + c * m2
-            if s:
-                num[e] = s
-            else:
-                del num[e]
-        return GradedSeries._trusted(self.rank, self.truncation, num, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedSeries._trusted(
-            self.rank, self.truncation, {e: -c for e, c in self.num.items()}, self.den
-        )
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # Bound here too, so that vars(GradedSeries) holds every arithmetic
+    # method: perfbench's tracer patches them there.
+    __add__ = __radd__ = SparseElement.__add__
+    __sub__ = SparseElement.__sub__
+    __rsub__ = SparseElement.__rsub__
+    __neg__ = SparseElement.__neg__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            num = {e: c * p for e, c in self.num.items()} if p else {}
-            return GradedSeries._trusted(
-                self.rank, self.truncation, num, self.den * other.denominator
-            )
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        packing = _Packing(self.rank, self.truncation)
+        if type(other) is not GradedSeries:
+            return super().__mul__(other)
+        self._check(other)
         num = {}
-        _convolve(packing.pack(self.num), packing.pack(other.num), packing.limit, num)
+        _convolve(self.num.items(), sorted(other.num.items()), self.ctx.limit, num)
         return GradedSeries._trusted(
-            self.rank, self.truncation, packing.unpack(num), self.den * other.den
+            self.ctx, {k: c for k, c in num.items() if c}, self.den * other.den
         )
 
     __rmul__ = __mul__
@@ -255,43 +242,23 @@ class GradedSeries:
             return NotImplemented
         return self * (Fraction(1) / Fraction(scalar))
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers: use inverse() on a unit")
-        result = GradedSeries.one(self.rank, self.truncation)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    def inverse(self):
+        """Multiplicative inverse of a unit (nonzero constant term).
 
-    def inverse(self) -> GradedSeries:
-        """Multiplicative inverse of a unit (nonzero constant term)."""
+        Also bound on ``BundleRingElement``.
+        """
         a0 = self.constant_term()
         if a0 == 0:
-            raise ValueError("series with zero constant term is not a unit")
-        u = GradedSeries.one(self.rank, self.truncation) - self * (Fraction(1) / a0)
+            raise ValueError("an element with zero constant term is not a unit")
+        u = self._one() - self * (Fraction(1) / a0)
         return apply_power_series(lambda k: Fraction(1), u) * (Fraction(1) / a0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedSeries)
-            and self.rank == other.rank
-            and self.truncation == other.truncation
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.truncation, self.den, frozenset(self.num.items())))
 
     # -- rendering ----------------------------------------------------------
 
     def sorted_num(self):
         """The (exponents, numerator) items by total degree, then exponents."""
-        return sorted(self.num.items(), key=lambda item: (sum(item[0]), item[0]))
+        keys = sorted(self.num)
+        return list(zip(self.ctx.exponents(keys), map(self.num.__getitem__, keys)))
 
     def __str__(self):
         names = variable_names("t", self.rank)
@@ -303,64 +270,11 @@ class GradedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Packed exponents and the shared multiply / reduce helpers
-
-
-class _Packing:
-    """Packed keys for the monomials of rank r and truncation N (module docstring).
-
-    ``keys`` and ``exponents`` translate the monomials met so far in both
-    directions, so each exponent tuple is packed and unpacked once per packing.
-    """
-
-    __slots__ = ("base", "places", "limit", "keys", "exponents")
-
-    def __init__(self, rank, truncation):
-        base = truncation + 1
-        top = base**rank
-        self.base = base
-        # key(e) = sum_i e_i * places[i] = |e| * B^r + sum_i e_i * B^(r-1-i)
-        self.places = tuple(top + base ** (rank - 1 - i) for i in range(rank))
-        self.limit = base * top  # key sums below this stay in degree <= N
-        self.keys = {}
-        self.exponents = {}
-
-    def _key(self, exps):
-        key = sum(map(mul, exps, self.places))
-        self.keys[exps] = key
-        self.exponents[key] = exps
-        return key
-
-    def _exps(self, key):
-        base, exps = self.base, []
-        low = key % (self.limit // base)  # drop the total-degree digit
-        for _ in self.places:
-            low, e = divmod(low, base)
-            exps.append(e)
-        exps = tuple(reversed(exps))
-        self.keys[exps] = key
-        self.exponents[key] = exps
-        return exps
-
-    def pack(self, num, scale=1):
-        """The items of a numerator dict as [(key, numerator * scale)], sorted by key."""
-        keys = self.keys
-        return sorted(
-            [(keys[e] if e in keys else self._key(e), c * scale) for e, c in num.items()]
-        )
-
-    def unpack(self, packed):
-        """{exponent tuple: numerator} of a {key: numerator} dict, zeros dropped."""
-        exponents = self.exponents
-        return {
-            exponents[k] if k in exponents else self._exps(k): c
-            for k, c in packed.items()
-            if c
-        }
+# The shared multiply / reduce helpers
 
 
 def _convolve(a, b, limit, out):
-    """Add the product of the packed lists a and b into the {key: numerator} dict out.
+    """Add the product of the (key, numerator) lists a and b into the dict out.
 
     b is sorted by key, so its scan stops at the first key whose sum with the
     current key of a would leave degree <= N (sum >= limit).
@@ -376,10 +290,10 @@ def _convolve(a, b, limit, out):
 
 
 def _reduce_slots(slots, relation, limit):
-    """Reduce packed h-coefficients (low h-degree first) in place, down to n+1 slots.
+    """Reduce h-coefficient dicts (low h-degree first) in place, down to n+1 slots.
 
-    ``relation`` is [e_1, ..., e_{n+1}] as sorted packed lists; each slot k
-    above n is folded into slots k-1 .. k-n-1 by
+    ``relation`` is [e_1, ..., e_{n+1}] as sorted (key, numerator) lists;
+    each slot k above n is folded into slots k-1 .. k-n-1 by
     h^k = -(e_1 h^(k-1) + ... + e_{n+1} h^(k-n-1)), from the top down.
     """
     n1 = len(relation)
@@ -418,15 +332,6 @@ def exp(x):
     return apply_power_series(lambda k: Fraction(1, math.factorial(k)), x)
 
 
-def compose(outer: GradedSeries, inner):
-    """Substitute inner (no constant term) into a one-variable series."""
-    if outer.rank != 1:
-        raise ValueError("outer series must have rank 1")
-    if outer.truncation != inner.truncation:
-        raise ValueError("truncation mismatch between outer and inner series")
-    return apply_power_series(lambda k: outer.coefficient((k,)), inner)
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and the Todd factor x/(1 - e^(-x))
 
@@ -455,7 +360,7 @@ def todd_factor(x):
     Accepts a GradedSeries or BundleRingElement with no constant term;
     todd_factor(0) = 1.
     """
-    if isinstance(x, GradedSeries) and any(sum(e) != 1 for e in x.num):
+    if isinstance(x, GradedSeries) and x.component(1) != x:
         raise ValueError("todd_factor expects a homogeneous degree-1 form or zero")
     return apply_power_series(todd_coefficient, x)
 
@@ -487,26 +392,30 @@ def relation_elementary_symmetric(weights, rank, truncation):
 class BundleRing:
     """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
-    Holds the weights, rank and truncation, the ``_Packing`` of its series,
-    and the relation's coefficients e_1..e_{n+1}, built on the first
-    reduction, both as series and as sorted packed lists.  Elements derived
-    from one ring share it, so their products reduce without rebuilding the
+    Holds the weights, the ``SeriesRing`` of its coefficients and the
+    relation's coefficients e_1..e_{n+1}, built on the first reduction, both
+    as series and as sorted (key, numerator) lists.  Elements derived from
+    one ring share it, so their products reduce without rebuilding the
     relation.
     """
 
-    __slots__ = ("weights", "rank", "truncation", "_packing", "_relation", "_packed_relation")
+    __slots__ = ("weights", "ctx", "_relation", "_sorted_relation")
 
     def __init__(self, weights, rank, truncation):
         self.weights = tuple(tuple(int(c) for c in w) for w in weights)
         if not self.weights:
             raise ValueError("relation needs at least one weight")
-        if rank < 0 or truncation < 0:
-            raise ValueError("rank and truncation must be nonnegative")
-        self.rank = rank
-        self.truncation = truncation
-        self._packing = _Packing(rank, truncation)
+        self.ctx = series_ring(rank, truncation)
         self._relation = None
-        self._packed_relation = None
+        self._sorted_relation = None
+
+    @property
+    def rank(self):
+        return self.ctx.rank
+
+    @property
+    def truncation(self):
+        return self.ctx.truncation
 
     @property
     def relation(self):
@@ -518,7 +427,7 @@ class BundleRing:
         return self._relation
 
     def _key(self):
-        return self.weights, self.rank, self.truncation
+        return self.weights, self.ctx
 
     def __eq__(self, other):
         return isinstance(other, BundleRing) and self._key() == other._key()
@@ -550,40 +459,29 @@ class BundleRing:
         return self._padded([zero, GradedSeries.one(self.rank, self.truncation)])
 
     def _check_series(self, c):
-        if not isinstance(c, GradedSeries) or (c.rank, c.truncation) != (self.rank, self.truncation):
+        if not isinstance(c, GradedSeries) or c.ctx != self.ctx:
             raise ValueError("coefficients must be series of matching rank/truncation")
 
-    def _pack_slots(self, coeffs):
-        """([sorted packed numerators per series], den): the series over one denominator."""
+    def _sorted_slots(self, coeffs):
+        """([sorted (key, numerator) items per series], den): the series over one denominator."""
         den = math.lcm(*(c.den for c in coeffs))
-        pack = self._packing.pack
-        return [pack(c.num, den // c.den) for c in coeffs], den
+        slots = []
+        for c in coeffs:
+            scale = den // c.den
+            slots.append(sorted([(k, p * scale) for k, p in c.num.items()]))
+        return slots, den
 
     def _element(self, slots, den) -> BundleRingElement:
-        """The reduced element of packed h-coefficients {key: numerator} over den."""
-        if any(slots[len(self.weights):]):
-            if self._packed_relation is None:
-                self._packed_relation = [self._packing.pack(e.num) for e in self.relation]
-            _reduce_slots(slots, self._packed_relation, self._packing.limit)
-        unpack, rank, n = self._packing.unpack, self.rank, self.truncation
+        """The reduced element of h-coefficient dicts {key: numerator} over den."""
+        n1 = len(self.weights)
+        if any(slots[n1:]):
+            if self._sorted_relation is None:
+                self._sorted_relation = [sorted(e.num.items()) for e in self.relation]
+            _reduce_slots(slots, self._sorted_relation, self.ctx.limit)
+        ctx = self.ctx
         return self._padded(
-            [GradedSeries._trusted(rank, n, unpack(s), den) for s in slots[: len(self.weights)]]
+            [GradedSeries._trusted(ctx, {k: c for k, c in s.items() if c}, den) for s in slots[:n1]]
         )
-
-
-def _as_ring(weights, coeffs, rank, truncation) -> BundleRing:
-    """`weights` if it is a BundleRing, else the ring over those weights.
-
-    A missing rank or truncation is read off the first series in `coeffs`.
-    """
-    if isinstance(weights, BundleRing):
-        return weights
-    if rank is None or truncation is None:
-        probe = next((c for c in coeffs if isinstance(c, GradedSeries)), None)
-        if probe is None:
-            raise ValueError("rank and truncation required without series coefficients")
-        rank, truncation = probe.rank, probe.truncation
-    return BundleRing(weights, rank, truncation)
 
 
 class BundleRingElement:
@@ -591,19 +489,15 @@ class BundleRingElement:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, weights, coeffs, rank=None, truncation=None):
-        """`weights` is the relation's list of weight vectors, or a BundleRing."""
+    def __init__(self, ring: BundleRing, coeffs):
+        """At most n+1 series of the ring's rank and truncation, low h-degree first."""
         coeffs = list(coeffs)
-        ring = _as_ring(weights, coeffs, rank, truncation)
-        rank, truncation = ring.rank, ring.truncation
         if len(coeffs) > len(ring.weights):
             raise ValueError("coefficients exceed the reduced h-degree bound")
-        coeffs += [GradedSeries.zero(rank, truncation)] * (len(ring.weights) - len(coeffs))
         for c in coeffs:
-            if not isinstance(c, GradedSeries) or c.rank != rank or c.truncation != truncation:
-                raise ValueError("coefficients must be series of matching rank/truncation")
+            ring._check_series(c)
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.coeffs = ring._padded(coeffs).coeffs
 
     @classmethod
     def _trusted(cls, ring, coeffs):
@@ -675,9 +569,9 @@ class BundleRingElement:
             return NotImplemented
         self._check_compatible(other)
         ring = self.ring
-        a, da = ring._pack_slots(self.coeffs)
-        b, db = ring._pack_slots(other.coeffs)
-        limit = ring._packing.limit
+        a, da = ring._sorted_slots(self.coeffs)
+        b, db = ring._sorted_slots(other.coeffs)
+        limit = ring.ctx.limit
         prod = [{} for _ in range(len(a) + len(b) - 1)]
         for i, pa in enumerate(a):
             if pa:
@@ -687,25 +581,8 @@ class BundleRingElement:
         return ring._element(prod, da * db)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers: use inverse() on a unit")
-        result = self._one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def inverse(self):
-        a0 = self.constant_term()
-        if a0 == 0:
-            raise ValueError("bundle element with zero constant term is not a unit")
-        u = self._one() - self * (Fraction(1) / a0)
-        return apply_power_series(lambda k: Fraction(1), u) * (Fraction(1) / a0)
+    __pow__ = SparseElement.__pow__
+    inverse = GradedSeries.inverse
 
     def __eq__(self, other):
         return (
@@ -723,7 +600,7 @@ class BundleRingElement:
         items = []
         for k, c in enumerate(self.coeffs):
             scale = den // c.den
-            for e, p in c.num.items():
+            for e, p in c.sorted_num():
                 items.append((sum(e) + k, e, k, p * scale))
         items.sort(key=lambda it: it[:3])
         return join_signed_terms(
@@ -733,27 +610,19 @@ class BundleRingElement:
     __repr__ = __str__
 
 
-def hyperplane_class(weights, rank, truncation) -> BundleRingElement:
-    """The class h in the quotient ring for the given relation weights."""
-    return BundleRing(weights, rank, truncation).hyperplane()
+def reduce(poly_coeffs, ring: BundleRing) -> BundleRingElement:
+    """Reduce an h-polynomial (list of series, low degree first) modulo the ring's relation.
 
-
-def reduce(poly_coeffs, weights, rank=None, truncation=None) -> BundleRingElement:
-    """Reduce an h-polynomial (list of series, low degree first) modulo prod(h + w_i.t).
-
-    `weights` is the relation's list of weight vectors, or a BundleRing,
-    whose relation is then reused.  Scalars are lifted to constant series.
+    Scalars are lifted to constant series; the ring's relation is reused.
     """
-    coeffs = list(poly_coeffs)
-    ring = _as_ring(weights, coeffs, rank, truncation)
     coeffs = [
         c if isinstance(c, GradedSeries) else GradedSeries.const(ring.rank, ring.truncation, c)
-        for c in coeffs
+        for c in poly_coeffs
     ]
     for c in coeffs:
         ring._check_series(c)
-    packed, den = ring._pack_slots(coeffs)
-    return ring._element([dict(p) for p in packed], den)
+    slots, den = ring._sorted_slots(coeffs)
+    return ring._element([dict(s) for s in slots], den)
 
 
 def pushforward(p: BundleRingElement) -> GradedSeries:

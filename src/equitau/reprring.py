@@ -12,22 +12,25 @@ the coefficient of t^e in ch(sum_w c_w chi_w) is
 
     (sum_w c_w * prod_i w_i^e_i) / prod_i e_i!
 
-for every exponent vector e of total degree <= N.  It is built without any
-``Fraction``: the numerator of t^e is (sum_w D c_w w^e) * (N! / e!) over the
-shared denominator D * N!, where D is the lcm of the coefficients'
-denominators, and ``GradedSeries._trusted`` brings that to canonical form
-with one gcd.  No exp series is built; ``charclass.chern_character_bundle``
-still goes through ``gradedring.exp``, and ``riemannroch.weyl_closed_form``
-sums k^e in its own code, so the section-oracle checks compare independent
-routes.
+for every exponent vector e of total degree <= N.
 
-The public ``RepRingElement`` constructor checks and reduces its input.
-Results of add, sub, neg, scalar multiply and multiply are built through
-``RepRingElement._trusted``, which takes the terms as they are: the
-operations themselves keep coordinates reduced, drop zero coefficients and
-turn integral ``Fraction`` values into ints.  A product adds coordinate
+An element is a ``_sparse.SparseElement`` over its ``GroupDescriptor``:
+integer numerators on reduced coordinate tuples over one denominator, in
+canonical form.  Add, negate, scalar multiply, powers, equality and hashing
+are the core's; this module adds the product kernel, which adds coordinate
 tuples with ``map(add, ...)`` and reduces them only over a group with
-torsion.
+torsion, the public constructor, which reduces coordinates and merges what
+coincides, and the rendering.  ``terms``, ``coefficient`` and
+``augmentation`` are views that give an int where the value is integral and
+a ``Fraction`` otherwise.
+
+The Chern character is built without any ``Fraction``: for a = sum_w n_w
+chi_w / D as stored, the numerator of t^e is (sum_w n_w w^e) * (N! / e!)
+over the shared denominator D * N!, handed to ``gradedring`` on exponent
+tuples.  No exp series is built; ``charclass.chern_character_bundle`` still
+goes through ``gradedring.exp``, and ``riemannroch.weyl_closed_form`` sums
+k^e in its own code, so the section-oracle checks compare independent
+routes.
 
 The certificate search solves its linear system modulo the prime 2^61 - 1
 in one forward elimination, lifts each value by rational reconstruction and
@@ -50,60 +53,63 @@ from itertools import combinations, product
 from operator import add, mul
 
 from ._format import join_signed_terms, monomial_string, variable_names
+from ._sparse import SparseElement
 from .gradedring import GradedSeries
 from .lattice import GroupDescriptor, Weight
 
 
-def _normalize_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _value(p, den):
+    """p / den as an int when it is integral, else as a Fraction."""
+    return p // den if p % den == 0 else Fraction(p, den)
 
 
-class RepRingElement:
-    """Sparse element of Z[N]: {reduced coordinate tuple: nonzero coefficient}.
+class RepRingElement(SparseElement):
+    """Sparse element of Z[N]: integer numerators on reduced coordinate tuples over one denominator.
 
     Coefficients are integers for honest virtual representations; exact
     rationals are admitted so ideal-membership cofactors live in the same
     type.
     """
 
-    __slots__ = ("group", "terms")
+    __slots__ = ()
 
     def __init__(self, group: GroupDescriptor, terms=None):
-        self.group = group
         clean = {}
         for coords, c in (terms or {}).items():
             coords = group.reduce_coords(coords)
-            c = _normalize_coeff(clean.get(coords, 0) + c)
-            if c:
-                clean[coords] = c
-            else:
-                clean.pop(coords, None)
-        self.terms = clean
+            clean[coords] = clean.get(coords, 0) + c
+        # ints have .numerator and .denominator too, so none is converted; over
+        # the lcm of reduced denominators, the numerators share no factor with it
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.ctx = group
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in clean.items() if c}
+        self.den = den
 
-    @classmethod
-    def _trusted(cls, group, terms):
-        """The element with these terms, built without the constructor's checks.
+    @staticmethod
+    def _unit_key(group):
+        return (0,) * group.ngens
 
-        Only for reduced coordinate tuples and nonzero coefficients, with
-        integral ``Fraction`` values already turned into ints; the dict is
-        taken over, not copied.
-        """
-        element = object.__new__(cls)
-        element.group = group
-        element.terms = terms
-        return element
+    @property
+    def group(self) -> GroupDescriptor:
+        return self.ctx
+
+    @property
+    def terms(self):
+        """{coordinate tuple: nonzero coefficient}, an int where it is integral."""
+        den = self.den
+        if den == 1:
+            return dict(self.num)
+        return {k: _value(c, den) for k, c in self.num.items()}
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(group):
-        return RepRingElement._trusted(group, {})
+        return RepRingElement._trusted(group, {}, 1)
 
     @staticmethod
     def one(group):
-        return RepRingElement._trusted(group, {(0,) * group.ngens: 1})
+        return RepRingElement._trusted(group, {RepRingElement._unit_key(group): 1}, 1)
 
     @staticmethod
     def character(group, weight):
@@ -112,103 +118,32 @@ class RepRingElement:
 
     # -- ring structure -----------------------------------------------------
 
-    def _check(self, other):
-        if self.group != other.group:
-            raise ValueError("elements over mismatched group descriptors")
-
-    def _lift(self, other):
-        if isinstance(other, RepRingElement):
-            self._check(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            terms = {(0,) * self.group.ngens: _normalize_coeff(other)} if other else {}
-            return RepRingElement._trusted(self.group, terms)
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = _normalize_coeff(terms.get(k, 0) + c)
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return RepRingElement._trusted(self.group, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RepRingElement._trusted(self.group, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return RepRingElement.zero(self.group)
-            return RepRingElement._trusted(
-                self.group, {k: _normalize_coeff(c * other) for k, c in self.terms.items()}
-            )
-        if not isinstance(other, RepRingElement):
-            return NotImplemented
+        if type(other) is not RepRingElement:
+            return super().__mul__(other)
         self._check(other)
-        group = self.group
+        group = self.ctx
         reduce_coords = None if group.is_free else group.reduce_coords
-        right = list(other.terms.items())
-        terms = {}
-        for k1, c1 in self.terms.items():
+        right = list(other.num.items())
+        num = {}
+        for k1, c1 in self.num.items():
             for k2, c2 in right:
                 k = tuple(map(add, k1, k2))
                 if reduce_coords is not None:
                     k = reduce_coords(k)
-                terms[k] = terms.get(k, 0) + c1 * c2
+                num[k] = num.get(k, 0) + c1 * c2
         return RepRingElement._trusted(
-            group, {k: _normalize_coeff(c) for k, c in terms.items() if c}
+            group, {k: c for k, c in num.items() if c}, self.den * other.den
         )
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined in the group algebra")
-        result = RepRingElement.one(self.group)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RepRingElement)
-            and self.group == other.group
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.group, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, coords):
-        return self.terms.get(self.group.reduce_coords(coords), 0)
+        return _value(self.num.get(self.ctx.reduce_coords(coords), 0), self.den)
 
     def augmentation(self):
         """Virtual rank: the sum of all coefficients."""
-        return _normalize_coeff(sum(self.terms.values()))
+        return _value(sum(self.num.values()), self.den)
 
     # -- rendering ----------------------------------------------------------
 
@@ -220,16 +155,12 @@ class RepRingElement:
         )
 
     def __str__(self):
-        names = variable_names("u", self.group.ngens)
+        names = variable_names("u", self.ctx.ngens)
         return join_signed_terms(
             (c, monomial_string(names, coords)) for coords, c in self.sorted_terms()
         )
 
     __repr__ = __str__
-
-
-def augmentation(a: RepRingElement):
-    return a.augmentation()
 
 
 def lambda_minus_one(group: GroupDescriptor, weights) -> RepRingElement:
@@ -251,8 +182,8 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     the module docstring): the monomials of total degree <= truncation are
     walked once, depth first, carrying prod_i w_i^e_i for every weight as an
     integer.  The series is built as integer numerators over the denominator
-    D * N!, where D is the lcm of the coefficients' denominators: the
-    numerator of t^e is (sum_w D c_w w^e) * (N! / e!).
+    D * N!, where a = sum_w n_w chi_w / D is stored: the numerator of t^e is
+    (sum_w n_w w^e) * (N! / e!).
     """
     group = a.group
     if not group.is_free:
@@ -260,9 +191,8 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     if truncation < 0:
         raise ValueError("rank and truncation must be nonnegative")
     rank = group.ngens
-    weights = list(a.terms)
-    denominator = math.lcm(*(c.denominator for c in a.terms.values()))
-    numerators = [c.numerator * (denominator // c.denominator) for c in a.terms.values()]
+    weights = list(a.num)
+    numerators = list(a.num.values())
     top = math.factorial(truncation)
     num = {}
 
@@ -284,7 +214,7 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
             walk(exps + (e,), powers, factorials, room - e)
 
     walk((), [1] * len(weights), 1, truncation)
-    return GradedSeries._trusted(rank, truncation, num, denominator * top)
+    return GradedSeries._from_exponents(rank, truncation, num, a.den * top)
 
 
 def augmentation_order(a: RepRingElement, truncation: int):

@@ -58,7 +58,7 @@ def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
         power_sum = sum(powers)
         if power_sum:
             num[(e,)] = power_sum * scale
-    return GradedSeries._trusted(1, truncation, num, den)
+    return GradedSeries._from_exponents(1, truncation, num, den)
 
 
 def sections_character_oracle(model: ProjSpaceModel, twist: int) -> RepRingElement:
@@ -133,17 +133,6 @@ class WeylReport:
     @property
     def all_pass(self) -> bool:
         return all(r.ok for r in self.rows)
-
-    def render_text(self) -> str:
-        lines = []
-        for r in self.rows:
-            status = "pass" if r.ok else "FAIL"
-            lines.append(
-                f"n={r.twist:>3}  {status}  pipeline = {r.pipeline}  |  "
-                f"closed form = {r.closed_form}  |  "
-                f"sections = {r.oracle_series}  (character {r.oracle_character})"
-            )
-        return "\n".join(lines)
 
 
 def verify_weyl(n_max: int, truncation: int) -> WeylReport:

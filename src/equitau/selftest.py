@@ -20,7 +20,6 @@ from .gradedring import (
     apply_power_series,
     odd_part_quotient,
     pushforward,
-    reduce,
     todd_coefficient,
 )
 from .finitestab import (
@@ -57,12 +56,12 @@ def check_pushforward_lemma(cases=100, seed=20260809):
     """Reduction-based pushforward vs exact odd-part division, 100 random polys."""
     rng = random.Random(seed)
     truncation = 16
-    weights = ((1,), (-1,))
+    model = torus_model([1, -1], truncation)
     bad = 0
     for _ in range(cases):
         deg = rng.randint(0, 10)
         coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
-        reduced = reduce(coeffs, weights, 1, truncation)
+        reduced = model.reduce_poly(coeffs)
         if pushforward(reduced) != odd_part_quotient(coeffs, truncation):
             bad += 1
     return bad == 0, f"{cases} random h-polynomials of degree <= 10, {bad} mismatches"

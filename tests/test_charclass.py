@@ -11,7 +11,6 @@ from equitau.charclass import (
     chern_character_bundle,
     chern_roots,
     mu_model,
-    tensor_line_twists,
     todd_class_bundle,
     torus_model,
 )
@@ -121,9 +120,9 @@ def test_ch_additive_and_td_multiplicative_over_sums():
 def test_ch_multiplicative_over_tensor_of_twists():
     rng = random.Random(23)
     for _ in range(10):
-        a = LineTwist(rng.randint(-2, 2), (rng.randint(-2, 2),))
-        b = LineTwist(rng.randint(-2, 2), (rng.randint(-2, 2),))
-        lhs = chern_character_bundle(P1, tensor_line_twists(a, b))
+        (pa, ca), (pb, cb) = ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2))
+        a, b = LineTwist(pa, (ca,)), LineTwist(pb, (cb,))
+        lhs = chern_character_bundle(P1, LineTwist(pa + pb, (ca + cb,)))  # a tensor b
         rhs = chern_character_bundle(P1, a) * chern_character_bundle(P1, b)
         assert lhs == rhs
 

@@ -9,9 +9,7 @@ from equitau.gradedring import (
     BundleRingElement,
     GradedSeries,
     bernoulli_number,
-    compose,
     exp,
-    hyperplane_class,
     odd_part_quotient,
     pushforward,
     reduce,
@@ -76,17 +74,6 @@ def test_rank_truncation_mismatch():
         GradedSeries.variable(1, 5) * GradedSeries.variable(1, 6)
     with pytest.raises(ValueError):
         GradedSeries.variable(1, 5) + GradedSeries.variable(2, 5)
-
-
-def test_compose_geometric():
-    n = 8
-    # outer = 1/(1-t), inner = t^2 => sum t^{2k}
-    outer = GradedSeries(1, n, {(k,): 1 for k in range(n + 1)})
-    inner = GradedSeries.variable(1, n) ** 2
-    expected = GradedSeries(1, n, {(2 * k,): 1 for k in range(n // 2 + 1)})
-    assert compose(outer, inner) == expected
-    with pytest.raises(ValueError):
-        compose(outer, GradedSeries.one(1, n))  # constant term present
 
 
 def test_ring_laws_random():
@@ -229,31 +216,32 @@ def test_todd_factor_rejects_inhomogeneous_input():
 
 
 def make_h(truncation=8):
-    return hyperplane_class(P1, 1, truncation)
+    return BundleRing(P1, 1, truncation).hyperplane()
 
 
 def test_reduce_h_squared_is_t_squared():
     h = make_h()
     t = GradedSeries.variable(1, 8)
-    assert h * h == BundleRingElement(P1, [t * t, GradedSeries.zero(1, 8)])
+    assert h * h == BundleRingElement(h.ring, [t * t, GradedSeries.zero(1, 8)])
 
 
 def test_reduce_left_alone_below_degree():
     h = make_h()
     zero = GradedSeries.zero(1, 8)
     one = GradedSeries.one(1, 8)
-    assert reduce([zero, one], P1) == h
+    assert reduce([zero, one], h.ring) == h
 
 
 def test_reduce_h_cubed():
     h = make_h()
     t = GradedSeries.variable(1, 8)
-    assert h**3 == BundleRingElement(P1, [GradedSeries.zero(1, 8), t * t])
+    assert h**3 == BundleRingElement(h.ring, [GradedSeries.zero(1, 8), t * t])
 
 
 def test_reduce_is_idempotent_and_multiplicative():
     rng = random.Random(5)
     trunc = 8
+    ring = BundleRing(P1, 1, trunc)
 
     def rand_poly(deg):
         return [
@@ -264,21 +252,21 @@ def test_reduce_is_idempotent_and_multiplicative():
     for _ in range(25):
         p = rand_poly(rng.randint(0, 6))
         q = rand_poly(rng.randint(0, 6))
-        rp, rq = reduce(p, P1), reduce(q, P1)
-        assert reduce(list(rp.coeffs), P1) == rp
+        rp, rq = reduce(p, ring), reduce(q, ring)
+        assert reduce(list(rp.coeffs), ring) == rp
         # convolve then reduce == reduce then multiply
         conv = [GradedSeries.zero(1, trunc) for _ in range(len(p) + len(q) - 1)]
         for i, a in enumerate(p):
             for j, b in enumerate(q):
                 conv[i + j] = conv[i + j] + a * b
-        assert reduce(conv, P1) == rp * rq
+        assert reduce(conv, ring) == rp * rq
 
 
 def test_repeated_weights_allowed():
     # trivial action on P^2: relation is h^3
     weights = ((0,), (0,), (0,))
     t = GradedSeries.variable(1, 6)
-    r = reduce([t * 0, t * 0, t * 0, GradedSeries.one(1, 6)], weights)
+    r = reduce([t * 0, t * 0, t * 0, GradedSeries.one(1, 6)], BundleRing(weights, 1, 6))
     assert r.is_zero()
 
 
@@ -303,6 +291,7 @@ def test_pushforward_rejects_raw_polynomials():
 def test_pushforward_agrees_with_odd_part_closed_form():
     rng = random.Random(17)
     trunc = 16
+    ring = BundleRing(P1, 1, trunc)
     for _ in range(40):
         deg = rng.randint(0, 10)
         # polynomial coefficients of degree <= 3 keep everything exact
@@ -310,7 +299,7 @@ def test_pushforward_agrees_with_odd_part_closed_form():
             GradedSeries(1, trunc, {(rng.randint(0, 3),): rng.randint(-5, 5)})
             for _ in range(deg + 1)
         ]
-        assert pushforward(reduce(coeffs, P1)) == odd_part_quotient(coeffs, trunc)
+        assert pushforward(reduce(coeffs, ring)) == odd_part_quotient(coeffs, trunc)
 
 
 def test_pushforward_degree_shift():
@@ -329,7 +318,7 @@ def test_pushforward_degree_shift():
 def test_trivial_action_point_class():
     for m in (1, 2, 3):
         weights = tuple((0,) for _ in range(m + 1))
-        h = hyperplane_class(weights, 1, 6)
+        h = BundleRing(weights, 1, 6).hyperplane()
         assert pushforward(h**m) == GradedSeries.one(1, 6)
         for k in range(m):
             assert pushforward(h**k).is_zero()
@@ -462,8 +451,8 @@ def test_integer_kernel_matches_the_fraction_kernel():
 def test_canonical_form_of_constructed_series():
     assert GradedSeries.zero(2, 5).den == 1
     s = GradedSeries(1, 4, {(0,): Fraction(1, 6), (1,): Fraction(1, 4), (2,): 3})
-    assert (s.num, s.den) == ({(0,): 2, (1,): 3, (2,): 36}, 12)
-    assert (s * 12).den == 1 and (s * 12).num == {(0,): 2, (1,): 3, (2,): 36}
+    assert (s.sorted_num(), s.den) == ([((0,), 2), ((1,), 3), ((2,), 36)], 12)
+    assert (s * 12).den == 1 and (s * 12).sorted_num() == [((0,), 2), ((1,), 3), ((2,), 36)]
     assert (s - s).den == 1 and (s * 0).den == 1
     assert s.coefficient((1,)) == Fraction(1, 4) and s.constant_term() == Fraction(1, 6)
     view = s.terms
@@ -493,7 +482,7 @@ def test_equal_series_by_different_routes_hash_equal():
         assert (x.den, x.num) == (y.den, y.num)
     h = make_h()
     t1 = GradedSeries.variable(1, 8)
-    other = BundleRingElement(P1, [t1 * t1, GradedSeries.zero(1, 8)])
+    other = BundleRingElement(h.ring, [t1 * t1, GradedSeries.zero(1, 8)])
     assert h * h == other and hash(h * h) == hash(other)
 
 
