@@ -110,14 +110,14 @@ class SparseElement:
         """self ** k by repeated squaring; also bound on ``BundleRingElement``."""
         if k < 0:
             raise ValueError("negative powers: use inverse() on a unit, where there is one")
-        result = self._one()
-        base = self
+        result, base = None, self
         while k:
-            if k & 1:
-                result = result * base
-            base = base * base
+            if k & 1:  # the first set bit takes the base as it is
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:  # no squaring past the top bit
+                base = base * base
+        return self._one() if result is None else result
 
     def __eq__(self, other):
         return (

@@ -32,12 +32,15 @@ for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
 kept reduced below h-degree n+1.  The relation is homogeneous, so total
 degree (t-degree + h-degree) is preserved by reduction.  Each element points
 to a BundleRing, which holds the weights, the series ring and the relation's
-coefficients e_1..e_{n+1}, built on the first reduction, also as sorted key
-lists.  A product of two elements is one fused kernel: both operands' slots
-are brought over one denominator each, every slot pair is convolved into
-2n+1 dicts, and ``_reduce_slots`` folds slots 2n..n+1 back from the top down
-with h^(n+1) = -(e_1 h^n + ... + e_{n+1}).  The public ``reduce`` runs the
-same reduction.
+coefficients e_1..e_{n+1} as sorted key lists, built on the first
+reduction.  A product of two elements is one fused kernel, ``_slot_product``:
+both operands' slots are brought over one denominator each, every slot pair
+is convolved into 2n+1 dicts, and ``_reduce_slots`` folds slots 2n..n+1 back
+from the top down with h^(n+1) = -(e_1 h^n + ... + e_{n+1}).  Given a lowest
+slot to keep, it convolves only the pairs that reach it and folds only into
+the slots from there up; ``pushforward_product`` keeps slot n alone.  The
+public ``reduce`` multiplies by 1, and ``apply_power_series`` (``exp``,
+``todd_factor``, ``inverse``) runs on the same kernel, on integers throughout.
 """
 
 from __future__ import annotations
@@ -289,42 +292,77 @@ def _convolve(a, b, limit, out):
             out[k] = get(k, 0) + ca * cb
 
 
-def _reduce_slots(slots, relation, limit):
+def _reduce_slots(slots, relation, limit, low=0):
     """Reduce h-coefficient dicts (low h-degree first) in place, down to n+1 slots.
 
     ``relation`` is [e_1, ..., e_{n+1}] as sorted (key, numerator) lists;
     each slot k above n is folded into slots k-1 .. k-n-1 by
-    h^k = -(e_1 h^(k-1) + ... + e_{n+1} h^(k-n-1)), from the top down.
+    h^k = -(e_1 h^(k-1) + ... + e_{n+1} h^(k-n-1)), from the top down, but
+    never below slot ``low`` (no slot feeds a higher one).
     """
     n1 = len(relation)
     for k in range(len(slots) - 1, n1 - 1, -1):
         top = [(key, -c) for key, c in slots[k].items() if c]
         if top:
-            for j, e in enumerate(relation, 1):
+            for j, e in enumerate(relation[: k - low], 1):
                 _convolve(top, e, limit, slots[k - j])
     del slots[n1:]
+
+
+def _slot_product(a, b, limit, relation, low=0):
+    """The reduced product of two h-polynomials as n+1 dicts {key: numerator} (zeros kept).
+
+    a and b hold one (key, numerator) iterable per h-degree, b's sorted.  Only
+    the slot pairs with i + j >= ``low`` are convolved, so the slots from
+    ``low`` up are exact and the ones below stay empty.
+    """
+    prod = [{} for _ in range(len(a) + len(b) - 1)]
+    for i, pa in enumerate(a):
+        if pa:
+            for j in range(max(low - i, 0), len(b)):
+                if b[j]:
+                    _convolve(pa, b[j], limit, prod[i + j])
+    _reduce_slots(prod, relation, limit, low)
+    return prod
 
 
 def apply_power_series(coeff_fn, x):
     """Evaluate sum_k coeff_fn(k) * x^k for nilpotent x (zero constant term).
 
-    Works for GradedSeries and BundleRingElement alike; terminates because
-    powers of an element without constant term eventually truncate to zero.
+    Works for GradedSeries and BundleRingElement alike, on integers: with
+    x = X / dx, every coeff_fn(j) / dx^j for j <= N + n goes over one
+    denominator, and X^j is an integer slot dict, X^(j-1) times X by
+    ``_slot_product``.  Every term of x has total degree >= 1 and every term
+    of the ring at most N + n (n = 0 for a series), so x^(N+n+1) = 0.
     """
     if x.constant_term() != 0:
         raise ValueError("substitution requires a zero constant term")
-    one = x._one()
-    total = one * coeff_fn(0)
-    power = one
-    k = 0
-    while True:
-        k += 1
-        power = power * x
-        if power.is_zero():
-            return total
-        c = coeff_fn(k)
-        if c:
-            total = total + power * c
+    if isinstance(x, GradedSeries):
+        # one slot under the relation h = 0: a bundle ring with the single weight 0
+        ctx, xs, dx, relation = x.ctx, [sorted(x.num.items())], x.den, [[]]
+    else:
+        ring = x.ring
+        ctx, relation, (xs, dx) = ring.ctx, ring._relation_items(), ring._sorted_slots(x.coeffs)
+    coeffs = [coeff_fn(j) for j in range(ctx.truncation + len(xs))]
+    dens = [c.denominator * dx**j for j, c in enumerate(coeffs)]
+    den = math.lcm(*dens)
+    scales = [c.numerator * (den // q) for c, q in zip(coeffs, dens)]
+    total, power = [{0: scales[0]}, *({} for _ in xs[1:])], xs
+    for j in range(1, len(scales)):
+        if j > 1:
+            power = _slot_product(power, xs, ctx.limit, relation)
+            power = [[(k, c) for k, c in p.items() if c] for p in power]
+            if not any(power):
+                break
+        m = scales[j]
+        if m:
+            for t, p in zip(total, power):
+                get = t.get
+                for k, c in p:
+                    t[k] = get(k, 0) + m * c
+    if isinstance(x, GradedSeries):
+        return GradedSeries._trusted(ctx, {k: c for k, c in total[0].items() if c}, den)
+    return ring._element(total, den)
 
 
 def exp(x):
@@ -393,13 +431,13 @@ class BundleRing:
     """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
     Holds the weights, the ``SeriesRing`` of its coefficients and the
-    relation's coefficients e_1..e_{n+1}, built on the first reduction, both
-    as series and as sorted (key, numerator) lists.  Elements derived from
+    relation's coefficients e_1..e_{n+1} as sorted (key, numerator) lists,
+    built on the first reduction.  Elements derived from
     one ring share it, so their products reduce without rebuilding the
     relation.
     """
 
-    __slots__ = ("weights", "ctx", "_relation", "_sorted_relation")
+    __slots__ = ("weights", "ctx", "_relation")
 
     def __init__(self, weights, rank, truncation):
         self.weights = tuple(tuple(int(c) for c in w) for w in weights)
@@ -407,7 +445,6 @@ class BundleRing:
             raise ValueError("relation needs at least one weight")
         self.ctx = series_ring(rank, truncation)
         self._relation = None
-        self._sorted_relation = None
 
     @property
     def rank(self):
@@ -416,15 +453,6 @@ class BundleRing:
     @property
     def truncation(self):
         return self.ctx.truncation
-
-    @property
-    def relation(self):
-        """[e_1, ..., e_{n+1}] (see ``relation_elementary_symmetric``)."""
-        if self._relation is None:
-            self._relation = relation_elementary_symmetric(
-                self.weights, self.rank, self.truncation
-            )
-        return self._relation
 
     def _key(self):
         return self.weights, self.ctx
@@ -471,16 +499,24 @@ class BundleRing:
             slots.append(sorted([(k, p * scale) for k, p in c.num.items()]))
         return slots, den
 
+    def _relation_items(self):
+        """[e_1, ..., e_{n+1}] (``relation_elementary_symmetric``) as sorted item lists."""
+        if self._relation is None:
+            relation = relation_elementary_symmetric(self.weights, self.rank, self.truncation)
+            self._relation = [sorted(e.num.items()) for e in relation]
+        return self._relation
+
+    def _product(self, a, b, low=0):
+        """(slots, den) of the product of two coefficient tuples (see ``_slot_product``)."""
+        sa, da = self._sorted_slots(a)
+        sb, db = self._sorted_slots(b)
+        return _slot_product(sa, sb, self.ctx.limit, self._relation_items(), low), da * db
+
     def _element(self, slots, den) -> BundleRingElement:
-        """The reduced element of h-coefficient dicts {key: numerator} over den."""
-        n1 = len(self.weights)
-        if any(slots[n1:]):
-            if self._sorted_relation is None:
-                self._sorted_relation = [sorted(e.num.items()) for e in self.relation]
-            _reduce_slots(slots, self._sorted_relation, self.ctx.limit)
+        """The element of at most n+1 reduced h-coefficient dicts {key: numerator} over den."""
         ctx = self.ctx
         return self._padded(
-            [GradedSeries._trusted(ctx, {k: c for k, c in s.items() if c}, den) for s in slots[:n1]]
+            [GradedSeries._trusted(ctx, {k: c for k, c in s.items() if c}, den) for s in slots]
         )
 
 
@@ -569,16 +605,7 @@ class BundleRingElement:
             return NotImplemented
         self._check_compatible(other)
         ring = self.ring
-        a, da = ring._sorted_slots(self.coeffs)
-        b, db = ring._sorted_slots(other.coeffs)
-        limit = ring.ctx.limit
-        prod = [{} for _ in range(len(a) + len(b) - 1)]
-        for i, pa in enumerate(a):
-            if pa:
-                for j, pb in enumerate(b):
-                    if pb:
-                        _convolve(pa, pb, limit, prod[i + j])
-        return ring._element(prod, da * db)
+        return ring._element(*ring._product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
     __pow__ = SparseElement.__pow__
@@ -621,8 +648,7 @@ def reduce(poly_coeffs, ring: BundleRing) -> BundleRingElement:
     ]
     for c in coeffs:
         ring._check_series(c)
-    slots, den = ring._sorted_slots(coeffs)
-    return ring._element([dict(s) for s in slots], den)
+    return ring._element(*ring._product(coeffs, ring.one().coeffs))  # times 1 reduces
 
 
 def pushforward(p: BundleRingElement) -> GradedSeries:
@@ -634,6 +660,13 @@ def pushforward(p: BundleRingElement) -> GradedSeries:
     if not isinstance(p, BundleRingElement):
         raise ValueError("pushforward expects a reduced bundle ring element")
     return p.coeffs[p.hdim]
+
+
+def pushforward_product(a: BundleRingElement, b: BundleRingElement) -> GradedSeries:
+    """pushforward(a * b), computing only the h^n coefficient of the product."""
+    a._check_compatible(b)
+    n = a.hdim
+    return a.ring._element(*a.ring._product(a.coeffs, b.coeffs, n)).coeffs[n]
 
 
 def odd_part_quotient(coeffs, truncation) -> GradedSeries:

@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations
+from operator import mul, sub
 
 from .charclass import LineTwist, ProjSpaceModel, chern_character_bundle, torus_model
 # exp is re-exported: perfbench's tracer test reads riemannroch.exp
-from .gradedring import GradedSeries, exp, pushforward  # noqa: F401
+from .gradedring import GradedSeries, exp, pushforward_product  # noqa: F401
 from .lattice import Weight
 from .reprring import RepRingElement, chern_character
 
 
 def hrr_chi(model: ProjSpaceModel, bundle) -> GradedSeries:
-    """Euler characteristic via pushforward(ch(bundle) * td(tangent))."""
+    """Euler characteristic pushforward(ch(bundle) * td(tangent)), from its h^n slot alone."""
     model._require_torus()
-    return pushforward(chern_character_bundle(model, bundle) * model.tangent_todd)
+    return pushforward_product(chern_character_bundle(model, bundle), model.tangent_todd)
 
 
 def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
@@ -61,6 +62,18 @@ def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
     return GradedSeries._from_exponents(1, truncation, num, den)
 
 
+# The section oracle enumerates at most this many monomials (about 1 s on P^3).
+ORACLE_MONOMIAL_LIMIT = 10**5
+
+
+def _check_oracle_size(monomials: int) -> None:
+    if monomials > ORACLE_MONOMIAL_LIMIT:
+        raise ValueError(
+            f"the section oracle would enumerate {monomials} monomials "
+            f"(limit {ORACLE_MONOMIAL_LIMIT})"
+        )
+
+
 def sections_character_oracle(model: ProjSpaceModel, twist: int) -> RepRingElement:
     """Exact character of the cohomology Euler sum of O(twist), by enumeration.
 
@@ -69,9 +82,13 @@ def sections_character_oracle(model: ProjSpaceModel, twist: int) -> RepRingEleme
     for -dim <= twist <= -1 all cohomology vanishes.  For twist < -dim, Serre
     duality gives chi(O(k)) = (-1)^dim * dual(H^0(O(-k-dim-1))) * chi_{sum w_i}:
     the same enumeration in degree -k-dim-1 with the weights' signs flipped.
+    Above ``ORACLE_MONOMIAL_LIMIT`` monomials it raises ValueError.
     """
     group = model.group
     n = model.dim
+    degree = twist if twist >= 0 else -twist - n - 1
+    if degree >= 0:
+        _check_oracle_size(math.comb(degree + n, n))
     if twist < -n:
         det = Weight.zero(group)
         for w in model.weights:
@@ -86,14 +103,18 @@ def sections_character_oracle(model: ProjSpaceModel, twist: int) -> RepRingEleme
 def _monomial_characters(model: ProjSpaceModel, degree: int, sign: int) -> RepRingElement:
     """Sum over the degree-`degree` monomials of chi_{sign * (sum of their weights)}.
 
-    The coordinate sums are counted in one dict; the element's constructor
-    then reduces them (torsion coordinates) and merges what coincides.
+    A monomial is a choice of bars b_0 < ... < b_{n-1} among degree + n places,
+    e_i = b_i - b_{i-1} - 1 (b_{-1} = -1, b_n = degree + n), so its weight
+    sum_i e_i v_i = base + sum_{i<n} b_i (v_i - v_{i+1}) costs O(n) at any degree.
+    The constructor reduces torsion coordinates and merges what coincides.
     """
-    vectors = [tuple(sign * c for c in w) for w in model.weight_vectors()]
-    zero = (0,) * model.group.ngens
+    v = [tuple(sign * c for c in w) for w in model.weight_vectors()]
+    n, places = model.dim, degree + model.dim
+    base = [places * vn + v0 - s for vn, v0, s in zip(v[-1], v[0], map(sum, zip(*v)))]
+    steps = list(zip(*(map(sub, a, b) for a, b in zip(v, v[1:]))))  # one tuple per coordinate
     counts = {}
-    for combo in combinations_with_replacement(vectors, degree):
-        key = tuple(map(sum, zip(*combo))) if combo else zero
+    for bars in combinations(range(places), n):
+        key = tuple([c + sum(map(mul, bars, step)) for c, step in zip(base, steps)])
         counts[key] = counts.get(key, 0) + 1
     return RepRingElement(model.group, counts)
 
@@ -107,8 +128,8 @@ class EulerCharacteristicResult:
 
 def chi_with_oracle(model: ProjSpaceModel, bundle: LineTwist) -> EulerCharacteristicResult:
     """Run the pushforward pipeline and the section oracle on a line twist."""
+    oracle = sections_character_oracle(model, bundle.power)  # size-checked first
     series = hrr_chi(model, bundle)
-    oracle = sections_character_oracle(model, bundle.power)
     if bundle.character is not None:
         oracle = oracle * RepRingElement.character(model.group, bundle.character)
     matches = chern_character(oracle, model.truncation) == series
@@ -138,10 +159,12 @@ class WeylReport:
 def verify_weyl(n_max: int, truncation: int) -> WeylReport:
     """Three-way check of chi(O(n)) on P^1 with weights (1, -1) for n in [-1, n_max].
 
-    Failures are reported per row, never raised.
+    Failures are reported per row, never raised.  The oracle's monomials over
+    the table, sum_{n <= n_max} (n + 1) = C(n_max + 2, 2), are checked first.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    _check_oracle_size(math.comb(n_max + 2, 2))
     model = torus_model([1, -1], truncation)
     rows = []
     for n in range(-1, n_max + 1):

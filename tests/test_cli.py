@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -297,3 +298,45 @@ def test_in_process_runs_match_fresh_processes(capsys, monkeypatch):
         fresh.append((proc.returncode, out.decode()))
     assert in_process == fresh
     assert [status for status, _ in fresh] == [2, 2, 0, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "argv, monomials",
+    [
+        (["chi", "--weights", "1,-1", "--twist", "-99999999999999999999"], 10**20 - 2),
+        (["chi", "--weights", "0,1,2,3", "--twist", "300"], math.comb(303, 3)),
+        (["weyl", "--nmax", "99999999999999999999"], math.comb(10**20 + 1, 2)),
+    ],
+    ids=["chi-serre", "chi", "weyl"],
+)
+def test_oversized_section_oracle_exits_2(capsys, argv, monomials):
+    assert main([*argv, "--trunc", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"equitau: error: the section oracle would enumerate {monomials} monomials "
+        "(limit 100000)\n"
+    )
+
+
+def test_a_chi_job_just_under_the_oracle_limit_runs(capsys):
+    # C(81 + 3, 3) = 95,284 monomials on P^3
+    code, doc = run_json(capsys, "chi", "--weights", "0,1,2,3", "--twist", "81", "--trunc", "2")
+    assert code == 0
+    assert doc["results"]["degree_zero"] == str(math.comb(84, 3))
+    assert all(check["pass"] for check in doc["checks"])
+
+
+def test_python_dash_m_equitau(capsys, monkeypatch):
+    monkeypatch.delenv("EQUITAU_TRUNC", raising=False)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equitau.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "equitau", *argv], capture_output=True, env=env, timeout=120
+        )
+
+    assert python_m("selftest").returncode == 0
+    weyl = python_m("weyl", "--nmax", "2", "--format", "json")
+    assert (weyl.returncode, weyl.stdout.decode()) == run(capsys, "weyl", "--nmax", "2", "--format", "json")

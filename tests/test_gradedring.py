@@ -8,10 +8,13 @@ from equitau.gradedring import (
     BundleRing,
     BundleRingElement,
     GradedSeries,
+    _slot_product,
+    apply_power_series,
     bernoulli_number,
     exp,
     odd_part_quotient,
     pushforward,
+    pushforward_product,
     reduce,
     todd_coefficient,
     todd_factor,
@@ -658,3 +661,150 @@ def test_odd_part_quotient_keeps_the_top_degree():
                 expected = GradedSeries(1, n, {(k - 1,): c for k, c in enumerate(coeffs) if k % 2})
                 assert odd_part_quotient(coeffs, n) == expected, (n, coeffs)
                 assert pushforward(reduce(coeffs, ring)) == expected
+
+
+# ---------------------------------------------------------------------------
+# the integer power-series kernel against the per-step loop it replaced, here
+# on the Fraction-dict kernels above
+
+
+def reference_apply_power_series(coeff_fn, x, one, mul):
+    """sum_k coeff_fn(k) x^k step by step: power = power * x, total += c_k power.
+
+    x and one are lists of Fraction dicts, one per h-degree; the loop stops at
+    the first power that is zero.
+    """
+    c0 = Fraction(coeff_fn(0))
+    total = [fraction_kernel_scale(s, c0) for s in one]
+    power = one
+    k = 0
+    while True:
+        k += 1
+        power = mul(power, x)
+        if not any(power):
+            return total
+        c = Fraction(coeff_fn(k))
+        if c:
+            total = [fraction_kernel_add(t, fraction_kernel_scale(p, c)) for t, p in zip(total, power)]
+
+
+def sparse_coefficient(k):
+    """A coefficient function with zeros, the constant term among the nonzero ones."""
+    return Fraction((-1) ** k * (k + 1), k + 2) if k % 3 != 1 else 0
+
+
+COEFFICIENT_FUNCTIONS = {
+    "exp": lambda k: Fraction(1, math.factorial(k)),
+    "todd": todd_coefficient,
+    "inverse": lambda k: Fraction(1),
+    "sparse": sparse_coefficient,
+}
+
+
+def random_nilpotent(rng, rank, n, kind, slots):
+    """Fraction dicts, one per h-degree, of an element with no constant term.
+
+    kind "linear": homogeneous of degree 1 (a form in t plus a multiple of h);
+    "mixed": a few terms of total degree 1 to 3; "zero": nothing.
+    """
+    x = [{} for _ in range(slots)]
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    if kind == "linear":
+        for e in units:
+            x[0][e] = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+        if slots > 1:
+            x[1][(0,) * rank] = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+    elif kind == "mixed":
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(0, min(slots - 1, 2))
+            e = tuple(rng.randint(0, 2) for _ in range(rank))
+            if 1 <= sum(e) + k <= 3 and sum(e) <= n:
+                x[k][e] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+    return [{e: c for e, c in s.items() if c} for s in x]
+
+
+def test_power_series_kernel_matches_the_per_step_reference():
+    rng = random.Random(9090)
+    seen = set()
+    for case in range(200):
+        kind = rng.choice(("linear", "mixed", "mixed", "zero"))
+        name = rng.choice(sorted(COEFFICIENT_FUNCTIONS))
+        coeff_fn = COEFFICIENT_FUNCTIONS[name]
+        if case % 2:
+            rank, n = case % 4, rng.randint(0, 12)  # a series: ranks 0-3
+            if rank == 0:
+                kind = "zero"  # no term of positive degree exists
+            x_terms = random_nilpotent(rng, rank, n, kind, 1)
+            x = GradedSeries(rank, n, x_terms[0])
+            got = [apply_power_series(coeff_fn, x).terms]
+            one = [{(0,) * rank: Fraction(1)}]
+            want = reference_apply_power_series(
+                coeff_fn, x_terms, one, lambda a, b: [fraction_kernel_mul(a[0], b[0], n)]
+            )
+        else:
+            rank, dim = 1 + case // 2 % 3, rng.randint(1, 4)
+            # the Fraction reference is slow: keep each slot at <= 56 monomials
+            n = rng.randint(0, max(k for k in range(13) if math.comb(k + rank, rank) <= 56))
+            weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+            relation = reference_relation(weights, rank, n)
+            ring = BundleRing(weights, rank, n)
+            x_terms = random_nilpotent(rng, rank, n, kind, dim + 1)
+            x = BundleRingElement(ring, [GradedSeries(rank, n, s) for s in x_terms])
+            got = [c.terms for c in apply_power_series(coeff_fn, x).coeffs]
+            one = [{(0,) * rank: Fraction(1)}] + [{}] * dim
+            want = reference_apply_power_series(
+                coeff_fn, x_terms, one, lambda a, b: reference_bundle_mul(a, b, relation, n)
+            )
+        assert got == want, (case, name, kind, rank, n)
+        seen.add((case % 2, name, kind))
+    assert len(seen) == 2 * 4 * 3  # both rings, every function, every kind of x
+
+
+def test_pushforward_product_is_the_top_slot_of_the_product():
+    rng = random.Random(4321)
+    for case in range(60):
+        rank, dim, n = 1 + case % 3, rng.randint(1, 4), rng.randint(0, 8)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        ring = BundleRing(weights, rank, n)
+
+        def rand_element():
+            slots = []
+            for _ in range(dim + 1):
+                terms = {}
+                for _ in range(rng.randint(0, 4)):
+                    e = tuple(rng.randint(0, 2) for _ in range(rank))
+                    terms[e] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4)))
+                slots.append(GradedSeries(rank, n, terms))
+            return BundleRingElement(ring, slots)
+
+        a, b = rand_element(), rand_element()
+        got = pushforward_product(a, b)
+        assert_canonical(got)
+        assert got == pushforward(a * b), (case, weights, n)
+        assert (got.den, got.num) == (pushforward(a * b).den, pushforward(a * b).num)
+        # the shared helper keeps exactly the slots from `low` up, for every low
+        sa, sb = ring._sorted_slots(a.coeffs)[0], ring._sorted_slots(b.coeffs)[0]
+        args = (sa, sb, ring.ctx.limit, ring._relation_items())
+        full = [{k: c for k, c in s.items() if c} for s in _slot_product(*args)]
+        for low in range(dim + 1):
+            part = [{k: c for k, c in s.items() if c} for s in _slot_product(*args, low)]
+            assert part == [{}] * low + full[low:], (case, low)
+
+
+def test_power_series_on_bundle_elements_make_no_bundle_multiply(monkeypatch):
+    ring = BundleRing([(1, 0), (0, 1), (1, 1), (2, -1)], 2, 8)
+    h = ring.hyperplane()
+    roots = [h + ring.embed(GradedSeries.linear_form(2, 8, w)) for w in ring.weights]
+    calls = []
+    original = BundleRingElement.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(BundleRingElement, "__mul__", counting)
+    monkeypatch.setattr(BundleRingElement, "__rmul__", counting)
+    for x in roots:
+        exp(x)
+        todd_factor(x)
+    assert calls == []

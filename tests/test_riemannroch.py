@@ -8,6 +8,7 @@ from equitau.gradedring import GradedSeries, exp
 from equitau.lattice import Weight
 from equitau.reprring import RepRingElement, chern_character, torus_group
 from equitau.riemannroch import (
+    ORACLE_MONOMIAL_LIMIT,
     _monomial_characters,
     chi_with_oracle,
     hrr_chi,
@@ -225,3 +226,17 @@ def test_closed_form_equals_the_sum_of_exp_series():
 
         for m in range(-12, 13):
             assert weyl_closed_form(m, n) == exp_sum(m), (m, n)
+
+
+def test_the_oracle_refuses_more_monomials_than_its_limit():
+    limit = ORACLE_MONOMIAL_LIMIT
+    p1 = torus_model([1, -1], 2)
+    # C(d + 1, 1) = d + 1 monomials of degree d on P^1, on both branches
+    assert sections_character_oracle(p1, limit - 1).augmentation() == limit
+    for twist in (limit, -limit - 2):
+        with pytest.raises(ValueError, match=f"would enumerate {limit + 1} monomials"):
+            sections_character_oracle(p1, twist)
+    # the weyl table sums C(n + 1, 1) over n <= nmax: C(447, 2) fits, C(448, 2) does not
+    assert math.comb(447, 2) <= limit < math.comb(448, 2)
+    with pytest.raises(ValueError, match=f"would enumerate {math.comb(448, 2)} monomials"):
+        verify_weyl(446, 2)

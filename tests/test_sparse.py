@@ -207,3 +207,42 @@ def test_mixing_types_or_rings_raises():
     assert series != rep and rep != series
     assert GradedSeries.one(1, 5) != GradedSeries.one(1, 6)
     assert RepRingElement.one(torus_group(1)) != RepRingElement.one(torus_group(2))
+
+
+# ---------------------------------------------------------------------------
+# powers by repeated squaring
+
+
+@pytest.mark.parametrize("d, multiplies", [(1, 0), (2, 1), (3, 2), (4, 2), (7, 4), (8, 3)])
+def test_power_makes_no_wasted_multiply(monkeypatch, d, multiplies):
+    group = torus_group(2)
+    x = RepRingElement.character(group, (1, 0)) - 1
+    expected = RepRingElement.one(group)
+    for _ in range(d):
+        expected = expected * x
+    calls = []
+    original = RepRingElement.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(RepRingElement, "__mul__", counting)
+    assert x**d == expected
+    assert len(calls) == multiplies
+
+
+def test_power_equals_repeated_multiplication():
+    from equitau.gradedring import BundleRing
+
+    series = GradedSeries(2, 6, {(0, 0): Fraction(1, 2), (1, 0): -1, (0, 2): Fraction(3, 4)})
+    rep = RepRingElement(GroupDescriptor(1, (3,)), {(1, 2): 2, (-1, 0): Fraction(-1, 3), (0, 0): 1})
+    ring = BundleRing([(1, 0), (0, 1), (1, 1)], 2, 4)
+    bundle = ring.hyperplane() + ring.embed(GradedSeries.linear_form(2, 4, (1, Fraction(-1, 2))))
+    for x in (series, rep, bundle, bundle + 1, GradedSeries.zero(1, 3)):
+        product = x._one()
+        for k in range(10):
+            assert x**k == product, (x, k)
+            product = product * x
+    with pytest.raises(ValueError):
+        series**-1
