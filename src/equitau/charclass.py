@@ -19,7 +19,9 @@ from .gradedring import (
     GradedSeries,
     exp,
     reduce,
-    todd_factor,
+    root_series_product,
+    todd_coefficient,
+    todd_inverse_coefficient,
 )
 from .lattice import GroupDescriptor, Weight
 
@@ -180,17 +182,16 @@ def chern_character_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
 
 
 def todd_class_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
-    """Product of x/(1-e^(-x)) over positive roots over the same for negatives.
+    """Product of x/(1-e^(-x)) over positive roots and (1-e^(-x))/x over negatives.
 
-    Always a unit with constant term 1.  A zero negative root, such as the
-    tangent's trivial one, contributes the factor 1 and is skipped; ch still
-    needs it (it subtracts the class of O).
+    Always a unit with constant term 1, built by one ``root_series_product``
+    call (Newton coordinates, no dense product).  A zero root, such as the
+    tangent's trivial negative one, contributes the factor 1; ch still needs
+    it (it subtracts the class of O).
     """
     positives, negatives = chern_roots(model, bundle)
-    total = model.embed(1)
-    for x in positives:
-        total = total * todd_factor(x)
-    for x in negatives:
-        if not x.is_zero():
-            total = total * todd_factor(x).inverse()
-    return total
+    return root_series_product(
+        model.ring,
+        [(todd_coefficient, x) for x in positives]
+        + [(todd_inverse_coefficient, x) for x in negatives],
+    )

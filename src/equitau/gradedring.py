@@ -31,16 +31,24 @@ BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
 kept reduced below h-degree n+1.  The relation is homogeneous, so total
 degree (t-degree + h-degree) is preserved by reduction.  Each element points
-to a BundleRing, which holds the weights, the series ring and the relation's
-coefficients e_1..e_{n+1} as sorted key lists, built on the first
-reduction.  A product of two elements is one fused kernel, ``_slot_product``:
-both operands' slots are brought over one denominator each, every slot pair
-is convolved into 2n+1 dicts, and ``_reduce_slots`` folds slots 2n..n+1 back
-from the top down with h^(n+1) = -(e_1 h^n + ... + e_{n+1}).  Given a lowest
-slot to keep, it convolves only the pairs that reach it and folds only into
-the slots from there up; ``pushforward_product`` keeps slot n alone.  The
-public ``reduce`` multiplies by 1, and ``apply_power_series`` (``exp``,
-``todd_factor``, ``inverse``) runs on the same kernel, on integers throughout.
+to a BundleRing, which holds the weights, the series ring and, built on first
+use, the Newton basis below, whose top element gives the relation's
+coefficients e_1..e_{n+1} as sorted key lists.  A product of two elements is
+one fused kernel, ``_slot_product``: both operands' slots are brought over
+one denominator each, every slot pair is convolved into 2n+1 dicts, and
+``_reduce_slots`` folds slots 2n..n+1 back from the top down with
+h^(n+1) = -(e_1 h^n + ... + e_{n+1}).  Given a lowest slot to keep, it
+convolves only the pairs that reach it and folds only into the slots from
+there up; ``pushforward_product`` keeps slot n alone.  The public ``reduce``
+multiplies by 1, and ``apply_power_series`` (``exp``, ``todd_factor``,
+``inverse``) runs on the same kernel, on integers throughout.
+
+Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
+h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  A
+degree-1 x = a.h + L acts bidiagonally, x.N_m = a.N_(m+1) + (L - a.l_m).N_m,
+so ``root_series_product`` (the Todd class) multiplies by a Chern root with a
+shift and a convolution by one linear form per coordinate: no relation fold,
+no dense product.  It converts to the h-basis once, by N_1..N_n.
 """
 
 from __future__ import annotations
@@ -326,14 +334,36 @@ def _slot_product(a, b, limit, relation, low=0):
     return prod
 
 
+def _power_series_sum(coeff_fn, power, dx, truncation, times_x):
+    """(slot dicts, den) of sum_j coeff_fn(j) * y_j for y_0 = power, y_j = y_(j-1) * x.
+
+    power holds n+1 (key, numerator) item lists, x = X / dx, and ``times_x``
+    takes such a list to the slot dicts of its product by X.  x^(N+n+1) = 0
+    (x has no term below degree 1); each coeff_fn(j) / dx^j goes over den.
+    """
+    coeffs = [coeff_fn(j) for j in range(truncation + len(power))]
+    dens = [c.denominator * dx**j for j, c in enumerate(coeffs)]
+    den = math.lcm(*dens)
+    total = [{} for _ in power]
+    for j, (c, q) in enumerate(zip(coeffs, dens)):
+        if j:
+            power = [[(k, v) for k, v in p.items() if v] for p in times_x(power)]
+            if not any(power):
+                break
+        m = c.numerator * (den // q)
+        if m:
+            for t, p in zip(total, power):
+                get = t.get
+                for k, v in p:
+                    t[k] = get(k, 0) + m * v
+    return total, den
+
+
 def apply_power_series(coeff_fn, x):
     """Evaluate sum_k coeff_fn(k) * x^k for nilpotent x (zero constant term).
 
-    Works for GradedSeries and BundleRingElement alike, on integers: with
-    x = X / dx, every coeff_fn(j) / dx^j for j <= N + n goes over one
-    denominator, and X^j is an integer slot dict, X^(j-1) times X by
-    ``_slot_product``.  Every term of x has total degree >= 1 and every term
-    of the ring at most N + n (n = 0 for a series), so x^(N+n+1) = 0.
+    Works for GradedSeries and BundleRingElement alike, on integers
+    (``_power_series_sum``), X^(j-1) times X by ``_slot_product``.
     """
     if x.constant_term() != 0:
         raise ValueError("substitution requires a zero constant term")
@@ -343,23 +373,12 @@ def apply_power_series(coeff_fn, x):
     else:
         ring = x.ring
         ctx, relation, (xs, dx) = ring.ctx, ring._relation_items(), ring._sorted_slots(x.coeffs)
-    coeffs = [coeff_fn(j) for j in range(ctx.truncation + len(xs))]
-    dens = [c.denominator * dx**j for j, c in enumerate(coeffs)]
-    den = math.lcm(*dens)
-    scales = [c.numerator * (den // q) for c, q in zip(coeffs, dens)]
-    total, power = [{0: scales[0]}, *({} for _ in xs[1:])], xs
-    for j in range(1, len(scales)):
-        if j > 1:
-            power = _slot_product(power, xs, ctx.limit, relation)
-            power = [[(k, c) for k, c in p.items() if c] for p in power]
-            if not any(power):
-                break
-        m = scales[j]
-        if m:
-            for t, p in zip(total, power):
-                get = t.get
-                for k, c in p:
-                    t[k] = get(k, 0) + m * c
+
+    def times_x(power):
+        return _slot_product(power, xs, ctx.limit, relation)
+
+    unit = [[(0, 1)], *([] for _ in xs[1:])]
+    total, den = _power_series_sum(coeff_fn, unit, dx, ctx.truncation, times_x)
     if isinstance(x, GradedSeries):
         return GradedSeries._trusted(ctx, {k: c for k, c in total[0].items() if c}, den)
     return ring._element(total, den)
@@ -392,6 +411,11 @@ def todd_coefficient(k: int) -> Fraction:
     return bernoulli_number(k) / math.factorial(k)
 
 
+def todd_inverse_coefficient(k: int) -> Fraction:
+    """Coefficient of x^k in (1 - e^(-x))/x, the inverse Todd factor: (-1)^k / (k+1)!."""
+    return Fraction((-1) ** k, math.factorial(k + 1))
+
+
 def todd_factor(x):
     """The multiplicative Todd factor x/(1 - e^(-x)) of a degree-1 form (or zero).
 
@@ -407,14 +431,12 @@ def todd_factor(x):
 # The projective-bundle quotient ring
 
 
-def relation_elementary_symmetric(weights, rank, truncation):
-    """Coefficients e_1..e_{n+1} of prod_i(h + w_i.t) below the leading h power.
+def newton_basis(weights, rank, truncation):
+    """The h-coefficients (low degree first) of N_m = prod_(i<m)(h + w_i.t), m = 1..n+1.
 
-    weights is a list of integer coordinate vectors over a rank-`rank` base;
-    returns [e_1, ..., e_{n+1}] with e_j homogeneous of degree j.
+    weights are integer vectors; N_(n+1) = h^(n+1) + e_1 h^n + ... + e_(n+1).
     """
-    # multiply out prod (h + l_i) as an h-polynomial, low h-degree first
-    poly = [GradedSeries.one(rank, truncation)]
+    poly, basis = [GradedSeries.one(rank, truncation)], []
     for w in weights:
         l = GradedSeries.linear_form(rank, truncation, w)
         new = [GradedSeries.zero(rank, truncation) for _ in range(len(poly) + 1)]
@@ -422,29 +444,65 @@ def relation_elementary_symmetric(weights, rank, truncation):
             new[k + 1] = new[k + 1] + c
             new[k] = new[k] + c * l
         poly = new
-    # poly[k] is the coefficient of h^k; e_j is the coefficient of h^{n+1-j}
-    n1 = len(weights)
-    return [poly[n1 - j] for j in range(1, n1 + 1)]
+        basis.append(poly)
+    return basis
+
+
+def root_series_product(ring, factors):
+    """prod_r f_r(x_r) in ``ring`` for pairs (coeff_fn, x_r), f_r = sum_k coeff_fn(k) x^k.
+
+    Each x_r = a.h + L is of degree 1 or zero (else ValueError); the product
+    is built in Newton coordinates (module docstring).
+    """
+    ctx, weights = ring.ctx, ring.weights
+    coords, den = [[(0, 1)], *([] for _ in weights[1:])], 1
+    for coeff_fn, x in factors:
+        if x.ring != ring:
+            raise ValueError("bundle elements over different models")
+        (form, *high), dx = ring._sorted_slots(x.coeffs)
+        a = dict(high[0]).get(0, 0) if high else 0
+        if any(k // ctx.top != 1 for k, _ in form) or sum(map(len, high)) != (a != 0):
+            raise ValueError("root_series_product expects roots of degree 1")
+        linear = dict(form)  # dx.x = a.(h + l_m) + (L - a.l_m): the second part keeps N_m
+        forms = [
+            sorted((p, d) for p, w in zip(ctx.places, wm) if (d := linear.get(p, 0) - a * w))
+            for wm in weights
+        ]
+
+        def times_x(y, a=a, forms=forms):
+            out, below = [], ()
+            for u, f in zip(y, forms):  # the top coordinate's shift lands on N_(n+1) = 0
+                out.append({k: a * c for k, c in below})
+                _convolve(u, f, ctx.limit, out[-1])
+                below = u
+            return out
+
+        total, d = _power_series_sum(coeff_fn, coords, dx, ctx.truncation, times_x)
+        coords, den = [[(k, c) for k, c in t.items() if c] for t in total], den * d
+    slots = [dict(u) for u in coords]  # the leading 1 of each N_m
+    for u, poly in zip(coords[1:], ring._basis_items()):
+        for k, c in enumerate(poly[:-1]):
+            _convolve(u, c, ctx.limit, slots[k])
+    return ring._element(slots, den)
 
 
 class BundleRing:
     """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
-    Holds the weights, the ``SeriesRing`` of its coefficients and the
-    relation's coefficients e_1..e_{n+1} as sorted (key, numerator) lists,
-    built on the first reduction.  Elements derived from
-    one ring share it, so their products reduce without rebuilding the
-    relation.
+    Holds the weights, the ``SeriesRing`` of its coefficients and the Newton
+    basis N_1..N_(n+1) as sorted (key, numerator) lists, built on first use;
+    the relation is N_(n+1).  Elements derived from one ring share it, so
+    their products reduce without rebuilding the relation.
     """
 
-    __slots__ = ("weights", "ctx", "_relation")
+    __slots__ = ("weights", "ctx", "_basis")
 
     def __init__(self, weights, rank, truncation):
         self.weights = tuple(tuple(int(c) for c in w) for w in weights)
         if not self.weights:
             raise ValueError("relation needs at least one weight")
         self.ctx = series_ring(rank, truncation)
-        self._relation = None
+        self._basis = None
 
     @property
     def rank(self):
@@ -499,12 +557,16 @@ class BundleRing:
             slots.append(sorted([(k, p * scale) for k, p in c.num.items()]))
         return slots, den
 
+    def _basis_items(self):
+        """``newton_basis`` as sorted item lists, built once."""
+        if self._basis is None:
+            basis = newton_basis(self.weights, self.rank, self.truncation)
+            self._basis = [[sorted(c.num.items()) for c in poly] for poly in basis]
+        return self._basis
+
     def _relation_items(self):
-        """[e_1, ..., e_{n+1}] (``relation_elementary_symmetric``) as sorted item lists."""
-        if self._relation is None:
-            relation = relation_elementary_symmetric(self.weights, self.rank, self.truncation)
-            self._relation = [sorted(e.num.items()) for e in relation]
-        return self._relation
+        """[e_1, ..., e_(n+1)]: the h-coefficients of N_(n+1) below its leading 1, top first."""
+        return self._basis_items()[-1][-2::-1]
 
     def _product(self, a, b, low=0):
         """(slots, den) of the product of two coefficient tuples (see ``_slot_product``)."""

@@ -14,7 +14,16 @@ from equitau.charclass import (
     todd_class_bundle,
     torus_model,
 )
-from equitau.gradedring import apply_power_series, exp, todd_coefficient
+from equitau.gradedring import (
+    BundleRingElement,
+    GradedSeries,
+    apply_power_series,
+    exp,
+    root_series_product,
+    todd_coefficient,
+    todd_factor,
+    todd_inverse_coefficient,
+)
 from equitau.lattice import GroupDescriptor, Weight
 
 P1 = torus_model([1, -1], 8)
@@ -148,3 +157,81 @@ def test_tangent_todd_is_built_once_per_model(monkeypatch):
     calls.clear()
     assert verify_weyl(4, 8).all_pass
     assert calls == [TANGENT]  # one Todd class for the whole table
+
+
+# ---------------------------------------------------------------------------
+# the Newton-coordinates Todd class against the route it replaced
+
+
+def reference_todd_class_bundle(model, bundle):
+    """One todd_factor per root, inverse() for nonzero negative roots, dense products."""
+    positives, negatives = chern_roots(model, bundle)
+    total = model.embed(1)
+    for x in positives:
+        total = total * todd_factor(x)
+    for x in negatives:
+        if not x.is_zero():
+            total = total * todd_factor(x).inverse()
+    return total
+
+
+def random_line_twist(rng, rank):
+    power = rng.choice((-3, 0, 1, 3))
+    if rng.random() < 0.5:
+        return LineTwist(power)
+    return LineTwist(power, tuple(rng.randint(-2, 2) for _ in range(rank)))
+
+
+def test_todd_class_matches_the_dense_product_route():
+    rng = random.Random(1010)
+    seen = set()
+    for case in range(200):
+        rank, dim, n = 1 + case % 3, 1 + case // 3 % 4, rng.randint(0, 12)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        model = torus_model(weights, n, rank=rank)
+        kind = rng.choice(("tangent", "twist", "sum"))
+        if kind == "tangent":
+            bundle = TANGENT
+        elif kind == "twist":
+            bundle = random_line_twist(rng, rank)
+        else:
+            bundle = BundleSum(tuple(random_line_twist(rng, rank) for _ in range(rng.randint(1, 3))))
+        got = todd_class_bundle(model, bundle)
+        want = reference_todd_class_bundle(model, bundle)
+        assert got == want, (case, weights, n, bundle)
+        assert [(c.den, c.num) for c in got.coeffs] == [(c.den, c.num) for c in want.coeffs]
+        seen.add((rank, dim, kind))
+    assert len(seen) == 3 * 4 * 3
+
+
+def test_root_series_product_takes_negative_and_fraction_roots():
+    model = torus_model([(1, 0), (0, 1), (1, 1), (2, -1)], 7)
+    ring, h = model.ring, model.hyperplane()
+    t = ring.embed(GradedSeries.linear_form(2, 7, (Fraction(1, 3), Fraction(-5, 2))))
+    x, y = h * Fraction(3, 4) + t, h * -2 + model.base_form((1, -1))
+    assert root_series_product(ring, [(todd_coefficient, x)]) == todd_factor(x)
+    assert root_series_product(ring, [(todd_inverse_coefficient, y)]) == todd_factor(y).inverse()
+    both = [(todd_coefficient, x), (todd_inverse_coefficient, y), (todd_coefficient, t)]
+    assert root_series_product(ring, both) == todd_factor(x) * todd_factor(y).inverse() * todd_factor(t)
+    assert root_series_product(ring, []) == ring.one()
+    for bad in (h * h, h + 1, ring.embed(GradedSeries.variable(2, 7) ** 2), h * h * h + h):
+        with pytest.raises(ValueError):
+            root_series_product(ring, [(todd_coefficient, bad)])
+    with pytest.raises(ValueError):
+        root_series_product(ring, [(todd_coefficient, P1.hyperplane())])
+
+
+def test_todd_class_makes_no_bundle_multiply(monkeypatch):
+    model = torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 8)
+    want = reference_todd_class_bundle(model, TANGENT)
+    calls = []
+    original = BundleRingElement.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(BundleRingElement, "__mul__", counting)
+    monkeypatch.setattr(BundleRingElement, "__rmul__", counting)
+    assert todd_class_bundle(model, TANGENT) == want
+    assert calls == []

@@ -10,7 +10,11 @@ import pytest
 import equitau.cli
 import equitau.selftest
 from equitau.cli import main, render_json
-from equitau.reprring import CertificateError
+from equitau.reprring import (
+    CERTIFICATE_UNKNOWN_LIMIT,
+    CertificateError,
+    gl_augmentation_generators,
+)
 
 
 def run(capsys, *argv):
@@ -325,6 +329,33 @@ def test_a_chi_job_just_under_the_oracle_limit_runs(capsys):
     assert code == 0
     assert doc["results"]["degree_zero"] == str(math.comb(84, 3))
     assert all(check["pass"] for check in doc["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv, unknowns",
+    [
+        (["--n", "5", "--degree", "2", "--bound", "3"], 5 * 7**5),
+        (["--n", "1", "--degree", "1", "--bound", "5000"], 10**4 + 1),
+    ],
+    ids=["n5", "n1"],
+)
+def test_oversized_segal_search_exits_2(capsys, argv, unknowns):
+    assert main(["segal", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"equitau: error: the certificate search would solve for {unknowns} unknowns "
+        "(limit 10000)\n"
+    )
+
+
+def test_a_segal_search_just_under_the_unknown_limit_runs(capsys):
+    # one generator, t_1 - 1, times 2 * 4999 + 1 cofactor monomials: 9,999 unknowns
+    code, doc = run_json(capsys, "segal", "--n", "1", "--degree", "1", "--bound", "4999")
+    assert code == 0
+    assert all(check["pass"] for check in doc["checks"])
+    # segal --n 4 --degree 4 (default bound 3) stays admitted: 4 * 7^4 unknowns
+    assert len(gl_augmentation_generators(4)) * 7**4 == 9604 <= CERTIFICATE_UNKNOWN_LIMIT
 
 
 def test_python_dash_m_equitau(capsys, monkeypatch):
