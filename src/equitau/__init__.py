@@ -16,7 +16,6 @@ from .gradedring import (
     exp,
     pushforward,
     reduce,
-    todd_factor,
 )
 from .reprring import (
     RepRingElement,

@@ -1,16 +1,17 @@
-"""The sparse core shared by truncated series and representation-ring elements.
+"""The sparse core shared by series, bundle-ring and representation-ring elements.
 
 An element is ``(ctx, num, den)``: a ring context, a dict ``num`` from keys to
 nonzero ints, and a positive int ``den``, standing for sum_k num[k] * x^k / den.
 The form is canonical: gcd(den, *num.values()) == 1, and den == 1 for zero,
 so equality and hashing compare (ctx, den, num) directly.
 
-What a key is belongs to the subclass (a packed monomial of a ``SeriesRing``
-for ``GradedSeries``, a reduced coordinate tuple for ``RepRingElement``); the
-core only adds, negates and scales numerators under equal keys.  Its one hook
-is ``_unit_key(ctx)``, the key of the constant 1.  Each subclass adds its
-public constructor, its product kernel (in ``__mul__``, deferring scalars to
-the core) and its rendering.
+What a key is belongs to the subclass: a packed monomial of a ``SeriesRing``
+for ``GradedSeries``; k.limit + (that packed key) for h^k times a monomial in
+a ``BundleRingElement``, whose ctx is its ``BundleRing``; a reduced coordinate
+tuple for ``RepRingElement``.  The core only adds, negates and scales
+numerators under equal keys.  Its one hook is ``_unit_key(ctx)``, the key of
+the constant 1.  Each subclass adds its public constructor, its product
+kernel (in ``__mul__``, deferring scalars to the core) and its rendering.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ class SparseElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        """self ** k by repeated squaring; also bound on ``BundleRingElement``."""
+        """self ** k by repeated squaring, for k >= 0."""
         if k < 0:
-            raise ValueError("negative powers: use inverse() on a unit, where there is one")
+            raise ValueError(f"negative power {k}: only nonnegative powers are defined")
         result, base = None, self
         while k:
             if k & 1:  # the first set bit takes the base as it is

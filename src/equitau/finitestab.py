@@ -30,6 +30,16 @@ from .lattice import (
 )
 
 
+# Larger groups are refused before they are enumerated, like the section
+# oracle's monomial limit; the largest benchmark job has order 720.
+GROUP_ORDER_LIMIT = 10**5
+
+
+def _check_group_order(group: GroupDescriptor) -> None:
+    if (order := group.order()) > GROUP_ORDER_LIMIT:
+        raise ValueError(f"the group has order {order} (limit {GROUP_ORDER_LIMIT})")
+
+
 def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
@@ -145,6 +155,7 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     group = model.group
     if not group.is_finite:
         raise ValueError("sector decomposition requires a finite acting group")
+    _check_group_order(group)
     sectors = []
     for point in character_orbit_representatives(group):
         e = point.order()
@@ -173,5 +184,6 @@ def ktheory_free_module_dimension(model: ProjSpaceModel) -> int:
     K_G(P(V)) is free of rank dim V over R(G), and dim_Q R(G)_Q = |N| by
     enumerating the group-element basis of the group algebra.
     """
+    _check_group_order(model.group)
     basis_size = sum(1 for _ in model.group.elements())
     return len(model.weights) * basis_size

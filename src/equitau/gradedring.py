@@ -30,18 +30,19 @@ right operand only up to the bound.
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
 kept reduced below h-degree n+1.  The relation is homogeneous, so total
-degree (t-degree + h-degree) is preserved by reduction.  Each element points
-to a BundleRing, which holds the weights, the series ring and, built on first
-use, the Newton basis below, whose top element gives the relation's
-coefficients e_1..e_{n+1} as sorted key lists.  A product of two elements is
-one fused kernel, ``_slot_product``: both operands' slots are brought over
-one denominator each, every slot pair is convolved into 2n+1 dicts, and
-``_reduce_slots`` folds slots 2n..n+1 back from the top down with
-h^(n+1) = -(e_1 h^n + ... + e_{n+1}).  Given a lowest slot to keep, it
-convolves only the pairs that reach it and folds only into the slots from
-there up; ``pushforward_product`` keeps slot n alone.  The public ``reduce``
-multiplies by 1, and ``apply_power_series`` (``exp``, ``todd_factor``,
-``inverse``) runs on the same kernel, on integers throughout.
+degree (t-degree + h-degree) is preserved by reduction.  It is a
+``SparseElement`` whose ``ctx`` is its BundleRing, with h^k.t^e keyed by
+k.limit + key(t^e), so slot 0 holds the series keys themselves.  The ring
+holds the weights, the series ring and, built on first use, the Newton basis
+below, whose top element gives the relation's coefficients e_1..e_{n+1} as
+sorted key lists.  A product of two elements is one fused kernel,
+``_slot_product``: both operands are split into h-slots by one sorted pass,
+every slot pair is convolved into 2n+1 dicts, and ``_reduce_slots`` folds
+slots 2n..n+1 back from the top down with h^(n+1) = -(e_1 h^n + ... +
+e_{n+1}).  Given a lowest slot to keep, it convolves only the pairs that
+reach it and folds only into the slots from there up; ``pushforward_product``
+keeps slot n alone.  The public ``reduce`` multiplies by 1, and
+``apply_power_series`` (``exp``) runs on the same kernel, on integers.
 
 Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
 h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  A
@@ -253,17 +254,6 @@ class GradedSeries(SparseElement):
             return NotImplemented
         return self * (Fraction(1) / Fraction(scalar))
 
-    def inverse(self):
-        """Multiplicative inverse of a unit (nonzero constant term).
-
-        Also bound on ``BundleRingElement``.
-        """
-        a0 = self.constant_term()
-        if a0 == 0:
-            raise ValueError("an element with zero constant term is not a unit")
-        u = self._one() - self * (Fraction(1) / a0)
-        return apply_power_series(lambda k: Fraction(1), u) * (Fraction(1) / a0)
-
     # -- rendering ----------------------------------------------------------
 
     def sorted_num(self):
@@ -371,8 +361,8 @@ def apply_power_series(coeff_fn, x):
         # one slot under the relation h = 0: a bundle ring with the single weight 0
         ctx, xs, dx, relation = x.ctx, [sorted(x.num.items())], x.den, [[]]
     else:
-        ring = x.ring
-        ctx, relation, (xs, dx) = ring.ctx, ring._relation_items(), ring._sorted_slots(x.coeffs)
+        ring = x.ctx
+        ctx, relation, (xs, dx) = ring.ctx, ring._relation_items(), ring._sorted_slots(x)
 
     def times_x(power):
         return _slot_product(power, xs, ctx.limit, relation)
@@ -390,7 +380,7 @@ def exp(x):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and the Todd factor x/(1 - e^(-x))
+# Bernoulli numbers and the coefficients of the Todd factor x/(1 - e^(-x))
 
 
 @lru_cache(maxsize=None)
@@ -414,17 +404,6 @@ def todd_coefficient(k: int) -> Fraction:
 def todd_inverse_coefficient(k: int) -> Fraction:
     """Coefficient of x^k in (1 - e^(-x))/x, the inverse Todd factor: (-1)^k / (k+1)!."""
     return Fraction((-1) ** k, math.factorial(k + 1))
-
-
-def todd_factor(x):
-    """The multiplicative Todd factor x/(1 - e^(-x)) of a degree-1 form (or zero).
-
-    Accepts a GradedSeries or BundleRingElement with no constant term;
-    todd_factor(0) = 1.
-    """
-    if isinstance(x, GradedSeries) and x.component(1) != x:
-        raise ValueError("todd_factor expects a homogeneous degree-1 form or zero")
-    return apply_power_series(todd_coefficient, x)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +438,7 @@ def root_series_product(ring, factors):
     for coeff_fn, x in factors:
         if x.ring != ring:
             raise ValueError("bundle elements over different models")
-        (form, *high), dx = ring._sorted_slots(x.coeffs)
+        (form, *high), dx = ring._sorted_slots(x)
         a = dict(high[0]).get(0, 0) if high else 0
         if any(k // ctx.top != 1 for k, _ in form) or sum(map(len, high)) != (a != 0):
             raise ValueError("root_series_product expects roots of degree 1")
@@ -489,10 +468,10 @@ def root_series_product(ring, factors):
 class BundleRing:
     """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
-    Holds the weights, the ``SeriesRing`` of its coefficients and the Newton
-    basis N_1..N_(n+1) as sorted (key, numerator) lists, built on first use;
-    the relation is N_(n+1).  Elements derived from one ring share it, so
-    their products reduce without rebuilding the relation.
+    The context of its elements: the weights, the ``SeriesRing`` of their
+    coefficients and the Newton basis N_1..N_(n+1) as sorted (key, numerator)
+    lists, built on first use, whose last element is the relation; elements
+    derived from one ring share it, so products never rebuild the relation.
     """
 
     __slots__ = ("weights", "ctx", "_basis")
@@ -521,41 +500,36 @@ class BundleRing:
     def __hash__(self):
         return hash(self._key())
 
-    def one(self) -> BundleRingElement:
-        return self.embed(1)
+    def __repr__(self):
+        return f"BundleRing({self.weights}, {self.rank}, {self.truncation})"
 
-    def _padded(self, coeffs):
-        zero = GradedSeries.zero(self.rank, self.truncation)
-        return BundleRingElement._trusted(
-            self, list(coeffs) + [zero] * (len(self.weights) - len(coeffs))
-        )
+    def one(self) -> BundleRingElement:
+        return BundleRingElement._trusted(self, {0: 1}, 1)
 
     def embed(self, value) -> BundleRingElement:
-        """Lift a scalar or base series into this ring."""
+        """Lift a scalar or base series into this ring (slot 0 keys are series keys)."""
         if isinstance(value, (int, Fraction)):
             value = GradedSeries.const(self.rank, self.truncation, value)
         self._check_series(value)
-        return self._padded([value])
+        return BundleRingElement._trusted(self, dict(value.num), value.den)
 
     def hyperplane(self) -> BundleRingElement:
         """The class h."""
         if len(self.weights) < 2:
             raise ValueError("need at least two weights for a positive-dimensional model")
-        zero = GradedSeries.zero(self.rank, self.truncation)
-        return self._padded([zero, GradedSeries.one(self.rank, self.truncation)])
+        return BundleRingElement._trusted(self, {self.ctx.limit: 1}, 1)
 
     def _check_series(self, c):
         if not isinstance(c, GradedSeries) or c.ctx != self.ctx:
             raise ValueError("coefficients must be series of matching rank/truncation")
 
-    def _sorted_slots(self, coeffs):
-        """([sorted (key, numerator) items per series], den): the series over one denominator."""
-        den = math.lcm(*(c.den for c in coeffs))
-        slots = []
-        for c in coeffs:
-            scale = den // c.den
-            slots.append(sorted([(k, p * scale) for k, p in c.num.items()]))
-        return slots, den
+    def _sorted_slots(self, element):
+        """([sorted (series key, numerator) items per h-degree], den) of an element."""
+        limit, slots = self.ctx.limit, [[] for _ in self.weights]
+        for key, c in sorted(element.num.items()):
+            k, key = divmod(key, limit)
+            slots[k].append((key, c))
+        return slots, element.den
 
     def _basis_items(self):
         """``newton_basis`` as sorted item lists, built once."""
@@ -569,23 +543,28 @@ class BundleRing:
         return self._basis_items()[-1][-2::-1]
 
     def _product(self, a, b, low=0):
-        """(slots, den) of the product of two coefficient tuples (see ``_slot_product``)."""
+        """(slots, den) of the product of two elements (see ``_slot_product``)."""
         sa, da = self._sorted_slots(a)
         sb, db = self._sorted_slots(b)
         return _slot_product(sa, sb, self.ctx.limit, self._relation_items(), low), da * db
 
     def _element(self, slots, den) -> BundleRingElement:
         """The element of at most n+1 reduced h-coefficient dicts {key: numerator} over den."""
-        ctx = self.ctx
-        return self._padded(
-            [GradedSeries._trusted(ctx, {k: c for k, c in s.items() if c}, den) for s in slots]
-        )
+        limit, num = self.ctx.limit, {}
+        for k, s in enumerate(slots):
+            shift = k * limit
+            num.update({key + shift: c for key, c in s.items() if c})
+        return BundleRingElement._trusted(self, num, den)
 
 
-class BundleRingElement:
-    """Element of (truncated series ring)[h] / prod_i(h + w_i.t), kept reduced."""
+class BundleRingElement(SparseElement):
+    """Element of (truncated series ring)[h] / prod_i(h + w_i.t), kept reduced.
 
-    __slots__ = ("ring", "coeffs")
+    Its ``ctx`` is its ``BundleRing``; h^k.t^e is keyed by k.limit + key(t^e).
+    Add, negate, scalar multiply, powers, equality and hashing are the core's.
+    """
+
+    __slots__ = ()
 
     def __init__(self, ring: BundleRing, coeffs):
         """At most n+1 series of the ring's rank and truncation, low h-degree first."""
@@ -594,106 +573,61 @@ class BundleRingElement:
             raise ValueError("coefficients exceed the reduced h-degree bound")
         for c in coeffs:
             ring._check_series(c)
-        self.ring = ring
-        self.coeffs = ring._padded(coeffs).coeffs
+        # each series is canonical, so over the lcm of their denominators the whole is
+        den, limit = math.lcm(*(c.den for c in coeffs)), ring.ctx.limit
+        self.ctx = ring
+        self.num = {
+            k * limit + key: p * (den // c.den)
+            for k, c in enumerate(coeffs)
+            for key, p in c.num.items()
+        }
+        self.den = den
 
-    @classmethod
-    def _trusted(cls, ring, coeffs):
-        """An element over `ring` with one matching series per weight, unchecked."""
-        element = object.__new__(cls)
-        element.ring = ring
-        element.coeffs = tuple(coeffs)
-        return element
+    @staticmethod
+    def _unit_key(ctx):
+        return 0
 
-    @property
-    def weights(self):
-        return self.ring.weights
-
-    @property
-    def rank(self):
-        return self.ring.rank
-
-    @property
-    def truncation(self):
-        return self.ring.truncation
+    def _lift(self, other):
+        if isinstance(other, GradedSeries):
+            return self.ctx.embed(other)
+        return super()._lift(other)
 
     @property
-    def hdim(self):
-        """n, the largest retained power of h (= number of weights minus 1)."""
-        return len(self.ring.weights) - 1
+    def ring(self):
+        return self.ctx
 
-    def _check_compatible(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("bundle elements over different models")
+    @property
+    def coeffs(self):
+        """The h-coefficients, low degree first, as canonical series; built on every access."""
+        ring = self.ctx
+        slots, den = ring._sorted_slots(self)
+        return tuple(GradedSeries._trusted(ring.ctx, dict(s), den) for s in slots)
 
-    def _one(self):
-        return self.ring.one()
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0].constant_term()
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GradedSeries)):
-            other = self.ring.embed(other)
-        if not isinstance(other, BundleRingElement):
-            return NotImplemented
-        self._check_compatible(other)
-        return BundleRingElement._trusted(
-            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BundleRingElement._trusted(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GradedSeries)):
-            other = self.ring.embed(other)
-        if not isinstance(other, BundleRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    constant_term = GradedSeries.constant_term
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GradedSeries)):
-            return BundleRingElement._trusted(self.ring, [c * other for c in self.coeffs])
-        if not isinstance(other, BundleRingElement):
-            return NotImplemented
-        self._check_compatible(other)
-        ring = self.ring
-        return ring._element(*ring._product(self.coeffs, other.coeffs))
+        if isinstance(other, GradedSeries):
+            other = self._lift(other)
+        if type(other) is not BundleRingElement:
+            return super().__mul__(other)
+        self._check(other)
+        ring = self.ctx
+        return ring._element(*ring._product(self, other))
 
     __rmul__ = __mul__
-    __pow__ = SparseElement.__pow__
-    inverse = GradedSeries.inverse
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BundleRingElement)
-            and self.weights == other.weights
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.weights, self.coeffs))
 
     def __str__(self):
-        names = variable_names("t", self.rank) + ["h"]
-        den = math.lcm(*(c.den for c in self.coeffs))
-        items = []
-        for k, c in enumerate(self.coeffs):
-            scale = den // c.den
-            for e, p in c.sorted_num():
-                items.append((sum(e) + k, e, k, p * scale))
-        items.sort(key=lambda it: it[:3])
+        """Terms by total degree, then t-exponents, then h-degree."""
+        ctx = self.ctx.ctx
+        keys = list(self.num)
+        # a key's t-digits read as a series key's: limit is a multiple of B.digit
+        items = sorted(
+            (sum(e) + key // ctx.limit, e, key // ctx.limit, self.num[key])
+            for key, e in zip(keys, ctx.exponents(keys))
+        )
+        names = variable_names("t", ctx.rank) + ["h"]
         return join_signed_terms(
-            ((p, monomial_string(names, e + (k,))) for _, e, k, p in items), den
+            ((p, monomial_string(names, e + (k,))) for _, e, k, p in items), self.den
         )
 
     __repr__ = __str__
@@ -702,7 +636,8 @@ class BundleRingElement:
 def reduce(poly_coeffs, ring: BundleRing) -> BundleRingElement:
     """Reduce an h-polynomial (list of series, low degree first) modulo the ring's relation.
 
-    Scalars are lifted to constant series; the ring's relation is reused.
+    Scalars are lifted to constant series; the ring's relation is reused by
+    ``_slot_product``, whose product by 1 reduces.
     """
     coeffs = [
         c if isinstance(c, GradedSeries) else GradedSeries.const(ring.rank, ring.truncation, c)
@@ -710,7 +645,9 @@ def reduce(poly_coeffs, ring: BundleRing) -> BundleRingElement:
     ]
     for c in coeffs:
         ring._check_series(c)
-    return ring._element(*ring._product(coeffs, ring.one().coeffs))  # times 1 reduces
+    den, one = math.lcm(*(c.den for c in coeffs)), [[(0, 1)]]
+    slots = [[(k, p * (den // c.den)) for k, p in c.num.items()] for c in coeffs]
+    return ring._element(_slot_product(slots, one, ring.ctx.limit, ring._relation_items()), den)
 
 
 def pushforward(p: BundleRingElement) -> GradedSeries:
@@ -721,14 +658,15 @@ def pushforward(p: BundleRingElement) -> GradedSeries:
     """
     if not isinstance(p, BundleRingElement):
         raise ValueError("pushforward expects a reduced bundle ring element")
-    return p.coeffs[p.hdim]
+    return p.coeffs[-1]
 
 
 def pushforward_product(a: BundleRingElement, b: BundleRingElement) -> GradedSeries:
     """pushforward(a * b), computing only the h^n coefficient of the product."""
-    a._check_compatible(b)
-    n = a.hdim
-    return a.ring._element(*a.ring._product(a.coeffs, b.coeffs, n)).coeffs[n]
+    a._check(b)
+    ring = a.ctx
+    slots, den = ring._product(a, b, len(ring.weights) - 1)
+    return GradedSeries._trusted(ring.ctx, {k: c for k, c in slots[-1].items() if c}, den)
 
 
 def odd_part_quotient(coeffs, truncation) -> GradedSeries:

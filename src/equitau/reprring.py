@@ -326,7 +326,9 @@ def _solve_mod_p(equations, p):
     Variables are numbered in sorted order.  Each row is reduced in a dense
     scratch list by one increasing scan (eliminating pivot v only brings in
     variables above v); an entry is reduced mod p only when the scan reaches
-    it, and the first variable left nonzero becomes the row's pivot.  A
+    it, and the first variable left nonzero becomes the row's pivot.  The
+    scan stops past the row's highest live variable: the largest of its own
+    and of the last (highest) variable of each pivot row subtracted.  A
     pivot row is stored with pivot coefficient 1 as two arrays, the
     variables above the pivot and their residues, next to its source row,
     the inverse that normalized it and its reduction steps (pivot slot,
@@ -345,16 +347,18 @@ def _solve_mod_p(equations, p):
     slot = [-1] * n  # var -> its index in the pivot record, -1 for no pivot
     keys, residues, rhs, sources, inverses, step_slots, step_mults = ([] for _ in range(7))
     for j, (row, b) in enumerate(equations):
-        low = n
+        low, high = n, -1
         for k, a in row.items():
             var = number[k]
             scratch[var] = a
-            low = min(low, var)
+            low, high = min(low, var), max(high, var)
         slots, mults = array("q"), array("q")
         pivot = -1
         for var in range(low, n):
             x = scratch[var]
             if not x:
+                if var > high:
+                    break
                 continue
             scratch[var] = 0
             x %= p
@@ -362,8 +366,11 @@ def _solve_mod_p(equations, p):
                 continue
             s = slot[var]
             if s >= 0:
-                for k, a in zip(keys[s], residues[s]):
+                pivot_keys = keys[s]
+                for k, a in zip(pivot_keys, residues[s]):
                     scratch[k] -= x * a
+                if pivot_keys and pivot_keys[-1] > high:
+                    high = pivot_keys[-1]
                 b -= x * rhs[s]
                 slots.append(s)
                 mults.append(x)
@@ -506,6 +513,19 @@ class CertificateError(RuntimeError):
 CERTIFICATE_UNKNOWN_LIMIT = 10**4
 
 
+def check_certificate_size(generators: int, rank: int, degree_bound: int) -> None:
+    """ValueError for a negative bound or over ``CERTIFICATE_UNKNOWN_LIMIT`` unknowns,
+    generators * (2 * degree_bound + 1)^rank: no generator or target is needed."""
+    if degree_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {degree_bound}")
+    unknowns = generators * (2 * degree_bound + 1) ** rank
+    if unknowns > CERTIFICATE_UNKNOWN_LIMIT:
+        raise ValueError(
+            f"the certificate search would solve for {unknowns} unknowns "
+            f"(limit {CERTIFICATE_UNKNOWN_LIMIT})"
+        )
+
+
 def ideal_membership_certificate(target: RepRingElement, generators, degree_bound: int):
     """Search for cofactors c_i with target = sum_i c_i * g_i.
 
@@ -513,24 +533,16 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
     [-degree_bound, degree_bound].  A returned certificate has been
     re-verified by exact multiplication; None means nothing was found within
     the bound, which proves nothing about non-membership.  A negative bound,
-    or more than ``CERTIFICATE_UNKNOWN_LIMIT`` unknowns, raises ValueError.
+    or too many unknowns (``check_certificate_size``), raises ValueError.
     """
-    if degree_bound < 0:
-        raise ValueError(f"search bound must be nonnegative, got {degree_bound}")
-    group = target.group
+    group, generators = target.group, list(generators)
+    rank = group.ngens
+    check_certificate_size(len(generators), rank, degree_bound)
     if not group.is_free:
         raise ValueError("certificate search is defined over torus rings")
-    generators = list(generators)
     for g in generators:
         if g.group != group:
             raise ValueError("elements over mismatched group descriptors")
-    rank = group.ngens
-    unknowns = len(generators) * (2 * degree_bound + 1) ** rank
-    if unknowns > CERTIFICATE_UNKNOWN_LIMIT:
-        raise ValueError(
-            f"the certificate search would solve for {unknowns} unknowns "
-            f"(limit {CERTIFICATE_UNKNOWN_LIMIT})"
-        )
     box = list(product(range(-degree_bound, degree_bound + 1), repeat=rank))
 
     # column structure: variable (i, m) contributes g_i[e] to the product

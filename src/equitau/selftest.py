@@ -30,6 +30,7 @@ from .finitestab import (
 from .reprring import (
     RepRingElement,
     augmentation_order,
+    check_certificate_size,
     chern_character,
     gl_augmentation_generators,
     ideal_membership_certificate,
@@ -125,8 +126,11 @@ def segal_certificate(n: int, degree: int, bound: int | None = None):
 
     Default search bound: exponents in [-(degree - 1), degree - 1].
     """
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     if bound is None:
         bound = max(1, degree - 1)
+    check_certificate_size(n, n, bound)  # n generators; checked before they are built
     group = torus_group(n)
     t1 = RepRingElement.character(group, (1,) + (0,) * (n - 1))
     target = (t1 - 1) ** degree

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 import equitau.cli
+import equitau.finitestab
+import equitau.lattice
 import equitau.selftest
 from equitau.cli import main, render_json
 from equitau.reprring import (
@@ -347,6 +349,36 @@ def test_oversized_segal_search_exits_2(capsys, argv, unknowns):
         f"equitau: error: the certificate search would solve for {unknowns} unknowns "
         "(limit 10000)\n"
     )
+
+
+def test_an_oversized_segal_search_is_refused_before_any_generator_is_built(capsys, monkeypatch):
+    def no_generators(n):
+        raise AssertionError(f"built the generators for n = {n}")
+
+    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    assert main(["segal", "--n", "18", "--degree", "2", "--bound", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"equitau: error: the certificate search would solve for {18 * 3**18} unknowns "
+        "(limit 10000)\n"
+    ))
+
+
+def test_a_negative_segal_degree_exits_2_with_its_own_message(capsys):
+    assert main(["segal", "--n", "2", "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "equitau: error: degree must be nonnegative, got -1\n")
+
+
+def test_sectors_refuses_a_group_too_large_to_enumerate(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated the group")
+
+    monkeypatch.setattr(equitau.finitestab, "character_orbit_representatives", no_enumeration)
+    monkeypatch.setattr(equitau.lattice.GroupDescriptor, "elements", no_enumeration)
+    assert main(["sectors", "--orders", "10,1000000", "--weights", "0,0;1,1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "equitau: error: the group has order 10000000 (limit 100000)\n")
 
 
 def test_a_segal_search_just_under_the_unknown_limit_runs(capsys):

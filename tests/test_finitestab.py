@@ -171,3 +171,16 @@ def test_integer_orbits_equal_the_fraction_enumeration(orders):
     group = GroupDescriptor(0, orders)
     got = character_orbit_representatives(group)
     assert got == fraction_orbit_representatives(group)
+
+
+def test_group_orders_past_the_limit_are_refused_before_enumeration(monkeypatch):
+    from equitau import finitestab
+
+    assert finitestab.GROUP_ORDER_LIMIT == 10**5
+    monkeypatch.setattr(finitestab, "character_orbit_representatives", lambda group: [])
+    at_limit = mu_model((10**5,), [0, 1])
+    assert sector_dimensions(at_limit).sectors == ()  # admitted: only the stub ran
+    over = mu_model((2, 50002), [(0, 0), (1, 1)])  # order 100,004
+    for refused in (sector_dimensions, ktheory_free_module_dimension):
+        with pytest.raises(ValueError, match=r"order 100004 \(limit 100000\)"):
+            refused(over)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from equitau._format import join_signed_terms, monomial_string, variable_names
 from equitau.gradedring import (
     BundleRing,
     BundleRingElement,
@@ -17,7 +18,6 @@ from equitau.gradedring import (
     pushforward_product,
     reduce,
     todd_coefficient,
-    todd_factor,
 )
 
 P1 = ((1,), (-1,))
@@ -43,6 +43,17 @@ def series_coeff(s, k):
     return s.coefficient((k,))
 
 
+def todd_factor(x):
+    """x/(1 - e^(-x)) of one degree-1 root: the per-root route to the Todd class."""
+    return apply_power_series(todd_coefficient, x)
+
+
+def inverse(x):
+    """1/x of a unit (series or bundle element) as (1/a0) sum_k (1 - x/a0)^k."""
+    a0 = x.constant_term()
+    return apply_power_series(lambda k: Fraction(1), 1 - x * (1 / a0)) * (1 / a0)
+
+
 # ---------------------------------------------------------------------------
 # series arithmetic
 
@@ -51,7 +62,7 @@ def test_geometric_inverse():
     n = 10
     one_plus_t = GradedSeries.one(1, n) + GradedSeries.variable(1, n)
     expected = GradedSeries(1, n, {(k,): (-1) ** k for k in range(n + 1)})
-    assert one_plus_t.inverse() == expected
+    assert inverse(one_plus_t) == expected
     assert one_plus_t * expected == GradedSeries.one(1, n)
 
 
@@ -67,9 +78,11 @@ def test_exp_coefficients_against_factorials():
         assert series_coeff(e, k) == Fraction(3**k, math.factorial(k))
 
 
-def test_invert_nonunit_raises():
-    with pytest.raises(ValueError):
-        GradedSeries.variable(1, 5).inverse()
+def test_power_series_rejects_a_constant_term():
+    t, h = GradedSeries.variable(1, 5), make_h(5)
+    for unit in (t + 1, GradedSeries.const(1, 5, Fraction(1, 2)), h + 1, h._one() * 3):
+        with pytest.raises(ValueError, match="zero constant term"):
+            apply_power_series(todd_coefficient, unit)
 
 
 def test_rank_truncation_mismatch():
@@ -168,7 +181,7 @@ def test_todd_coefficients_by_series_division():
     denom = GradedSeries(
         1, n, {(k,): Fraction((-1) ** k, math.factorial(k + 1)) for k in range(n + 1)}
     )
-    inv = denom.inverse()
+    inv = inverse(denom)
     for k in range(n + 1):
         assert todd_coefficient(k) == series_coeff(inv, k)
 
@@ -206,12 +219,6 @@ def test_todd_factor_frozen_values():
         1, 4, {(0,): 1, (1,): 1, (2,): Fraction(1, 3), (4,): Fraction(-1, 45)}
     )
     assert todd_factor(t * 2) == expected2
-
-
-def test_todd_factor_rejects_inhomogeneous_input():
-    t = GradedSeries.variable(1, 4)
-    with pytest.raises(ValueError):
-        todd_factor(t + t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +336,9 @@ def test_trivial_action_point_class():
 
 def test_bundle_inverse():
     h = make_h()
-    unit = h._one() + h
-    assert unit * unit.inverse() == h._one()
-    with pytest.raises(ValueError):
-        h.inverse()
+    t = GradedSeries.variable(1, 8)
+    for unit in (h._one() + h, h * t * Fraction(-2, 3) + Fraction(5, 2) - t):
+        assert unit * inverse(unit) == h._one()
 
 
 def test_bundle_exp_homomorphism():
@@ -441,7 +447,7 @@ def test_integer_kernel_matches_the_fraction_kernel():
             (a.truncate(cut), {e: c for e, c in ta.items() if sum(e) <= cut}),
         ]
         unit = a + (1 - a.constant_term())  # constant term 1
-        expected.append((unit.inverse(), fraction_kernel_inverse(unit.terms, rank, n)))
+        expected.append((inverse(unit), fraction_kernel_inverse(unit.terms, rank, n)))
         for got, want in expected:
             assert_canonical(got)
             assert got.terms == want, (case, rank, n)
@@ -461,7 +467,7 @@ def test_canonical_form_of_constructed_series():
     view = s.terms
     view[(3,)] = Fraction(1)
     assert (3,) not in s.terms  # the view is derived, not the storage
-    for series in (s, s * s, s.inverse(), s - s, s / 7):
+    for series in (s, s * s, inverse(s), s - s, s / 7):
         assert_canonical(series)
 
 
@@ -475,7 +481,7 @@ def test_equal_series_by_different_routes_hash_equal():
         (a * 6 / 6, a),
         (a * Fraction(2, 3) + a * Fraction(1, 3), a),
         (exp(t) * exp(u * Fraction(1, 3)), a),
-        (a.inverse().inverse(), a),
+        (inverse(inverse(a)), a),
         (GradedSeries(2, 9, a.terms), a),
         (a - a, GradedSeries.zero(2, 9)),
         (GradedSeries(2, 9, {(1, 0): Fraction(2, 4)}), t / 2),
@@ -783,7 +789,7 @@ def test_pushforward_product_is_the_top_slot_of_the_product():
         assert got == pushforward(a * b), (case, weights, n)
         assert (got.den, got.num) == (pushforward(a * b).den, pushforward(a * b).num)
         # the shared helper keeps exactly the slots from `low` up, for every low
-        sa, sb = ring._sorted_slots(a.coeffs)[0], ring._sorted_slots(b.coeffs)[0]
+        sa, sb = ring._sorted_slots(a)[0], ring._sorted_slots(b)[0]
         args = (sa, sb, ring.ctx.limit, ring._relation_items())
         full = [{k: c for k, c in s.items() if c} for s in _slot_product(*args)]
         for low in range(dim + 1):
@@ -808,3 +814,113 @@ def test_power_series_on_bundle_elements_make_no_bundle_multiply(monkeypatch):
         exp(x)
         todd_factor(x)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# bundle elements on the sparse core against the slot-by-slot element they replaced
+
+
+def assert_bundle_canonical(x):
+    """One canonical (num, den), the one the public constructor builds from x's slots."""
+    assert x.den >= 1 and math.gcd(x.den, *x.num.values()) == 1
+    assert all(type(c) is int and c != 0 for c in x.num.values())
+    assert x.num or x.den == 1
+    assert all(0 <= k < len(x.ring.weights) * x.ring.ctx.limit for k in x.num)
+    rebuilt = BundleRingElement(x.ring, x.coeffs)
+    assert (rebuilt.den, rebuilt.num) == (x.den, x.num) and hash(rebuilt) == hash(x)
+
+
+def test_bundle_elements_hold_only_the_core_fields():
+    h = make_h()
+    assert BundleRingElement.__slots__ == () and not hasattr(h, "__dict__")
+    assert h.ctx is h.ring and (h.num, h.den) == ({h.ring.ctx.limit: 1}, 1)
+
+
+def test_bundle_arithmetic_is_slotwise_and_canonical():
+    rng = random.Random(1212)
+    seen = set()
+
+    def rand_slot(rank, n):
+        if rng.random() < 0.3:
+            return {}  # a zero slot
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(0, min(n, 2)) for _ in range(rank))
+            if sum(e) <= n:
+                terms[e] = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4, 6)))
+        return {e: c for e, c in terms.items() if c}
+
+    for case in range(150):
+        rank, dim, n = 1 + case % 3, rng.randint(1, 3), rng.randint(0, 6)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        ring = BundleRing(weights, rank, n)
+        xs = [rand_slot(rank, n) for _ in range(dim + 1)]
+        # ys cancels part of xs, so sums and differences reach zero slots
+        ys = [
+            fraction_kernel_scale(a, -1) if rng.random() < 0.4 else rand_slot(rank, n)
+            for a in xs
+        ]
+        x, y = (BundleRingElement(ring, [GradedSeries(rank, n, s) for s in ss]) for ss in (xs, ys))
+        k = rng.choice((0, 1, -3, Fraction(5, 6), Fraction(-7, 4)))
+        unit = {(0,) * rank: Fraction(k)} if k else {}
+        series = rand_slot(rank, n)
+        s = GradedSeries(rank, n, series)
+        zero = [{}] * dim
+        expected = [
+            (x + y, [fraction_kernel_add(a, b) for a, b in zip(xs, ys)]),
+            (x - y, [fraction_kernel_add(a, fraction_kernel_scale(b, -1)) for a, b in zip(xs, ys)]),
+            (x - x, [{}] + zero),
+            (-x, [fraction_kernel_scale(a, -1) for a in xs]),
+            (x * k, [fraction_kernel_scale(a, Fraction(k)) for a in xs]),
+            (k * x, [fraction_kernel_scale(a, Fraction(k)) for a in xs]),
+            (x + k, [fraction_kernel_add(xs[0], unit)] + xs[1:]),
+            (k - x, [fraction_kernel_add(unit, fraction_kernel_scale(xs[0], -1))]
+             + [fraction_kernel_scale(a, -1) for a in xs[1:]]),
+            (x + s, [fraction_kernel_add(xs[0], series)] + xs[1:]),
+            (s * x, [fraction_kernel_mul(series, a, n) for a in xs]),
+            (ring.embed(s), [series] + zero),
+            (ring.embed(k), [unit] + zero),
+            (ring.one(), [{(0,) * rank: 1}] + zero),
+            (ring.hyperplane(), [{}, {(0,) * rank: 1}] + zero[1:]),
+        ]
+        for got, want in expected:
+            assert_bundle_canonical(got)
+            assert [c.terms for c in got.coeffs] == want, (case, weights, n)
+            assert got == BundleRingElement(ring, [GradedSeries(rank, n, w) for w in want])
+            seen.add((not any(want), got.den == 1))
+    assert seen == {(True, True), (False, True), (False, False)}
+    with pytest.raises(ValueError):
+        make_h() + BundleRing(P1, 1, 7).hyperplane()
+    with pytest.raises(ValueError):
+        make_h() * GradedSeries.variable(1, 7)
+
+
+def reference_bundle_str(x):
+    """The slot-by-slot renderer: terms by total degree, then t-exponents, then h-degree."""
+    names = variable_names("t", x.ring.rank) + ["h"]
+    den = math.lcm(*(c.den for c in x.coeffs))
+    items = []
+    for k, c in enumerate(x.coeffs):
+        scale = den // c.den
+        for e, p in c.sorted_num():
+            items.append((sum(e) + k, e, k, p * scale))
+    items.sort(key=lambda it: it[:3])
+    return join_signed_terms(((p, monomial_string(names, e + (k,))) for _, e, k, p in items), den)
+
+
+def test_bundle_rendering_matches_the_slot_by_slot_renderer():
+    rng = random.Random(3131)
+    for case in range(80):
+        rank, dim, n = 2 + case % 2, rng.randint(1, 3), rng.randint(0, 5)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        ring = BundleRing(weights, rank, n)
+        slots = []
+        for _ in range(dim + 1):
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                e = tuple(rng.randint(0, 2) for _ in range(rank))
+                terms[e] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+            slots.append(GradedSeries(rank, n, terms))
+        x = BundleRingElement(ring, slots)
+        for y in (x, x * x, x * ring.hyperplane(), x - x):
+            assert str(y) == repr(y) == reference_bundle_str(y), (case, weights, n)

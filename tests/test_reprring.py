@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -555,6 +556,38 @@ def test_one_pass_equals_two_pass_on_random_systems():
     assert outcomes["solved"] > 0 and outcomes["farkas"] > 0
     # reading y off the record lifts no less often than the transposed solve
     assert outcomes["farkas"] >= two_pass_lifted
+
+
+def solve_mod_p_line_events(equations):
+    """Line events run inside ``_solve_mod_p`` on a system: its interpreted work."""
+    code, count = reprring._solve_mod_p.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        reprring._solve_mod_p(reprring._reduce_mod_p(equations, reprring._PRIME), reprring._PRIME)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_the_row_scan_stops_at_the_highest_live_variable():
+    # a diagonal system costs in proportion to its rows, not rows x unknowns
+    diagonal = [solve_mod_p_line_events([({i: 1}, i) for i in range(m)]) for m in (300, 600)]
+    assert diagonal[1] < 2.2 * diagonal[0]
+    # the last row meets pivot 0, whose row brings in 2 past the zero at 1, whose
+    # row brings in 4, ...: the live range grows with every pivot row subtracted
+    m = 60
+    odd = [({2 * i + 1: 1}, 0) for i in range(m)]
+    chain = odd + [({2 * i: 1, 2 * i + 2: -1}, 0) for i in range(m)] + [({0: 2}, 1)]
+    assert compare_one_pass_with_two_pass(chain) == ("solved", None)
+    values, _ = reprring._solve_mod_p(reprring._reduce_mod_p(chain, reprring._PRIME), reprring._PRIME)
+    assert reprring._lift(values, reprring._PRIME) == {2 * i: Fraction(1, 2) for i in range(m + 1)}
 
 
 def test_one_pass_equals_two_pass_on_segal_systems(monkeypatch):
