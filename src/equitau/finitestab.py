@@ -181,9 +181,8 @@ def vistoli_kernel_dimension(decomp: SectorDecomposition) -> int:
 def ktheory_free_module_dimension(model: ProjSpaceModel) -> int:
     """Q-dimension of equivariant K-theory of P(V) from its free-module presentation.
 
-    K_G(P(V)) is free of rank dim V over R(G), and dim_Q R(G)_Q = |N| by
-    enumerating the group-element basis of the group algebra.
+    K_G(P(V)) is free of rank dim V over R(G), and dim_Q R(G)_Q = |N|, the
+    size of the group-element basis of the group algebra.
     """
     _check_group_order(model.group)
-    basis_size = sum(1 for _ in model.group.elements())
-    return len(model.weights) * basis_size
+    return len(model.weights) * model.group.order()

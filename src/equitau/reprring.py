@@ -269,9 +269,9 @@ def _solve_sparse_linear(equations):
     """Solve a sparse rational linear system given as (row dict, rhs) pairs.
 
     Returns {var: Fraction} for one solution (absent vars are zero) or None
-    when the system is inconsistent.  Rows are taken in order and each fully
-    reduced row is pivoted on its least variable; free variables are set to
-    zero, which fixes the solution uniquely.
+    when the system is inconsistent.  Each row is pivoted on its least surviving
+    variable, so the pivots are the leading variables of the row space in any row
+    order, and free variables at zero leave the unique solution supported on them.
 
     The elimination runs modulo the prime ``_PRIME``, and its answer is lifted
     by rational reconstruction and checked against every equation exactly.
@@ -321,18 +321,20 @@ def _reduce_mod_p(equations, p):
 
 
 def _solve_mod_p(equations, p):
-    """One forward pass of elimination over GF(p), then back-substitution.
+    """One forward pass of elimination over GF(p) to row-echelon form, then back-substitution.
 
-    Variables are numbered in sorted order.  Each row is reduced in a dense
-    scratch list by one increasing scan (eliminating pivot v only brings in
-    variables above v); an entry is reduced mod p only when the scan reaches
-    it, and the first variable left nonzero becomes the row's pivot.  The
-    scan stops past the row's highest live variable: the largest of its own
-    and of the last (highest) variable of each pivot row subtracted.  A
-    pivot row is stored with pivot coefficient 1 as two arrays, the
-    variables above the pivot and their residues, next to its source row,
-    the inverse that normalized it and its reduction steps (pivot slot,
-    multiplier).
+    Variables are numbered in sorted order and each row is pivoted on its
+    least surviving variable, so the answer does not depend on the row order
+    (see ``_solve_sparse_linear``).  Rows are taken by decreasing least
+    variable, rows with no unknowns first: most rows then become pivot rows
+    unreduced, and an unreachable nonzero right-hand side ends the solve at
+    once.  A row is reduced in a dense scratch list by one increasing scan
+    (pivot v brings in only variables above v) that stops at its pivot or
+    past its highest live variable; its tail is read back from its own
+    variables and those of the pivot rows it subtracted.  Entries are reduced
+    mod p when read.  A pivot row is stored with pivot coefficient 1 as two
+    arrays, the variables above the pivot and their residues, next to its
+    source row, the inverse that normalized it and its reduction steps.
 
     Returns (values, None), with {var: nonzero residue} and the free
     variables at zero, or (None, y) when row j reduces to 0 = b != 0: then
@@ -340,21 +342,22 @@ def _solve_mod_p(equations, p):
     source rows by one sweep over the record in reverse creation order, is a
     Farkas vector {row index: nonzero residue} with y.A = 0 and y.b = 1 mod p.
     """
-    names = sorted({k for row, _ in equations for k in row})
-    number = {k: i for i, k in enumerate(names)}
+    names = sorted(set().union(*(row for row, _ in equations)))
     n = len(names)
+    number = dict(zip(names, range(n))).__getitem__
+    order = sorted(range(len(equations)), reverse=True,
+                   key=lambda j: min(map(number, equations[j][0]), default=n))
     scratch = [0] * n
     slot = [-1] * n  # var -> its index in the pivot record, -1 for no pivot
     keys, residues, rhs, sources, inverses, step_slots, step_mults = ([] for _ in range(7))
-    for j, (row, b) in enumerate(equations):
-        low, high = n, -1
-        for k, a in row.items():
-            var = number[k]
+    for j in order:
+        row, b = equations[j]
+        row_vars = list(map(number, row))
+        for var, a in zip(row_vars, row.values()):
             scratch[var] = a
-            low, high = min(low, var), max(high, var)
-        slots, mults = array("q"), array("q")
-        pivot = -1
-        for var in range(low, n):
+        touched, slots, mults = [row_vars], array("q"), array("q")
+        pivot, high = -1, max(row_vars, default=-1)
+        for var in range(min(row_vars, default=n), n):
             x = scratch[var]
             if not x:
                 if var > high:
@@ -365,23 +368,27 @@ def _solve_mod_p(equations, p):
             if not x:
                 continue
             s = slot[var]
-            if s >= 0:
-                pivot_keys = keys[s]
-                for k, a in zip(pivot_keys, residues[s]):
-                    scratch[k] -= x * a
-                if pivot_keys and pivot_keys[-1] > high:
-                    high = pivot_keys[-1]
-                b -= x * rhs[s]
-                slots.append(s)
-                mults.append(x)
-            elif pivot < 0:
+            if s < 0:
                 pivot, inverse = var, pow(x, -1, p)
-                row_keys, row_residues = array("q"), array("q")
-            else:
-                row_keys.append(var)
-                row_residues.append(x * inverse % p)
+                break
+            pivot_keys = keys[s]
+            for k, a in zip(pivot_keys, residues[s]):
+                scratch[k] -= x * a
+            if pivot_keys and pivot_keys[-1] > high:
+                high = pivot_keys[-1]
+            touched.append(pivot_keys)
+            b -= x * rhs[s]
+            slots.append(s)
+            mults.append(x)
         b %= p
         if pivot >= 0:
+            row_keys, row_residues = array("q"), array("q")
+            for k in sorted(set().union(*touched)):  # entries up to the pivot are zero
+                x = scratch[k] % p
+                scratch[k] = 0
+                if x:
+                    row_keys.append(k)
+                    row_residues.append(x * inverse % p)
             slot[pivot] = len(sources)
             keys.append(row_keys)
             residues.append(row_residues)
@@ -407,8 +414,7 @@ def _solve_mod_p(equations, p):
     for var in range(n - 1, -1, -1):
         s = slot[var]
         if s >= 0:
-            x = rhs[s] - sum(map(mul, residues[s], map(values.__getitem__, keys[s])))
-            values[var] = x % p
+            values[var] = (rhs[s] - sum(map(mul, residues[s], map(values.__getitem__, keys[s])))) % p
     return {names[var]: x for var, x in enumerate(values) if x}, None
 
 
@@ -426,13 +432,8 @@ def _rational_reconstruction(a, p):
 
 
 def _lift(residues, p):
-    lifted = {}
-    for var, a in residues.items():
-        value = _rational_reconstruction(a, p)
-        if value is None:
-            return None
-        lifted[var] = value
-    return lifted
+    lifted = {var: _rational_reconstruction(a, p) for var, a in residues.items()}
+    return None if None in lifted.values() else lifted
 
 
 def _scaled(values):
@@ -509,7 +510,7 @@ class CertificateError(RuntimeError):
     """A certificate found by the search failed exact re-verification."""
 
 
-# Unknowns per certificate search; `segal --n 4 --degree 4` has 9,604 (about a minute).
+# Unknowns per certificate search; `segal --n 4 --degree 4` has 9,604 (about 5 s).
 CERTIFICATE_UNKNOWN_LIMIT = 10**4
 
 
@@ -566,9 +567,7 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
     for i in range(len(generators)):
         terms = {m: c for (j, m), c in solution.items() if j == i}
         cofactors.append(RepRingElement(group, terms))
-    combo = RepRingElement.zero(group)
-    for c, g in zip(cofactors, generators):
-        combo = combo + c * g
+    combo = sum((c * g for c, g in zip(cofactors, generators)), RepRingElement.zero(group))
     if combo != target:
         raise CertificateError("certificate failed exact re-verification")
     return cofactors

@@ -126,6 +126,8 @@ def segal_certificate(n: int, degree: int, bound: int | None = None):
 
     Default search bound: exponents in [-(degree - 1), degree - 1].
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     if bound is None:

@@ -148,6 +148,15 @@ def test_segal_negative_bound_exits_2(capsys):
     assert captured.err == "equitau: error: search bound must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_segal_n_below_one_exits_2(capsys, n):
+    code = main(["segal", "--n", str(n), "--degree", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"equitau: error: n must be positive, got {n}\n"
+
+
 def test_env_var_truncation(capsys, monkeypatch):
     monkeypatch.setenv("EQUITAU_TRUNC", "4")
     code, doc = run_json(capsys, "chi", "--weights", "1,-1", "--twist", "1")

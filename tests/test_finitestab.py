@@ -126,6 +126,13 @@ def test_totals_match_free_module_dimension():
         assert vistoli_kernel_dimension(decomp) == 2 * d - 2
 
 
+@pytest.mark.parametrize("orders", [(1,), (7,), (2, 2), (6, 12), (2, 4, 8)], ids=str)
+def test_free_module_dimension_counts_the_group_elements(orders):
+    weights = [(0,) * len(orders), (1,) * len(orders), tuple(range(len(orders)))]
+    model = mu_model(orders, weights)
+    assert ktheory_free_module_dimension(model) == 3 * sum(1 for _ in model.group.elements())
+
+
 def test_sectors_on_noncyclic_group():
     model = mu_model((2, 2), [(0, 0), (1, 0), (0, 1)])
     decomp = sector_dimensions(model)

@@ -590,18 +590,27 @@ def test_the_row_scan_stops_at_the_highest_live_variable():
     assert reprring._lift(values, reprring._PRIME) == {2 * i: Fraction(1, 2) for i in range(m + 1)}
 
 
+SEGAL_CASES = [(2, d, b) for d in range(2, 8) for b in range(1, 7)]
+SEGAL_CASES += [(3, d, b) for d in range(2, 5) for b in (1, 2)]
+
+
+def segal_systems(monkeypatch):
+    """The linear system of every case in ``SEGAL_CASES``, in order."""
+    systems = []
+    monkeypatch.setattr(reprring, "_solve_sparse_linear", lambda eqs: systems.append(eqs))
+    for n, degree, bound in SEGAL_CASES:
+        target = (char(torus_group(n), 1, *(0,) * (n - 1)) - 1) ** degree
+        ideal_membership_certificate(target, gl_augmentation_generators(n), bound)
+    monkeypatch.undo()
+    assert len(systems) == len(SEGAL_CASES)
+    return systems
+
+
 def test_one_pass_equals_two_pass_on_segal_systems(monkeypatch):
     """Every segal system of n = 2 (degree 2-7, bound 1-6) and n = 3
     (degree 2-4, bound 1-2): same residues, and each Farkas vector lifts with
     numerators and denominators of at most 7 bits and holds exactly."""
-    systems = []
-    monkeypatch.setattr(reprring, "_solve_sparse_linear", lambda eqs: systems.append(eqs))
-    cases = [(2, d, b) for d in range(2, 8) for b in range(1, 7)]
-    cases += [(3, d, b) for d in range(2, 5) for b in (1, 2)]
-    for n, degree, bound in cases:
-        target = (char(torus_group(n), 1, *(0,) * (n - 1)) - 1) ** degree
-        ideal_membership_certificate(target, gl_augmentation_generators(n), bound)
-    assert len(systems) == len(cases)
+    cases, systems = SEGAL_CASES, segal_systems(monkeypatch)
     outcomes = set()
     for case, equations in zip(cases, systems):
         outcome, y = compare_one_pass_with_two_pass(equations)
@@ -610,6 +619,47 @@ def test_one_pass_equals_two_pass_on_segal_systems(monkeypatch):
         if y is not None:
             assert max(max(abs(v.numerator), v.denominator) for v in y.values()) < 2**7, case
     assert outcomes == {"solved", "farkas"}
+
+
+def assert_row_order_free(equations, rng, copies=3):
+    """Row-shuffled copies solve to the same values mod p; each Farkas vector,
+    indexed back to the original rows, holds mod p."""
+    p = reprring._PRIME
+    reduced = reprring._reduce_mod_p(equations, p)
+    if reduced is None:
+        return None
+    values, _ = reprring._solve_mod_p(reduced, p)
+    for _ in range(copies):
+        perm = rng.sample(range(len(reduced)), len(reduced))
+        shuffled_values, y = reprring._solve_mod_p([reduced[i] for i in perm], p)
+        assert shuffled_values == values
+        if y is not None:
+            assert farkas_holds_mod_p(reduced, {perm[i]: r for i, r in y.items()}, p)
+    return values is not None
+
+
+def test_row_order_does_not_change_the_answer_on_random_systems():
+    rng = random.Random(9905081)
+    solved = [assert_row_order_free(random_system(rng), rng) for _ in range(200)]
+    assert True in solved and False in solved
+
+
+def test_row_order_does_not_change_the_answer_on_segal_systems(monkeypatch):
+    rng = random.Random(2)
+    solved = [assert_row_order_free(eqs, rng) for eqs in segal_systems(monkeypatch)]
+    assert True in solved and False in solved
+
+
+def test_an_unreachable_constant_row_ends_the_solve_at_once():
+    # the row 0 = 1 is taken first, whatever the number or place of the others
+    p, events = reprring._PRIME, []
+    for m in (50, 500):
+        others = [({i: 1, i + 1: 2}, i) for i in range(m)]
+        for system in (others + [({}, 1)], [({}, 1)] + others):
+            events.append(solve_mod_p_line_events(system))
+            _, y = reprring._solve_mod_p(reprring._reduce_mod_p(system, p), p)
+            assert y == {system.index(({}, 1)): 1}
+    assert len(set(events)) == 1
 
 
 # ---------------------------------------------------------------------------
