@@ -18,6 +18,7 @@ from .gradedring import (
     BundleRingElement,
     GradedSeries,
     exp,
+    pushforward_moments,
     reduce,
     root_series_product,
     todd_coefficient,
@@ -72,6 +73,13 @@ class ProjSpaceModel:
     def tangent_todd(self) -> BundleRingElement:
         """td of the tangent class, built once per model (``hrr_chi`` uses it)."""
         return todd_class_bundle(self, TANGENT)
+
+    def todd_moments(self, count):
+        """``pushforward_moments(tangent_todd, count)``, kept on the model and rebuilt to extend."""
+        moments = self.__dict__.get("_todd_moments", ())
+        if len(moments) < count:
+            moments = self.__dict__["_todd_moments"] = pushforward_moments(self.tangent_todd, count)
+        return moments
 
     def hyperplane(self) -> BundleRingElement:
         return self.ring.hyperplane()

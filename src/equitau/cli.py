@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from ._format import rational_str
 from .charclass import DEFAULT_TRUNCATION, LineTwist, mu_model, torus_model
@@ -70,7 +71,32 @@ def group_to_json(g: GroupDescriptor):
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, in one recursive pass."""
+    return _json_text(doc, "")
+
+
+def _json_text(value, indent):
+    """``render_json`` of a value at an indent; floats and non-string keys go to ``json.dumps``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        keys = sorted(value)
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}" for k in keys]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +188,19 @@ def cmd_chi(args) -> int:
 def cmd_weyl(args) -> int:
     trunc = resolve_truncation(args)
     report = verify_weyl(args.nmax, trunc)
-    rows = []
-    checks = []
-    lines = []
+    rows, checks, lines = [], [], []
     for row in report.rows:
-        rows.append(
-            {
-                "twist": row.twist,
-                "series": series_to_json(row.pipeline),
-                "series_text": str(row.pipeline),
-                "closed_form_text": str(row.closed_form),
-                "sections_series_text": str(row.oracle_series),
-                "sections_text": str(row.oracle_character),
-                "pass": row.ok,
-            }
-        )
+        rows.append({
+            "twist": row.twist,
+            "series": series_to_json(row.pipeline),
+            "series_text": str(row.pipeline),
+            "closed_form_text": str(row.closed_form),
+            "sections_series_text": str(row.oracle_series),
+            "sections_text": str(row.oracle_character),
+            "pass": row.ok,
+        })
         checks.append((f"n={row.twist} three-way agreement up to truncation", row.ok))
-        lines.append(
-            f"n={row.twist:>3} [{'pass' if row.ok else 'FAIL'}] chi = {row.pipeline}"
-        )
+        lines.append(f"n={row.twist:>3} [{'pass' if row.ok else 'FAIL'}] chi = {row.pipeline}")
     doc = make_document(
         "weyl", {"nmax": args.nmax}, trunc, {"rows": rows, "all_pass": report.all_pass}, checks
     )
@@ -318,10 +338,7 @@ def cmd_selftest(args) -> int:
         raise ValueError("selftest runs its criteria at fixed truncations; --trunc is not accepted")
     trunc = resolve_truncation(args)
     results = run_all(report=None)
-    rows = [
-        {"name": name, "pass": passed, "detail": detail}
-        for name, passed, detail in results
-    ]
+    rows = [{"name": name, "pass": passed, "detail": detail} for name, passed, detail in results]
     checks = [(name, passed) for name, passed, _ in results]
     doc = make_document("selftest", {}, trunc, {"criteria": rows}, checks)
     lines = [

@@ -39,10 +39,12 @@ sorted key lists.  A product of two elements is one fused kernel,
 ``_slot_product``: both operands are split into h-slots by one sorted pass,
 every slot pair is convolved into 2n+1 dicts, and ``_reduce_slots`` folds
 slots 2n..n+1 back from the top down with h^(n+1) = -(e_1 h^n + ... +
-e_{n+1}).  Given a lowest slot to keep, it convolves only the pairs that
-reach it and folds only into the slots from there up; ``pushforward_product``
-keeps slot n alone.  The public ``reduce`` multiplies by 1, and
+e_{n+1}).  The public ``reduce`` multiplies by 1, and
 ``apply_power_series`` (``exp``) runs on the same kernel, on integers.
+
+``pushforward_moments(y, count)`` gives mu_j = pushforward(h^j.y), j < count,
+each by one shift and one ``_reduce_slots`` fold; ``riemannroch.hrr_chi``
+reads chi off the moments of the tangent Todd class.
 
 Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
 h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  A
@@ -290,37 +292,34 @@ def _convolve(a, b, limit, out):
             out[k] = get(k, 0) + ca * cb
 
 
-def _reduce_slots(slots, relation, limit, low=0):
+def _reduce_slots(slots, relation, limit):
     """Reduce h-coefficient dicts (low h-degree first) in place, down to n+1 slots.
 
     ``relation`` is [e_1, ..., e_{n+1}] as sorted (key, numerator) lists;
     each slot k above n is folded into slots k-1 .. k-n-1 by
-    h^k = -(e_1 h^(k-1) + ... + e_{n+1} h^(k-n-1)), from the top down, but
-    never below slot ``low`` (no slot feeds a higher one).
+    h^k = -(e_1 h^(k-1) + ... + e_{n+1} h^(k-n-1)), from the top down.
     """
     n1 = len(relation)
     for k in range(len(slots) - 1, n1 - 1, -1):
         top = [(key, -c) for key, c in slots[k].items() if c]
         if top:
-            for j, e in enumerate(relation[: k - low], 1):
+            for j, e in enumerate(relation, 1):
                 _convolve(top, e, limit, slots[k - j])
     del slots[n1:]
 
 
-def _slot_product(a, b, limit, relation, low=0):
+def _slot_product(a, b, limit, relation):
     """The reduced product of two h-polynomials as n+1 dicts {key: numerator} (zeros kept).
 
-    a and b hold one (key, numerator) iterable per h-degree, b's sorted.  Only
-    the slot pairs with i + j >= ``low`` are convolved, so the slots from
-    ``low`` up are exact and the ones below stay empty.
+    a and b hold one (key, numerator) iterable per h-degree, b's sorted.
     """
     prod = [{} for _ in range(len(a) + len(b) - 1)]
     for i, pa in enumerate(a):
         if pa:
-            for j in range(max(low - i, 0), len(b)):
-                if b[j]:
-                    _convolve(pa, b[j], limit, prod[i + j])
-    _reduce_slots(prod, relation, limit, low)
+            for j, pb in enumerate(b):
+                if pb:
+                    _convolve(pa, pb, limit, prod[i + j])
+    _reduce_slots(prod, relation, limit)
     return prod
 
 
@@ -436,12 +435,7 @@ def root_series_product(ring, factors):
     ctx, weights = ring.ctx, ring.weights
     coords, den = [[(0, 1)], *([] for _ in weights[1:])], 1
     for coeff_fn, x in factors:
-        if x.ring != ring:
-            raise ValueError("bundle elements over different models")
-        (form, *high), dx = ring._sorted_slots(x)
-        a = dict(high[0]).get(0, 0) if high else 0
-        if any(k // ctx.top != 1 for k, _ in form) or sum(map(len, high)) != (a != 0):
-            raise ValueError("root_series_product expects roots of degree 1")
+        a, form, dx = ring.linear_parts(x)
         linear = dict(form)  # dx.x = a.(h + l_m) + (L - a.l_m): the second part keeps N_m
         forms = [
             sorted((p, d) for p, w in zip(ctx.places, wm) if (d := linear.get(p, 0) - a * w))
@@ -531,6 +525,16 @@ class BundleRing:
             slots[k].append((key, c))
         return slots, element.den
 
+    def linear_parts(self, x):
+        """(a, L as sorted items, dx) of a root x = (a.h + L)/dx of degree <= 1, or ValueError."""
+        if x.ring != self:
+            raise ValueError("bundle elements over different models")
+        (form, *high), dx = self._sorted_slots(x)
+        a = dict(high[0]).get(0, 0) if high else 0
+        if any(k // self.ctx.top != 1 for k, _ in form) or sum(map(len, high)) != (a != 0):
+            raise ValueError("expected a Chern root of degree 1")
+        return a, form, dx
+
     def _basis_items(self):
         """``newton_basis`` as sorted item lists, built once."""
         if self._basis is None:
@@ -541,12 +545,6 @@ class BundleRing:
     def _relation_items(self):
         """[e_1, ..., e_(n+1)]: the h-coefficients of N_(n+1) below its leading 1, top first."""
         return self._basis_items()[-1][-2::-1]
-
-    def _product(self, a, b, low=0):
-        """(slots, den) of the product of two elements (see ``_slot_product``)."""
-        sa, da = self._sorted_slots(a)
-        sb, db = self._sorted_slots(b)
-        return _slot_product(sa, sb, self.ctx.limit, self._relation_items(), low), da * db
 
     def _element(self, slots, den) -> BundleRingElement:
         """The element of at most n+1 reduced h-coefficient dicts {key: numerator} over den."""
@@ -612,7 +610,8 @@ class BundleRingElement(SparseElement):
             return super().__mul__(other)
         self._check(other)
         ring = self.ctx
-        return ring._element(*ring._product(self, other))
+        (sa, da), (sb, db) = ring._sorted_slots(self), ring._sorted_slots(other)
+        return ring._element(_slot_product(sa, sb, ring.ctx.limit, ring._relation_items()), da * db)
 
     __rmul__ = __mul__
 
@@ -661,12 +660,17 @@ def pushforward(p: BundleRingElement) -> GradedSeries:
     return p.coeffs[-1]
 
 
-def pushforward_product(a: BundleRingElement, b: BundleRingElement) -> GradedSeries:
-    """pushforward(a * b), computing only the h^n coefficient of the product."""
-    a._check(b)
-    ring = a.ctx
-    slots, den = ring._product(a, b, len(ring.weights) - 1)
-    return GradedSeries._trusted(ring.ctx, {k: c for k, c in slots[-1].items() if c}, den)
+def pushforward_moments(element: BundleRingElement, count: int) -> list:
+    """The numerators {series key: int} of pushforward(h^j * element), j < count, over its den."""
+    ring = element.ctx
+    slots = [dict(s) for s in ring._sorted_slots(element)[0]]
+    relation, limit, moments = ring._relation_items(), ring.ctx.limit, []
+    for j in range(count):
+        if j:
+            slots.insert(0, {})
+            _reduce_slots(slots, relation, limit)
+        moments.append({k: c for k, c in slots[-1].items() if c})
+    return moments
 
 
 def odd_part_quotient(coeffs, truncation) -> GradedSeries:

@@ -27,10 +27,10 @@ a ``Fraction`` otherwise.
 The Chern character is built without any ``Fraction``: for a = sum_w n_w
 chi_w / D as stored, the numerator of t^e is (sum_w n_w w^e) * (N! / e!)
 over the shared denominator D * N!, handed to ``gradedring`` on exponent
-tuples.  No exp series is built; ``charclass.chern_character_bundle`` still
-goes through ``gradedring.exp``, and ``riemannroch.weyl_closed_form`` sums
-k^e in its own code, so the section-oracle checks compare independent
-routes.
+tuples.  No exp series is built; ``riemannroch.hrr_chi`` still takes the
+e^L of a character twist through ``gradedring.exp``, and
+``riemannroch.weyl_closed_form`` sums k^e in its own code, so the
+section-oracle checks compare independent routes.
 
 The certificate search solves its linear system modulo the prime 2^61 - 1
 in one forward elimination, lifts each value by rational reconstruction and

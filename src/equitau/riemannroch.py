@@ -22,17 +22,38 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import mul, sub
 
-from .charclass import LineTwist, ProjSpaceModel, chern_character_bundle, torus_model
-# exp is re-exported: perfbench's tracer test reads riemannroch.exp
-from .gradedring import GradedSeries, exp, pushforward_product  # noqa: F401
+from .charclass import LineTwist, ProjSpaceModel, chern_roots, torus_model
+from .gradedring import GradedSeries, exp
 from .lattice import Weight
 from .reprring import RepRingElement, chern_character
 
 
 def hrr_chi(model: ProjSpaceModel, bundle) -> GradedSeries:
-    """Euler characteristic pushforward(ch(bundle) * td(tangent)), from its h^n slot alone."""
-    model._require_torus()
-    return pushforward_product(chern_character_bundle(model, bundle), model.tangent_todd)
+    """Euler characteristic pushforward(ch(bundle) * td(tangent)), by the projection formula.
+
+    A Chern root x = (a.h + L) / dx, L from the base, gives pushforward(e^x td) = e^(L/dx) *
+    sum_j (a/dx)^j / j! * mu_j, with mu_j = pushforward(h^j td), j <= N + n (Fulton,
+    *Intersection Theory*, Prop. 8.3(c)), summed on integers; e^(L/dx) is ``exp`` of a base
+    series, used only when L != 0.  The model's ring refuses a group that is not a torus.
+    """
+    ring, ctx = model.ring, model.ring.ctx
+    positives, negatives = chern_roots(model, bundle)
+    total = GradedSeries.zero(ctx.rank, ctx.truncation)
+    for sign, x in [(1, x) for x in positives] + [(-1, x) for x in negatives]:
+        a, form, dx = ring.linear_parts(x)
+        last = ctx.truncation + model.dim if a else 0
+        moments, m, num = model.todd_moments(last + 1), sign * a**last, {}
+        for j in range(last, -1, -1):  # m = sign * a^j * dx^(last - j) * last! / j!
+            for k, c in moments[j].items():
+                num[k] = num.get(k, 0) + m * c
+            if j:  # a divides m, which holds a^j
+                m = m // a * j * dx
+        den = abs(m) * model.tangent_todd.den
+        term = GradedSeries._trusted(ctx, {k: c for k, c in num.items() if c}, den)
+        if form:
+            term = exp(GradedSeries._trusted(ctx, dict(form), dx)) * term
+        total = total + term
+    return total
 
 
 def weyl_closed_form(n: int, truncation: int) -> GradedSeries:

@@ -139,23 +139,36 @@ def test_tangent_todd_is_built_once_per_model(monkeypatch):
     from equitau import charclass
     from equitau.riemannroch import hrr_chi, verify_weyl
 
-    calls = []
-    original = charclass.todd_class_bundle
+    calls, moment_counts = [], []
+    original, moments = charclass.todd_class_bundle, charclass.pushforward_moments
 
     def counting(model, bundle):
         calls.append(bundle)
         return original(model, bundle)
 
+    def counting_moments(element, count):
+        moment_counts.append(count)
+        return moments(element, count)
+
     monkeypatch.setattr(charclass, "todd_class_bundle", counting)
+    monkeypatch.setattr(charclass, "pushforward_moments", counting_moments)
     model = torus_model([(1, 0), (0, 1), (1, 1)], 6)
     first = hrr_chi(model, LineTwist(1))
     assert hrr_chi(model, LineTwist(1)) == first and hrr_chi(model, LineTwist(2)) != first
-    assert calls == [TANGENT]
+    assert calls == [TANGENT] and moment_counts == [6 + 2 + 1]  # mu_0 .. mu_(N+n)
     assert model.tangent_todd == original(model, TANGENT)
     assert torus_model([(1, 0), (0, 1), (1, 1)], 6).tangent_todd is not model.tangent_todd
+    # a twist with no h-part reads mu_0 alone; a later one extends the moments once
+    model, moment_counts[:] = torus_model([(1, 0), (0, 1), (1, 1)], 6), []
+    hrr_chi(model, LineTwist(0, (1, 2)))
+    hrr_chi(model, LineTwist(3))
+    hrr_chi(model, LineTwist(-1))
+    assert moment_counts == [1, 6 + 2 + 1]
     calls.clear()
-    assert verify_weyl(4, 8).all_pass
+    moment_counts.clear()
+    assert verify_weyl(10, 32).all_pass
     assert calls == [TANGENT]  # one Todd class for the whole table
+    assert moment_counts == [32 + 1 + 1]  # and one set of moments
 
 
 # ---------------------------------------------------------------------------

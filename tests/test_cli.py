@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -65,10 +66,43 @@ def test_json_round_trips_byte_identically(capsys):
         ["support", "--order", "6", "--point", "1/3"],
         ["pushforward", "--weights", "1,-1", "--poly", "0,0,0,1", "--trunc", "6"],
         ["segal", "--n", "2", "--degree", "2"],
+        ["selftest"],
     ):
         code, out = run(capsys, *argv, "--format", "json")
         assert code == 0
-        assert render_json(json.loads(out)) == out.rstrip("\n")
+        doc = json.loads(out)
+        assert render_json(doc) == out.rstrip("\n")
+        assert out.rstrip("\n") == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def random_json_document(rng, depth=0):
+    """A nested document of every kind ``render_json`` writes itself, tuples included."""
+    leaves = (
+        lambda: rng.choice(("", "plain", 'quote " and \\ back', "tab\t new\nline\x01", "ü ∑ 𝔽 é")),
+        lambda: rng.randint(-10**6, 10**6),
+        lambda: rng.choice((1, -1)) * rng.getrandbits(200),
+        lambda: rng.choice((True, False, None)),
+    )
+    if depth > 3 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    size = rng.choice((0, 1, 2, 5))
+    kind = rng.choice(("dict", "list", "tuple"))
+    if kind == "dict":
+        names = ("a", "B", "coeff", "é", 'k"\n', "", "z1")
+        keys = [rng.choice(names) + str(rng.randint(0, 9)) for _ in range(size)]
+        return {k: random_json_document(rng, depth + 1) for k in keys}
+    items = [random_json_document(rng, depth + 1) for _ in range(size)]
+    return items if kind == "list" else tuple(items)
+
+
+def test_render_json_writes_the_bytes_of_json_dumps():
+    rng = random.Random(2024)
+    for _ in range(400):
+        doc = random_json_document(rng)
+        assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    # what is left to json.dumps: floats, non-string keys, empty containers deep inside
+    for doc in ({"x": [1.5, {}, [], ()], "y": {1: "a", 2: [True]}}, [{"k": {3: None}}, -0.0]):
+        assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_document_schema_keys(capsys):

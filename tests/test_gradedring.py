@@ -9,13 +9,12 @@ from equitau.gradedring import (
     BundleRing,
     BundleRingElement,
     GradedSeries,
-    _slot_product,
     apply_power_series,
     bernoulli_number,
     exp,
     odd_part_quotient,
     pushforward,
-    pushforward_product,
+    pushforward_moments,
     reduce,
     todd_coefficient,
 )
@@ -766,35 +765,29 @@ def test_power_series_kernel_matches_the_per_step_reference():
     assert len(seen) == 2 * 4 * 3  # both rings, every function, every kind of x
 
 
-def test_pushforward_product_is_the_top_slot_of_the_product():
+def test_pushforward_moments_are_the_pushforwards_of_h_powers_times_the_element():
     rng = random.Random(4321)
     for case in range(60):
         rank, dim, n = 1 + case % 3, rng.randint(1, 4), rng.randint(0, 8)
         weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
         ring = BundleRing(weights, rank, n)
-
-        def rand_element():
-            slots = []
-            for _ in range(dim + 1):
-                terms = {}
-                for _ in range(rng.randint(0, 4)):
-                    e = tuple(rng.randint(0, 2) for _ in range(rank))
-                    terms[e] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4)))
-                slots.append(GradedSeries(rank, n, terms))
-            return BundleRingElement(ring, slots)
-
-        a, b = rand_element(), rand_element()
-        got = pushforward_product(a, b)
-        assert_canonical(got)
-        assert got == pushforward(a * b), (case, weights, n)
-        assert (got.den, got.num) == (pushforward(a * b).den, pushforward(a * b).num)
-        # the shared helper keeps exactly the slots from `low` up, for every low
-        sa, sb = ring._sorted_slots(a)[0], ring._sorted_slots(b)[0]
-        args = (sa, sb, ring.ctx.limit, ring._relation_items())
-        full = [{k: c for k, c in s.items() if c} for s in _slot_product(*args)]
-        for low in range(dim + 1):
-            part = [{k: c for k, c in s.items() if c} for s in _slot_product(*args, low)]
-            assert part == [{}] * low + full[low:], (case, low)
+        slots = []
+        for _ in range(dim + 1):
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                e = tuple(rng.randint(0, 2) for _ in range(rank))
+                terms[e] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4)))
+            slots.append(GradedSeries(rank, n, terms))
+        e, h = BundleRingElement(ring, slots), ring.hyperplane()
+        count = n + dim + 3  # two past h^(N+n) = 0
+        moments = pushforward_moments(e, count)
+        assert len(moments) == count
+        for j, mu in enumerate(moments):
+            want = pushforward(h**j * e)
+            assert GradedSeries._trusted(ring.ctx, mu, e.den) == want, (case, weights, n, j)
+            assert all(mu.values())
+        assert moments[-2:] == [{}, {}]
+        assert pushforward_moments(e, 2) == moments[:2]
 
 
 def test_power_series_on_bundle_elements_make_no_bundle_multiply(monkeypatch):

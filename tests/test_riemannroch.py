@@ -1,10 +1,19 @@
 import math
+import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from equitau.charclass import LineTwist, mu_model, torus_model
-from equitau.gradedring import GradedSeries, exp
+from equitau.charclass import (
+    TANGENT,
+    BundleSum,
+    LineTwist,
+    chern_character_bundle,
+    mu_model,
+    torus_model,
+)
+from equitau.gradedring import GradedSeries, exp, pushforward
 from equitau.lattice import Weight
 from equitau.reprring import RepRingElement, chern_character, torus_group
 from equitau.riemannroch import (
@@ -240,3 +249,51 @@ def test_the_oracle_refuses_more_monomials_than_its_limit():
     assert math.comb(447, 2) <= limit < math.comb(448, 2)
     with pytest.raises(ValueError, match=f"would enumerate {math.comb(448, 2)} monomials"):
         verify_weyl(446, 2)
+
+
+def random_twist(rng, rank, dim):
+    twist = rng.choice((0, rng.randint(-dim - 3, 5)))
+    if rng.random() < 0.5:
+        return LineTwist(twist)
+    return LineTwist(twist, tuple(rng.randint(-3, 3) for _ in range(rank)))
+
+
+def test_chi_from_todd_moments_matches_the_pushforward_of_ch_times_td():
+    rng = random.Random(1313)
+    seen = set()
+    for case in range(210):
+        rank, dim = 1 + case % 3, 1 + case // 3 % 4
+        n = rng.randint(0, 12)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        weights = [rng.choice(pool + [(0,) * rank]) for _ in range(dim + 1)]
+        model = torus_model(weights, n, rank=rank)
+        kind = ("twist", "tangent", "sum", "twist")[case // 12 % 4]
+        if kind == "tangent":
+            bundle = TANGENT
+        elif kind == "twist":
+            bundle = random_twist(rng, rank, dim)
+        else:
+            summands = rng.randint(1, 3)
+            bundle = BundleSum(tuple(random_twist(rng, rank, dim) for _ in range(summands)))
+        got = hrr_chi(model, bundle)
+        want = pushforward(chern_character_bundle(model, bundle) * model.tangent_todd)
+        assert got == want, (case, weights, n, bundle)
+        assert (got.den, got.num) == (want.den, want.num)
+        seen.add((rank, dim, kind, len(set(weights)) < len(weights), (0,) * rank in weights))
+    assert {(r, d, k) for r, d, k, _, _ in seen} == {
+        (r, d, k) for r in (1, 2, 3) for d in (1, 2, 3, 4) for k in ("twist", "tangent", "sum")
+    }
+    assert {(repeated, zero) for *_, repeated, zero in seen} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_a_root_with_a_denominator_is_not_cut(monkeypatch):
+    """A root (a.h + L) / dx with dx != 1, fed through chern_roots."""
+    from equitau import riemannroch
+
+    model = torus_model([(1, 0), (0, 1), (1, 1)], 7)
+    h = model.hyperplane()
+    x = h * Fraction(3, 4) + model.base_form((1, -2)) * Fraction(1, 2)
+    y = h * Fraction(-2, 3)
+    monkeypatch.setattr(riemannroch, "chern_roots", lambda m, b: ([x], [y]))
+    want = pushforward((exp(x) - exp(y)) * model.tangent_todd)
+    assert hrr_chi(model, LineTwist(0)) == want and want.den % 3 == 0
