@@ -282,11 +282,18 @@ def cmd_sectors(args) -> int:
 def cmd_support(args) -> int:
     trunc = resolve_truncation(args)
     orders = parse_orders(args)
-    group = GroupDescriptor(0, tuple(d for d in orders if d != 1))
     try:
         values = tuple(Fraction(x) for x in args.point.split(","))
     except ZeroDivisionError:
         raise ValueError(f"--point {args.point!r} has a zero denominator") from None
+    if len(values) == len(orders):
+        # mu_1 is trivial: drop each unit order with its value, as mu_model
+        # does; a point with one value per non-unit order is taken as it is
+        for v, d in zip(values, orders):
+            if d == 1 and v.denominator != 1:
+                raise ValueError(f"value {v % 1} invalid on a torsion generator of order 1")
+        values = tuple(v for v, d in zip(values, orders) if d != 1)
+    group = GroupDescriptor(0, tuple(d for d in orders if d != 1))
     point = TorsionCharacterPoint(group, values)
     support = support_subgroup(group, point)
     checks = [("support order equals the order of the character point",

@@ -1,15 +1,13 @@
 """Twisted-sector bookkeeping for finite diagonalizable group actions.
 
 Maximal primes of the rational group algebra Q[N] of a finite abelian N
-correspond to Galois orbits of characters N -> Q/Z: an orbit is determined
-by a representative point phi, has residue degree phi_Euler(ord phi), and its
-support subgroup is dual to N/ker(phi).  For N = Z/d this is the familiar
-one-prime-per-divisor factorization Q[u]/(u^d - 1) = prod_{e | d} Q(zeta_e).
-
-A sector's rational dimension is bookkept as (sum over fixed components of
-(dim + 1)) * residue degree; the untwisted sector is the orbit of the zero
-character.  Primes with equal supports are listed separately, one row per
-orbit.
+correspond to Galois orbits of characters phi: N -> Q/Z; for N = Z/d this is
+Q[u]/(u^d - 1) = prod_{e | d} Q(zeta_e).  For phi of order e, the orbit's
+sector has support dual to N/ker(phi) = im(phi), cyclic of order e; its fixed
+components are the coordinates grouped by the value phi(w) of their weights;
+its residue degree is the orbit's size phi_Euler(e), as (Z/e)^x acts freely.
+Its dimension is (sum over components of (dim + 1)) * residue degree, one row
+per orbit.  `support_subgroup` and `fixed_locus` are the Smith-normal-form route.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ GROUP_ORDER_LIMIT = 10**5
 def _check_group_order(group: GroupDescriptor) -> None:
     if (order := group.order()) > GROUP_ORDER_LIMIT:
         raise ValueError(f"the group has order {order} (limit {GROUP_ORDER_LIMIT})")
-
-
-def euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def support_subgroup(group: GroupDescriptor, point: TorsionCharacterPoint) -> GroupDescriptor:
@@ -74,11 +68,6 @@ def fixed_locus(model: ProjSpaceModel, vanishing_characters) -> list[FixedCompon
     partition the coordinate set (trivial H gives the whole space back).
     """
     _, project = quotient_with_projection(model.group, vanishing_characters)
-    return _components(model, project)
-
-
-def _components(model: ProjSpaceModel, project) -> list[FixedComponent]:
-    """The coordinates grouped by their image under `project`, as components."""
     groups: dict[Weight, list[int]] = {}
     for i, w in enumerate(model.weights):
         groups.setdefault(project(w), []).append(i)
@@ -117,20 +106,15 @@ class SectorDecomposition:
         return sum(s.dimension for s in self.sectors if s.is_untwisted)
 
 
-def character_orbit_representatives(group: GroupDescriptor):
-    """One TorsionCharacterPoint per Galois orbit of characters of a finite group.
+def character_orbits(orders: tuple[int, ...]):
+    """(least residue tuple, order e, orbit size) for each Galois orbit of characters.
 
-    The orbit of phi is {a * phi : gcd(a, ord phi) = 1} and has size
-    phi_Euler(ord phi); representatives are the orbit-minimal value tuples.
-    The orbits are enumerated on integer residue tuples (r_i for the value
-    r_i / d_i): each coordinate has a fixed denominator d_i, so the least
-    residue tuple is the least value tuple.
+    A character of Z/d_1 + ... + Z/d_s is a residue tuple r, with value r_i / d_i
+    on the i-th generator; its orbit {a * r : gcd(a, e) = 1} for e = ord(r) has
+    phi_Euler(e) elements.  Tuples are visited in lexicographic order, so each
+    orbit is met first at its least tuple, which is also its least value tuple.
     """
-    if not group.is_finite:
-        raise ValueError("character enumeration requires a finite group")
-    orders = group.torsion_orders
     seen = set()
-    reps = []
     for residues in product(*(range(d) for d in orders)):
         if residues in seen:
             continue
@@ -141,31 +125,45 @@ def character_orbit_representatives(group: GroupDescriptor):
             if math.gcd(a, e) == 1
         }
         seen.update(orbit)
-        values = tuple(Fraction(r, d) for r, d in zip(min(orbit), orders))
-        reps.append(TorsionCharacterPoint(group, values))
-    return reps
+        yield residues, e, len(orbit)
+
+
+def character_orbit_representatives(group: GroupDescriptor):
+    """The least TorsionCharacterPoint of each Galois orbit of a finite group's characters."""
+    if not group.is_finite:
+        raise ValueError("character enumeration requires a finite group")
+    orders = group.torsion_orders
+    return [TorsionCharacterPoint(group, tuple(map(Fraction, r, orders)))
+            for r, _, _ in character_orbits(orders)]
 
 
 def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     """Sector table of the action: one row per prime of the rational group algebra.
 
-    Each sector records its character point, support subgroup, fixed
-    components, and Q-dimension (sum of (component dim + 1)) * residue degree.
+    A row is read off the least residues r of its orbit, of order e: with
+    L = lcm(d_i), phi(w) = k(w) / L for k(w) = sum_i w_i r_i (L / d_i) mod L.
+    The support is Z/e (trivial for e = 1), the fixed components group the
+    coordinates by k(w), and the residue degree is the orbit's size.  Rows are
+    sorted by (e, r), which is the order of (e, values of phi).
     """
     group = model.group
     if not group.is_finite:
         raise ValueError("sector decomposition requires a finite acting group")
     _check_group_order(group)
+    orders = group.torsion_orders
+    lcm = math.lcm(*orders)
     sectors = []
-    for point in character_orbit_representatives(group):
-        e = point.order()
-        kernel = kernel_of_character_point(group, point)
-        support, project = quotient_with_projection(group, kernel)
-        components = tuple(_components(model, project))
-        chow_dim = sum(c.dim + 1 for c in components)
-        residue = euler_phi(e)
-        sectors.append(Sector(point, e, residue, support, components, chow_dim * residue))
-    sectors.sort(key=lambda s: (s.order, s.point.values))
+    for residues, e, size in sorted(character_orbits(orders), key=lambda o: (o[1], o[0])):
+        scaled = [r * (lcm // d) for r, d in zip(residues, orders)]
+        groups: dict[int, list[int]] = {}
+        for i, w in enumerate(model.weights):
+            groups.setdefault(sum(c * s for c, s in zip(w.coords, scaled)) % lcm, []).append(i)
+        # an index list starts at its least index, so insertion order is sorted order
+        components = tuple(FixedComponent(tuple(ix), tuple(model.weights[i] for i in ix))
+                           for ix in groups.values())
+        point = TorsionCharacterPoint(group, tuple(map(Fraction, residues, orders)))
+        sectors.append(Sector(point, e, size, GroupDescriptor(0, (e,) if e > 1 else ()),
+                              components, sum(c.dim + 1 for c in components) * size))
     return SectorDecomposition(group, model, tuple(sectors))
 
 

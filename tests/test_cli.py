@@ -159,6 +159,25 @@ def test_support_output(capsys):
     assert "H = Z/3" in out
 
 
+def test_support_drops_unit_orders_with_their_values(capsys):
+    _, unit_and_six = run_json(capsys, "support", "--orders", "1,6", "--point", "0,1/3")
+    _, six = run_json(capsys, "support", "--orders", "6", "--point", "1/3")
+    _, six_only = run_json(capsys, "support", "--orders", "1,6", "--point", "1/3")
+    assert unit_and_six["results"] == six["results"] == six_only["results"]
+    code, unit = run_json(capsys, "support", "--orders", "1", "--point", "0")
+    assert code == 0
+    assert unit["results"]["support"] == {"free_rank": 0, "torsion_orders": [], "name": "1"}
+    assert unit["results"]["point_order"] == 1
+
+
+def test_support_refuses_a_fraction_at_a_unit_order(capsys):
+    assert main(["support", "--orders", "1,6", "--point", "1/2,1/3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "equitau: error: value 1/2 invalid on a torsion generator of order 1\n"
+    )
+
+
 def test_segal_certificate(capsys):
     code, doc = run_json(capsys, "segal", "--n", "2", "--degree", "2")
     assert code == 0
@@ -417,7 +436,7 @@ def test_sectors_refuses_a_group_too_large_to_enumerate(capsys, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated the group")
 
-    monkeypatch.setattr(equitau.finitestab, "character_orbit_representatives", no_enumeration)
+    monkeypatch.setattr(equitau.finitestab, "character_orbits", no_enumeration)
     monkeypatch.setattr(equitau.lattice.GroupDescriptor, "elements", no_enumeration)
     assert main(["sectors", "--orders", "10,1000000", "--weights", "0,0;1,1"]) == 2
     captured = capsys.readouterr()

@@ -1,20 +1,26 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from equitau.charclass import mu_model
+from equitau.cli import parse_weights
 from equitau.finitestab import (
     character_orbit_representatives,
-    euler_phi,
     fixed_locus,
     ktheory_free_module_dimension,
     sector_dimensions,
     support_subgroup,
     vistoli_kernel_dimension,
 )
-from equitau.lattice import GroupDescriptor, TorsionCharacterPoint
+from equitau.lattice import GroupDescriptor, TorsionCharacterPoint, kernel_of_character_point
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient by counting, the reference for a sector's residue degree."""
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def test_euler_phi_small_values():
@@ -184,10 +190,56 @@ def test_group_orders_past_the_limit_are_refused_before_enumeration(monkeypatch)
     from equitau import finitestab
 
     assert finitestab.GROUP_ORDER_LIMIT == 10**5
-    monkeypatch.setattr(finitestab, "character_orbit_representatives", lambda group: [])
+    enumerated = []
+    monkeypatch.setattr(finitestab, "character_orbits", lambda orders: enumerated.append(orders) or [])
     at_limit = mu_model((10**5,), [0, 1])
     assert sector_dimensions(at_limit).sectors == ()  # admitted: only the stub ran
+    assert enumerated == [(10**5,)]
     over = mu_model((2, 50002), [(0, 0), (1, 1)])  # order 100,004
     for refused in (sector_dimensions, ktheory_free_module_dimension):
         with pytest.raises(ValueError, match=r"order 100004 \(limit 100000\)"):
             refused(over)
+    assert enumerated == [(10**5,)]  # the refusal came before the enumeration
+
+
+# The sectors models of the certificates benchmark pool, then seeded random ones.
+POOL_SECTOR_MODELS = [
+    ((6, 12), "0,0;1,0;0,1"), ((6, 12), "0,1;1,0;1,1"), ((6, 12), "1,2;0,5;3,1"),
+    ((12, 60), "0,0;1,5;3,1"), ((12, 60), "0,1;1,0"), ((12, 60), "2,3;1,1;0,7"),
+    ((4, 8), "0,0;1,1;2,3;1,5"), ((4, 8), "1,0;0,1"),
+    ((30,), "0,1,2"), ((30,), "0,5,6,10"), ((30,), "1,7"),
+    ((8, 8), "0,0;1,3"), ((8, 8), "1,0;0,1;1,1"),
+]
+RANDOM_SECTOR_CHAINS = [(2,), (30,), (2, 4), (6, 12), (12, 60), (8, 8), (2, 2, 2), (2, 6, 12), (1,)]
+
+
+def _random_sector_models(count, seed=20141):
+    rng = random.Random(seed)
+    for _ in range(count):
+        orders = rng.choice(RANDOM_SECTOR_CHAINS)
+        weights = [tuple(rng.randint(-70, 70) for _ in orders) for _ in range(rng.randint(2, 6))]
+        yield orders, weights
+
+
+def test_sector_rows_match_the_smith_normal_form_route():
+    models = [(orders, parse_weights(weights)) for orders, weights in POOL_SECTOR_MODELS]
+    models += _random_sector_models(216)
+    by_group = {}  # points, supports and kernels depend on the group alone
+    for orders, weights in models:
+        model = mu_model(orders, weights)
+        group = model.group
+        if group not in by_group:
+            points = sorted(fraction_orbit_representatives(group), key=lambda p: (p.order(), p.values))
+            by_group[group] = points, [
+                (support_subgroup(group, p), kernel_of_character_point(group, p), euler_phi(p.order()))
+                for p in points
+            ]
+        points, expected = by_group[group]
+        decomp = sector_dimensions(model)
+        assert [s.point for s in decomp.sectors] == points
+        for s, (support, kernel, residue_degree) in zip(decomp.sectors, expected):
+            assert s.order == s.point.order()
+            assert s.support == support
+            assert s.components == tuple(fixed_locus(model, kernel))
+            assert s.residue_degree == residue_degree
+            assert s.dimension == sum(c.dim + 1 for c in s.components) * s.residue_degree
