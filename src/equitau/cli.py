@@ -344,7 +344,7 @@ def cmd_selftest(args) -> int:
     if args.trunc is not None:
         raise ValueError("selftest runs its criteria at fixed truncations; --trunc is not accepted")
     trunc = resolve_truncation(args)
-    results = run_all(report=None)
+    results = run_all()
     rows = [{"name": name, "pass": passed, "detail": detail} for name, passed, detail in results]
     checks = [(name, passed) for name, passed, _ in results]
     doc = make_document("selftest", {}, trunc, {"criteria": rows}, checks)

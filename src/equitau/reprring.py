@@ -37,7 +37,8 @@ in one forward elimination, lifts each value by rational reconstruction and
 checks every equation exactly.  An inconsistent system is reported only with
 a Farkas vector y (y.A = 0, y.b = 1), read off the same elimination's record
 of pivot rows and multipliers, lifted the same way and checked exactly; when
-a lift or a check fails, the exact ``Fraction`` elimination decides instead.
+a lift or a check fails, the same elimination runs once more, modulo a
+Mersenne prime past twice the squared Hadamard bound, and that answer lifts.
 The search re-expands sum_i c_i g_i before it returns a certificate.
 
 A failed certificate search is only "nothing found within the bound" and is
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from operator import add, mul
 
@@ -262,7 +264,15 @@ def gl_augmentation_generators(n: int) -> list[RepRingElement]:
 # Bounded ideal-membership certificates
 
 
-_PRIME = 2**61 - 1  # a Mersenne prime: residues stay small Python ints
+class CertificateError(RuntimeError):
+    """A certificate, or the linear solve behind it, failed exact verification."""
+
+
+_PRIME = 2**61 - 1  # the first modulus, a Mersenne prime: residues stay small Python ints
+# Mersenne prime exponents from 61 on (OEIS A000043), for the second modulus; a
+# system whose 2 H^2 needs a wider prime is refused, not eliminated on huge residues
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497)
 
 
 def _solve_sparse_linear(equations):
@@ -273,22 +283,23 @@ def _solve_sparse_linear(equations):
     variable, so the pivots are the leading variables of the row space in any row
     order, and free variables at zero leave the unique solution supported on them.
 
-    The elimination runs modulo the prime ``_PRIME``, and its answer is lifted
-    by rational reconstruction and checked against every equation exactly.
-    A "no solution" modulo the prime comes with a Farkas vector y, expanded
-    from the elimination's record of pivot rows and multipliers (no second
-    elimination); it is kept only when y, lifted the same way, satisfies
-    y.A = 0 and y.b = 1 exactly.  When a coefficient's denominator vanishes
-    modulo the prime, a reconstruction fails or an exact check fails, the
-    system is solved again over ``Fraction``; an unlucky prime costs time,
-    never a wrong answer.  (A prime that divides a pivot of the rational
-    elimination can also move the pivots, and so pick another exact
-    solution.)
+    The elimination runs modulo ``_PRIME``; a solution is lifted by rational
+    reconstruction and checked against every equation exactly, and "no
+    solution" comes with a Farkas vector y, expanded from the elimination's
+    record of pivot rows and multipliers, kept only when its lift satisfies
+    y.A = 0 and y.b = 1 exactly.  If a denominator vanishes mod p, a lift or a
+    check fails, the elimination runs once more modulo the least tabled
+    Mersenne prime p > 2 H^2 (``_hadamard_bound``): p divides no nonzero
+    minor, so its pivots are the rational ones and every value is a ratio of
+    integers of size at most H, which lifts within isqrt(p/2).  A check that
+    fails there raises ``CertificateError``; an H past the table, ValueError.
+    (A first prime that divides a minor may pick another exact solution.)
     """
     equations = list(equations)
-    p = _PRIME
-    reduced = _reduce_mod_p(equations, p)
-    if reduced is not None:
+    for p in _moduli(equations):
+        reduced = _reduce_mod_p(equations, p)
+        if reduced is None:
+            continue
         residues, farkas = _solve_mod_p(reduced, p)
         if residues is not None:
             solution = _lift(residues, p)
@@ -298,7 +309,35 @@ def _solve_sparse_linear(equations):
             y = _lift(farkas, p)
             if y is not None and _is_farkas_vector(equations, y):
                 return None
-    return _solve_over_fractions(equations)
+    raise CertificateError("the linear solve failed its exact check modulo a prime past 2 H^2")
+
+
+def _moduli(equations):
+    """``_PRIME``, then (H computed only if asked) the least tabled 2^q - 1 > 2 H^2."""
+    yield _PRIME
+    bits = (2 * _hadamard_bound(equations) ** 2 + 1).bit_length()  # 2^q - 1 > 2 H^2 iff q >= bits
+    q = next((q for q in _MERSENNE_EXPONENTS if q >= bits), None)
+    if q is None:
+        raise ValueError(f"the linear system needs a prime of {bits} bits "
+                         f"(the table ends at 2^{_MERSENNE_EXPONENTS[-1]} - 1)")
+    yield 2**q - 1
+
+
+def _hadamard_bound(equations):
+    """H = prod over rows of max(d, ceil(d |(A_r | b_r)|)), d the lcm of the row's denominators.
+
+    Hadamard: no minor of the rows scaled to integers exceeds H, so neither
+    does a solution value's numerator or denominator (Cramer), nor a Farkas
+    value's: y_i is d of row i times a minor without row i, over a minor.
+    """
+    bound = 1
+    for row, b in equations:
+        values = [Fraction(v) for v in (*row.values(), b)]
+        d = math.lcm(*(v.denominator for v in values))
+        squares = sum((v.numerator * (d // v.denominator)) ** 2 for v in values)
+        norm = math.isqrt(squares)
+        bound *= max(d, norm + (norm * norm < squares))
+    return bound
 
 
 def _residue(value, p):
@@ -334,7 +373,8 @@ def _solve_mod_p(equations, p):
     variables and those of the pivot rows it subtracted.  Entries are reduced
     mod p when read.  A pivot row is stored with pivot coefficient 1 as two
     arrays, the variables above the pivot and their residues, next to its
-    source row, the inverse that normalized it and its reduction steps.
+    source row, the inverse that normalized it and its reduction steps;
+    residues and multipliers are int64 below p = 2^63 and lists above.
 
     Returns (values, None), with {var: nonzero residue} and the free
     variables at zero, or (None, y) when row j reduces to 0 = b != 0: then
@@ -349,13 +389,14 @@ def _solve_mod_p(equations, p):
                    key=lambda j: min(map(number, equations[j][0]), default=n))
     scratch = [0] * n
     slot = [-1] * n  # var -> its index in the pivot record, -1 for no pivot
+    residue_array = partial(array, "q") if p < 2**63 else list
     keys, residues, rhs, sources, inverses, step_slots, step_mults = ([] for _ in range(7))
     for j in order:
         row, b = equations[j]
         row_vars = list(map(number, row))
         for var, a in zip(row_vars, row.values()):
             scratch[var] = a
-        touched, slots, mults = [row_vars], array("q"), array("q")
+        touched, slots, mults = [row_vars], array("q"), residue_array()
         pivot, high = -1, max(row_vars, default=-1)
         for var in range(min(row_vars, default=n), n):
             x = scratch[var]
@@ -382,7 +423,7 @@ def _solve_mod_p(equations, p):
             mults.append(x)
         b %= p
         if pivot >= 0:
-            row_keys, row_residues = array("q"), array("q")
+            row_keys, row_residues = array("q"), residue_array()
             for k in sorted(set().union(*touched)):  # entries up to the pivot are zero
                 x = scratch[k] % p
                 scratch[k] = 0
@@ -464,67 +505,25 @@ def _is_farkas_vector(equations, y):
     return rhs == denominator and not any(totals.values())
 
 
-def _solve_over_fractions(equations):
-    """The exact reference solver: Gauss-Jordan elimination over Fraction.
-
-    Same pivot rule as ``_solve_sparse_linear``, with mutually reduced pivot
-    rows, so the two return the same solution unless the prime is unlucky.
-    """
-    pivot_rows = {}  # var -> (row dict without the pivot var, value)
-    for row, b in equations:
-        row = {k: Fraction(v) for k, v in row.items() if v}
-        b = Fraction(b)
-        for var in [v for v in row if v in pivot_rows]:
-            c = row.pop(var)
-            prow, pval = pivot_rows[var]
-            for k2, v2 in prow.items():
-                s = row.get(k2, Fraction(0)) - c * v2
-                if s:
-                    row[k2] = s
-                else:
-                    row.pop(k2, None)
-            b -= c * pval
-        if not row:
-            if b != 0:
-                return None
-            continue
-        var = min(row)
-        c = row.pop(var)
-        row = {k: v / c for k, v in row.items()}
-        b /= c
-        for pvar, (prow, pval) in pivot_rows.items():
-            if var in prow:
-                c2 = prow.pop(var)
-                for k2, v2 in row.items():
-                    s = prow.get(k2, Fraction(0)) - c2 * v2
-                    if s:
-                        prow[k2] = s
-                    else:
-                        prow.pop(k2, None)
-                pivot_rows[pvar] = (prow, pval - c2 * b)
-        pivot_rows[var] = (row, b)
-    return {var: val for var, (_, val) in pivot_rows.items() if val}
-
-
-class CertificateError(RuntimeError):
-    """A certificate found by the search failed exact re-verification."""
-
-
 # Unknowns per certificate search; `segal --n 4 --degree 4` has 9,604 (about 5 s).
 CERTIFICATE_UNKNOWN_LIMIT = 10**4
+# Nonzero entries of its system, generator terms times cofactor monomials; 45,619 there.
+CERTIFICATE_ENTRY_LIMIT = 10**5
 
 
-def check_certificate_size(generators: int, rank: int, degree_bound: int) -> None:
-    """ValueError for a negative bound or over ``CERTIFICATE_UNKNOWN_LIMIT`` unknowns,
-    generators * (2 * degree_bound + 1)^rank: no generator or target is needed."""
+def check_certificate_size(generators: int, terms: int, rank: int, degree_bound: int) -> None:
+    """ValueError for a negative bound, over ``CERTIFICATE_UNKNOWN_LIMIT`` unknowns,
+    generators * (2 * degree_bound + 1)^rank, or over ``CERTIFICATE_ENTRY_LIMIT``
+    entries, the generators' terms times as many: no generator or target is needed."""
     if degree_bound < 0:
         raise ValueError(f"search bound must be nonnegative, got {degree_bound}")
-    unknowns = generators * (2 * degree_bound + 1) ** rank
-    if unknowns > CERTIFICATE_UNKNOWN_LIMIT:
-        raise ValueError(
-            f"the certificate search would solve for {unknowns} unknowns "
-            f"(limit {CERTIFICATE_UNKNOWN_LIMIT})"
-        )
+    box = (2 * degree_bound + 1) ** rank
+    if generators * box > CERTIFICATE_UNKNOWN_LIMIT:
+        raise ValueError(f"the certificate search would solve for {generators * box} unknowns "
+                         f"(limit {CERTIFICATE_UNKNOWN_LIMIT})")
+    if terms * box > CERTIFICATE_ENTRY_LIMIT:
+        raise ValueError(f"the certificate search's system would have {terms * box} nonzero "
+                         f"entries (limit {CERTIFICATE_ENTRY_LIMIT})")
 
 
 def ideal_membership_certificate(target: RepRingElement, generators, degree_bound: int):
@@ -533,12 +532,12 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
     Candidate cofactors range over monomials with every exponent in
     [-degree_bound, degree_bound].  A returned certificate has been
     re-verified by exact multiplication; None means nothing was found within
-    the bound, which proves nothing about non-membership.  A negative bound,
-    or too many unknowns (``check_certificate_size``), raises ValueError.
+    the bound, which proves nothing about non-membership.  A negative bound
+    or an oversized system (``check_certificate_size``) raises ValueError.
     """
     group, generators = target.group, list(generators)
     rank = group.ngens
-    check_certificate_size(len(generators), rank, degree_bound)
+    check_certificate_size(len(generators), sum(len(g.num) for g in generators), rank, degree_bound)
     if not group.is_free:
         raise ValueError("certificate search is defined over torus rings")
     for g in generators:

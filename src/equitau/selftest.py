@@ -132,7 +132,9 @@ def segal_certificate(n: int, degree: int, bound: int | None = None):
         raise ValueError(f"degree must be nonnegative, got {degree}")
     if bound is None:
         bound = max(1, degree - 1)
-    check_certificate_size(n, n, bound)  # n generators; checked before they are built
+    check_certificate_size(n, 0, n, bound)  # the unknowns first: n <= 10^4 from here on
+    # e_k - C(n, k), k = 1..n, have 2^n - 1 + n terms: checked before they are built
+    check_certificate_size(n, 2**n - 1 + n, n, bound)
     group = torus_group(n)
     t1 = RepRingElement.character(group, (1,) + (0,) * (n - 1))
     target = (t1 - 1) ** degree
@@ -229,7 +231,7 @@ CRITERIA = [
 ]
 
 
-def run_all(report=print):
+def run_all():
     """Run every criterion; returns the list of (name, passed, detail).
 
     Each detail ends with the criterion's elapsed wall time, ", X.XXs".
@@ -238,8 +240,5 @@ def run_all(report=print):
     for name, fn in CRITERIA:
         start = time.perf_counter()
         passed, detail = fn()
-        detail = f"{detail}, {time.perf_counter() - start:.2f}s"
-        results.append((name, passed, detail))
-        if report is not None:
-            report(f"{'pass' if passed else 'FAIL'}  {name}  ({detail})")
+        results.append((name, passed, f"{detail}, {time.perf_counter() - start:.2f}s"))
     return results

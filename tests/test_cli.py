@@ -5,17 +5,21 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import equitau.cli
 import equitau.finitestab
 import equitau.lattice
+import equitau.reprring
 import equitau.selftest
 from equitau.cli import main, render_json
 from equitau.reprring import (
+    CERTIFICATE_ENTRY_LIMIT,
     CERTIFICATE_UNKNOWN_LIMIT,
     CertificateError,
+    check_certificate_size,
     gl_augmentation_generators,
 )
 
@@ -413,10 +417,11 @@ def test_oversized_segal_search_exits_2(capsys, argv, unknowns):
     )
 
 
-def test_an_oversized_segal_search_is_refused_before_any_generator_is_built(capsys, monkeypatch):
-    def no_generators(n):
-        raise AssertionError(f"built the generators for n = {n}")
+def no_generators(n):
+    raise AssertionError(f"built the generators for n = {n}")
 
+
+def test_an_oversized_segal_search_is_refused_before_any_generator_is_built(capsys, monkeypatch):
     monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
     assert main(["segal", "--n", "18", "--degree", "2", "--bound", "1"]) == 2
     captured = capsys.readouterr()
@@ -450,6 +455,56 @@ def test_a_segal_search_just_under_the_unknown_limit_runs(capsys):
     assert all(check["pass"] for check in doc["checks"])
     # segal --n 4 --degree 4 (default bound 3) stays admitted: 4 * 7^4 unknowns
     assert len(gl_augmentation_generators(4)) * 7**4 == 9604 <= CERTIFICATE_UNKNOWN_LIMIT
+
+
+def test_a_segal_search_with_too_many_entries_exits_2_at_once(capsys, monkeypatch):
+    # bound 0 leaves 20 unknowns, but e_1..e_20 - C(20, k) have 2^20 - 1 + 20 terms
+    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    start = time.perf_counter()
+    assert main(["segal", "--n", "20", "--degree", "2", "--bound", "0"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "equitau: error: the certificate search's system would have 1048595 nonzero entries "
+        "(limit 100000)\n"
+    ))
+
+
+def test_the_segal_entry_count_admits_n_16_and_refuses_n_17_at_bound_0(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(n):
+        raise Admitted
+
+    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", admitted)
+    with pytest.raises(Admitted):
+        equitau.selftest.segal_certificate(16, 2, 0)  # 65,551 entries
+    with pytest.raises(ValueError, match="131088 nonzero entries"):
+        equitau.selftest.segal_certificate(17, 2, 0)
+    # segal --n 4 --degree 4 (default bound 3) stays admitted
+    assert (2**4 - 1 + 4) * 7**4 == 45619 <= CERTIFICATE_ENTRY_LIMIT
+    check_certificate_size(1, CERTIFICATE_ENTRY_LIMIT, 1, 0)
+    with pytest.raises(ValueError, match=f"{CERTIFICATE_ENTRY_LIMIT + 1} nonzero entries"):
+        check_certificate_size(1, CERTIFICATE_ENTRY_LIMIT + 1, 1, 0)
+
+
+@pytest.mark.parametrize("n, bound", [(1, 3), (2, 2), (3, 1), (4, 0)])
+def test_the_segal_entry_count_is_the_systems_nonzero_entries(monkeypatch, n, bound):
+    systems = []
+    monkeypatch.setattr(equitau.reprring, "_solve_sparse_linear", lambda eqs: systems.append(eqs))
+    equitau.selftest.segal_certificate(n, 2, bound)
+    assert sum(len(row) for row, _ in systems[0]) == (2**n - 1 + n) * (2 * bound + 1) ** n
+
+
+def test_a_solve_that_fails_both_moduli_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(equitau.reprring, "_satisfies", lambda equations, solution: False)
+    monkeypatch.setattr(equitau.reprring, "_is_farkas_vector", lambda equations, y: False)
+    assert main(["segal", "--n", "2", "--degree", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "equitau: check failed: the linear solve failed its exact check modulo a prime past 2 H^2\n"
+    ))
 
 
 def test_python_dash_m_equitau(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from equitau.charclass import mu_model
 from equitau.gradedring import GradedSeries, exp
 from equitau.lattice import GroupDescriptor
 from equitau.reprring import (
+    CertificateError,
     RepRingElement,
     augmentation_order,
     chern_character,
@@ -386,19 +387,65 @@ def farkas_holds(equations, y):
     return not any(columns.values()) and rhs == 1
 
 
-fraction_solver = reprring._solve_over_fractions  # the reference, never patched
+def fraction_solver(equations):
+    """The exact reference solver: Gauss-Jordan elimination over Fraction.
+
+    Same pivot rule as ``_solve_sparse_linear``, with mutually reduced pivot
+    rows, so the two return the same solution unless the first prime is
+    unlucky.
+    """
+    pivot_rows = {}  # var -> (row dict without the pivot var, value)
+    for row, b in equations:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        b = Fraction(b)
+        for var in [v for v in row if v in pivot_rows]:
+            c = row.pop(var)
+            prow, pval = pivot_rows[var]
+            for k2, v2 in prow.items():
+                s = row.get(k2, Fraction(0)) - c * v2
+                if s:
+                    row[k2] = s
+                else:
+                    row.pop(k2, None)
+            b -= c * pval
+        if not row:
+            if b != 0:
+                return None
+            continue
+        var = min(row)
+        c = row.pop(var)
+        row = {k: v / c for k, v in row.items()}
+        b /= c
+        for pvar, (prow, pval) in pivot_rows.items():
+            if var in prow:
+                c2 = prow.pop(var)
+                for k2, v2 in row.items():
+                    s = prow.get(k2, Fraction(0)) - c2 * v2
+                    if s:
+                        prow[k2] = s
+                    else:
+                        prow.pop(k2, None)
+                pivot_rows[pvar] = (prow, pval - c2 * b)
+        pivot_rows[var] = (row, b)
+    return {var: val for var, (_, val) in pivot_rows.items() if val}
 
 
 @pytest.fixture
 def solver_log(monkeypatch):
-    """Counts the solver's internal paths; keeps every Farkas vector it accepts."""
-    log = {"fallbacks": 0, "failed_reconstructions": 0, "farkas": []}
+    """Counts the solver's internal paths; keeps every Farkas vector it accepts.
+
+    "moduli" records the modulus of every ``_solve_mod_p`` call and
+    "escalations" counts the calls modulo a second prime, past ``_PRIME``.
+    """
+    log = {"moduli": [], "escalations": 0, "failed_reconstructions": 0, "farkas": []}
+    solve_mod_p = reprring._solve_mod_p
     reconstruction = reprring._rational_reconstruction
     is_farkas_vector = reprring._is_farkas_vector
 
-    def counting_fallback(equations):
-        log["fallbacks"] += 1
-        return fraction_solver(equations)
+    def counting_solve_mod_p(equations, p):
+        log["moduli"].append(p)
+        log["escalations"] += p != reprring._PRIME
+        return solve_mod_p(equations, p)
 
     def counting_reconstruction(a, p):
         value = reconstruction(a, p)
@@ -411,10 +458,15 @@ def solver_log(monkeypatch):
             log["farkas"].append((equations, y))
         return holds
 
-    monkeypatch.setattr(reprring, "_solve_over_fractions", counting_fallback)
+    monkeypatch.setattr(reprring, "_solve_mod_p", counting_solve_mod_p)
     monkeypatch.setattr(reprring, "_rational_reconstruction", counting_reconstruction)
     monkeypatch.setattr(reprring, "_is_farkas_vector", recording_farkas_check)
     return log
+
+
+def within(bound, value):
+    value = Fraction(value)
+    return abs(value.numerator) <= bound and value.denominator <= bound
 
 
 def test_modular_solve_equals_the_fraction_solver(solver_log):
@@ -427,16 +479,22 @@ def test_modular_solve_equals_the_fraction_solver(solver_log):
         assert solution == fraction_solver(equations)
         if solution is not None:
             assert satisfies_exactly(equations, solution)
+            # the Hadamard bound H bounds every value the reference returns
+            bound = reprring._hadamard_bound(equations)
+            assert all(within(bound, v) for v in solution.values())
         outcomes.add(solution is None)
     assert outcomes == {True, False}
-    # most answers come from the modular path, a few from the fallback
-    assert 0 < solver_log["fallbacks"] < systems // 4
-    assert solver_log["farkas"]
-    assert all(farkas_holds(eqs, y) for eqs, y in solver_log["farkas"])
+    # most answers come from the first prime, a few from the second modulus
+    assert 0 < solver_log["escalations"] < systems // 4
+    assert len(solver_log["farkas"]) > 20
+    for equations, y in solver_log["farkas"]:
+        assert farkas_holds(equations, y)
+        assert all(within(reprring._hadamard_bound(equations), v) for v in y.values())
 
 
 @pytest.mark.parametrize("prime", [3, 5, 7])
 def test_small_primes_stay_exact_through_the_fallback(monkeypatch, solver_log, prime):
+    # a first modulus of 3, 5 or 7 fails often; the second one decides every system
     monkeypatch.setattr(reprring, "_PRIME", prime)
     rng = random.Random(prime)
     systems = 80
@@ -446,10 +504,63 @@ def test_small_primes_stay_exact_through_the_fallback(monkeypatch, solver_log, p
         assert (solution is None) == (fraction_solver(equations) is None)
         if solution is not None:
             assert satisfies_exactly(equations, solution)
-    assert 0 < solver_log["fallbacks"] < systems
+    assert 0 < solver_log["escalations"] < systems
     if prime > 3:  # mod 3 every residue reconstructs, to 0 or +-1
         assert solver_log["failed_reconstructions"] > 0
     assert all(farkas_holds(eqs, y) for eqs, y in solver_log["farkas"])
+
+
+def test_large_entries_escalate_to_a_wide_mersenne_prime(monkeypatch, solver_log):
+    # entries up to 10^6 and Fraction rows, first modulus 3: the second
+    # modulus reaches past 2^61 - 1, and its residues leave int64 for lists
+    monkeypatch.setattr(reprring, "_PRIME", 3)
+    rng = random.Random(606)
+    for _ in range(40):
+        m, n = rng.randint(1, 8), rng.randint(1, 10)
+        equations = [
+            ({k: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9))
+              for k in rng.sample(range(n), rng.randint(1, n))}, rng.randint(-10**6, 10**6))
+            for _ in range(m)
+        ]
+        assert reprring._solve_sparse_linear(equations) == fraction_solver(equations)
+    assert max(solver_log["moduli"]) > 2**127
+
+
+def test_mersenne_exponents_increase_from_61():
+    q = reprring._MERSENNE_EXPONENTS
+    assert q[0] == 61 and 2**q[0] - 1 == reprring._PRIME
+    assert all(a < b for a, b in zip(q, q[1:]))
+
+
+def test_tabled_mersenne_numbers_are_prime():
+    sympy = pytest.importorskip("sympy")
+    assert all(sympy.isprime(2**q - 1) for q in reprring._MERSENNE_EXPONENTS if q <= 4423)
+
+
+def test_the_hadamard_bound_counts_each_row_denominator(solver_log):
+    # y = (-7, 1) on (1/7) x = 0, x = 1: the row's d = 7 exceeds 7 |(1/7, 0)| = 1
+    equations = [({0: Fraction(1, 7)}, 0), ({0: 1}, 1)]
+    assert reprring._solve_sparse_linear(equations) is None
+    assert solver_log["farkas"] == [(equations, {0: -7, 1: 1})]
+    assert reprring._hadamard_bound(equations) == 7 * 2
+
+
+def test_a_second_modulus_that_fails_its_check_raises(monkeypatch, solver_log):
+    monkeypatch.setattr(reprring, "_satisfies", lambda equations, solution: False)
+    monkeypatch.setattr(reprring, "_is_farkas_vector", lambda equations, y: False)
+    for equations in ([({0: 1, 1: 2}, 3)], [({0: 1}, 0), ({0: 1}, 1)]):
+        solver_log["moduli"].clear()
+        with pytest.raises(CertificateError):
+            reprring._solve_sparse_linear(equations)
+        assert len(solver_log["moduli"]) == 2 and solver_log["moduli"][0] == reprring._PRIME
+
+
+def test_a_hadamard_bound_past_the_table_raises_value_error(monkeypatch):
+    # 10^10 x = 1 mod 3 lifts to x = 1, which fails; 2 H^2 needs 68 bits
+    monkeypatch.setattr(reprring, "_PRIME", 3)
+    monkeypatch.setattr(reprring, "_MERSENNE_EXPONENTS", (61,))
+    with pytest.raises(ValueError, match="needs a prime of 68 bits"):
+        reprring._solve_sparse_linear([({0: 10**10}, 1)])
 
 
 # ---------------------------------------------------------------------------
