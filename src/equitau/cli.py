@@ -190,17 +190,21 @@ def cmd_weyl(args) -> int:
     report = verify_weyl(args.nmax, trunc)
     rows, checks, lines = [], [], []
     for row in report.rows:
+        # equal canonical series render alike: each distinct series is rendered once
+        text = str(row.pipeline)
         rows.append({
             "twist": row.twist,
             "series": series_to_json(row.pipeline),
-            "series_text": str(row.pipeline),
-            "closed_form_text": str(row.closed_form),
-            "sections_series_text": str(row.oracle_series),
+            "series_text": text,
+            "closed_form_text": text if row.closed_form == row.pipeline else str(row.closed_form),
+            "sections_series_text": (
+                text if row.oracle_series == row.pipeline else str(row.oracle_series)
+            ),
             "sections_text": str(row.oracle_character),
             "pass": row.ok,
         })
         checks.append((f"n={row.twist} three-way agreement up to truncation", row.ok))
-        lines.append(f"n={row.twist:>3} [{'pass' if row.ok else 'FAIL'}] chi = {row.pipeline}")
+        lines.append(f"n={row.twist:>3} [{'pass' if row.ok else 'FAIL'}] chi = {text}")
     doc = make_document(
         "weyl", {"nmax": args.nmax}, trunc, {"rows": rows, "all_pass": report.all_pass}, checks
     )

@@ -128,15 +128,6 @@ def character_orbits(orders: tuple[int, ...]):
         yield residues, e, len(orbit)
 
 
-def character_orbit_representatives(group: GroupDescriptor):
-    """The least TorsionCharacterPoint of each Galois orbit of a finite group's characters."""
-    if not group.is_finite:
-        raise ValueError("character enumeration requires a finite group")
-    orders = group.torsion_orders
-    return [TorsionCharacterPoint(group, tuple(map(Fraction, r, orders)))
-            for r, _, _ in character_orbits(orders)]
-
-
 def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     """Sector table of the action: one row per prime of the rational group algebra.
 

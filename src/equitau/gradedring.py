@@ -18,14 +18,15 @@ total degree plus the exponents' base-B digits.  Every entry of an exponent
 of degree <= N is below B, so adding two keys adds the exponents without a
 carry as long as the product stays in degree <= N, which is exactly
 ``k1 + k2 < limit`` = B^(r+1); sorted keys run by total degree, then by
-exponent, which is also the print order.  Only this module computes keys:
-the public constructor, ``_from_exponents`` (integer numerators on exponent
-tuples, for the closed forms of ``reprring`` and ``riemannroch``) and
-``truncate`` encode them, and ``terms``, ``coefficient`` and ``sorted_num``
-decode them.  ``terms`` is a view {exponent tuple: Fraction}; ``coefficient``
-is 0 for an exponent vector outside the ring.  A product sorts the right
-operand's items and ``_convolve`` adds the products into a dict, scanning the
-right operand only up to the bound.
+exponent, which is also the print order.  The public constructor and
+``truncate`` encode keys, and ``terms``, ``coefficient`` and ``sorted_num``
+decode them; the closed forms ``reprring.chern_character`` and
+``riemannroch.weyl_closed_form`` build their keys from the ring's ``places``
+(t^e has key sum_i e_i places[i]) and hand them to ``_trusted``.  ``terms``
+is a view {exponent tuple: Fraction}; ``coefficient`` is 0 for an exponent
+vector outside the ring.  A product sorts the right operand's items and
+``_convolve`` adds the products into a dict, scanning the right operand only
+up to the bound.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
@@ -134,15 +135,6 @@ class GradedSeries(SparseElement):
             zip(ctx.keys(clean), [c.numerator * (den // c.denominator) for c in clean.values()])
         )
         self.den = den
-
-    @classmethod
-    def _from_exponents(cls, rank, truncation, num, den):
-        """num / den for int numerators on exponent tuples of degree <= N, unchecked.
-
-        Zero numerators are not allowed; the canonical form is restored.
-        """
-        ctx = series_ring(rank, truncation)
-        return cls._trusted(ctx, dict(zip(ctx.keys(num), num.values())), den)
 
     @staticmethod
     def _unit_key(ctx):

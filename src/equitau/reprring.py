@@ -26,8 +26,8 @@ a ``Fraction`` otherwise.
 
 The Chern character is built without any ``Fraction``: for a = sum_w n_w
 chi_w / D as stored, the numerator of t^e is (sum_w n_w w^e) * (N! / e!)
-over the shared denominator D * N!, handed to ``gradedring`` on exponent
-tuples.  No exp series is built; ``riemannroch.hrr_chi`` still takes the
+over the shared denominator D * N!, handed to ``gradedring`` on packed
+keys.  No exp series is built; ``riemannroch.hrr_chi`` still takes the
 e^L of a character twist through ``gradedring.exp``, and
 ``riemannroch.weyl_closed_form`` sums k^e in its own code, so the
 section-oracle checks compare independent routes.
@@ -56,7 +56,7 @@ from operator import add, mul
 
 from ._format import join_signed_terms, monomial_string, variable_names
 from ._sparse import SparseElement
-from .gradedring import GradedSeries
+from .gradedring import GradedSeries, series_ring
 from .lattice import GroupDescriptor, Weight
 
 
@@ -183,9 +183,10 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     Only defined over a free character lattice (a torus).  Closed form (see
     the module docstring): the monomials of total degree <= truncation are
     walked once, depth first, carrying prod_i w_i^e_i for every weight as an
-    integer.  The series is built as integer numerators over the denominator
-    D * N!, where a = sum_w n_w chi_w / D is stored: the numerator of t^e is
-    (sum_w n_w w^e) * (N! / e!).
+    integer and the monomial's packed key (``gradedring.SeriesRing``), one
+    ``places[i]`` added per step in t_i.  The series is built as integer
+    numerators over the denominator D * N!, where a = sum_w n_w chi_w / D is
+    stored: the numerator of t^e is (sum_w n_w w^e) * (N! / e!).
     """
     group = a.group
     if not group.is_free:
@@ -193,30 +194,34 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     if truncation < 0:
         raise ValueError("rank and truncation must be nonnegative")
     rank = group.ngens
+    ctx = series_ring(rank, truncation)
+    places = ctx.places
     weights = list(a.num)
     numerators = list(a.num.values())
     top = math.factorial(truncation)
     num = {}
 
-    def walk(exps, powers, factorials, room):
-        # powers[j] = prod over the fixed exponents of weights[j][i]^e_i
-        i = len(exps)
+    def walk(i, key, powers, factorials, room):
+        # key is the packed key of the fixed exponents, powers[j] the product
+        # over them of weights[j][i]^e_i
         if i == rank:
             value = sum(map(mul, numerators, powers))
             if value:
-                num[exps] = value * (top // factorials)
+                num[key] = value * (top // factorials)
             return
         column = [w[i] for w in weights]
+        place = places[i]
         for e in range(room + 1):
             if e:
                 powers = list(map(mul, powers, column))
                 factorials *= e
+                key += place
                 if not any(powers):  # so is every later monomial of this branch
                     return
-            walk(exps + (e,), powers, factorials, room - e)
+            walk(i + 1, key, powers, factorials, room - e)
 
-    walk((), [1] * len(weights), 1, truncation)
-    return GradedSeries._from_exponents(rank, truncation, num, a.den * top)
+    walk(0, 0, [1] * len(weights), 1, truncation)
+    return GradedSeries._trusted(ctx, num, a.den * top)
 
 
 def augmentation_order(a: RepRingElement, truncation: int):
@@ -296,8 +301,11 @@ def _solve_sparse_linear(equations):
     (A first prime that divides a minor may pick another exact solution.)
     """
     equations = list(equations)
+    integral = all(type(b) is int and all(type(a) is int for a in row.values())
+                   for row, b in equations)
     for p in _moduli(equations):
-        reduced = _reduce_mod_p(equations, p)
+        # ``_solve_mod_p`` reduces an int entry when it reads it: no reduced copy
+        reduced = equations if integral else _reduce_mod_p(equations, p)
         if reduced is None:
             continue
         residues, farkas = _solve_mod_p(reduced, p)
@@ -349,7 +357,7 @@ def _residue(value, p):
 
 def _reduce_mod_p(equations, p):
     """The system with every entry reduced mod p (zeros dropped), or None
-    when some denominator is divisible by p."""
+    when some denominator is divisible by p: for a system with a ``Fraction`` entry."""
     try:
         return [
             ({k: r for k, v in row.items() if (r := _residue(v, p))}, _residue(b, p))
@@ -370,11 +378,12 @@ def _solve_mod_p(equations, p):
     once.  A row is reduced in a dense scratch list by one increasing scan
     (pivot v brings in only variables above v) that stops at its pivot or
     past its highest live variable; its tail is read back from its own
-    variables and those of the pivot rows it subtracted.  Entries are reduced
-    mod p when read.  A pivot row is stored with pivot coefficient 1 as two
-    arrays, the variables above the pivot and their residues, next to its
-    source row, the inverse that normalized it and its reduction steps;
-    residues and multipliers are int64 below p = 2^63 and lists above.
+    variables and, if it subtracted any, those of the pivot rows.  Entries are
+    ints of any size, reduced mod p when read.  A pivot row is stored with
+    pivot coefficient 1 as a list of the variables above the pivot (an int64
+    array would box every entry read) and an array of their residues, next
+    to its source row, the inverse that normalized it and its reduction
+    steps; residues and multipliers are int64 below p = 2^63 and lists above.
 
     Returns (values, None), with {var: nonzero residue} and the free
     variables at zero, or (None, y) when row j reduces to 0 = b != 0: then
@@ -423,8 +432,9 @@ def _solve_mod_p(equations, p):
             mults.append(x)
         b %= p
         if pivot >= 0:
-            row_keys, row_residues = array("q"), residue_array()
-            for k in sorted(set().union(*touched)):  # entries up to the pivot are zero
+            row_keys, row_residues = [], residue_array()
+            tail = sorted(row_vars) if not slots else sorted(set().union(*touched))
+            for k in tail:  # entries up to the pivot are zero
                 x = scratch[k] % p
                 scratch[k] = 0
                 if x:
@@ -511,19 +521,31 @@ CERTIFICATE_UNKNOWN_LIMIT = 10**4
 CERTIFICATE_ENTRY_LIMIT = 10**5
 
 
+def _capped_count(count: int, base: int, exponent: int):
+    """count * base^exponent, or None past 10^30: the product stops there, within
+    ~100 steps, so a rank in the millions is refused at once."""
+    for _ in range(exponent if count and base > 1 else 0):
+        if count > 10**30:
+            return None
+        count *= base
+    return count if count <= 10**30 else None
+
+
 def check_certificate_size(generators: int, terms: int, rank: int, degree_bound: int) -> None:
     """ValueError for a negative bound, over ``CERTIFICATE_UNKNOWN_LIMIT`` unknowns,
     generators * (2 * degree_bound + 1)^rank, or over ``CERTIFICATE_ENTRY_LIMIT``
-    entries, the generators' terms times as many: no generator or target is needed."""
+    entries, the generators' terms times as many: no generator or target is needed.
+    A count past 10^30 is not formed, and is reported as "more than 10^30"."""
     if degree_bound < 0:
         raise ValueError(f"search bound must be nonnegative, got {degree_bound}")
-    box = (2 * degree_bound + 1) ** rank
-    if generators * box > CERTIFICATE_UNKNOWN_LIMIT:
-        raise ValueError(f"the certificate search would solve for {generators * box} unknowns "
-                         f"(limit {CERTIFICATE_UNKNOWN_LIMIT})")
-    if terms * box > CERTIFICATE_ENTRY_LIMIT:
-        raise ValueError(f"the certificate search's system would have {terms * box} nonzero "
-                         f"entries (limit {CERTIFICATE_ENTRY_LIMIT})")
+    unknowns, entries = (_capped_count(c, 2 * degree_bound + 1, rank) for c in (generators, terms))
+    if unknowns is None or unknowns > CERTIFICATE_UNKNOWN_LIMIT:
+        raise ValueError(f"the certificate search would solve for {unknowns or 'more than 10^30'} "
+                         f"unknowns (limit {CERTIFICATE_UNKNOWN_LIMIT})")
+    if entries is None or entries > CERTIFICATE_ENTRY_LIMIT:
+        raise ValueError(f"the certificate search's system would have "
+                         f"{entries or 'more than 10^30'} nonzero entries "
+                         f"(limit {CERTIFICATE_ENTRY_LIMIT})")
 
 
 def ideal_membership_certificate(target: RepRingElement, generators, degree_bound: int):
@@ -534,6 +556,10 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
     re-verified by exact multiplication; None means nothing was found within
     the bound, which proves nothing about non-membership.  A negative bound
     or an oversized system (``check_certificate_size``) raises ValueError.
+    The coefficient of box monomial m in c_i is unknown i * |box| + (index of
+    m in the lex-ordered box): the ints sort as the pairs (i, m) do, so the
+    solver's pivots and canonical solution are the pairs', and ``divmod``
+    splits the solution back into cofactors.
     """
     group, generators = target.group, list(generators)
     rank = group.ngens
@@ -544,28 +570,31 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
         if g.group != group:
             raise ValueError("elements over mismatched group descriptors")
     box = list(product(range(-degree_bound, degree_bound + 1), repeat=rank))
+    size = len(box)
 
-    # column structure: variable (i, m) contributes g_i[e] to the product
-    # monomial m + e (distinct e give distinct w, so plain assignment)
+    # unknown (i, m) contributes g_i[e] to the product monomial m + e
+    # (distinct e give distinct w, so plain assignment)
     columns = {}
     for i, g in enumerate(generators):
-        for m in box:
-            for e, c in g.terms.items():
-                w = tuple(a + b for a, b in zip(m, e))
-                columns.setdefault(w, {})[(i, m)] = c
+        terms = list(g.terms.items())
+        for var, m in enumerate(box, i * size):
+            for e, c in terms:
+                columns.setdefault(tuple(map(add, m, e)), {})[var] = c
 
-    support = set(columns) | set(target.terms)
+    target_terms = target.terms
     equations = [
-        (columns.get(w, {}), target.terms.get(w, 0)) for w in sorted(support)
+        (columns.get(w, {}), target_terms.get(w, 0))
+        for w in sorted(columns.keys() | target_terms.keys())
     ]
     solution = _solve_sparse_linear(equations)
     if solution is None:
         return None
 
-    cofactors = []
-    for i in range(len(generators)):
-        terms = {m: c for (j, m), c in solution.items() if j == i}
-        cofactors.append(RepRingElement(group, terms))
+    split = [{} for _ in generators]
+    for var, c in solution.items():
+        i, k = divmod(var, size)
+        split[i][box[k]] = c
+    cofactors = [RepRingElement(group, terms) for terms in split]
     combo = sum((c * g for c, g in zip(cofactors, generators)), RepRingElement.zero(group))
     if combo != target:
         raise CertificateError("certificate failed exact re-verification")

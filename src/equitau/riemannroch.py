@@ -23,7 +23,7 @@ from itertools import combinations
 from operator import mul, sub
 
 from .charclass import LineTwist, ProjSpaceModel, chern_roots, torus_model
-from .gradedring import GradedSeries, exp
+from .gradedring import GradedSeries, exp, series_ring
 from .lattice import Weight
 from .reprring import RepRingElement, chern_character
 
@@ -68,6 +68,7 @@ def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
         return GradedSeries.zero(1, truncation)
     if n < -1:
         return -weyl_closed_form(-n - 2, truncation)
+    ctx = series_ring(1, truncation)
     ks = range(-n, n + 1, 2)
     powers = [1] * len(ks)  # k^e, for e = 0, 1, ...
     den = math.factorial(truncation)
@@ -79,8 +80,8 @@ def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
             scale //= e
         power_sum = sum(powers)
         if power_sum:
-            num[(e,)] = power_sum * scale
-    return GradedSeries._from_exponents(1, truncation, num, den)
+            num[e * ctx.places[0]] = power_sum * scale  # the packed key of t^e
+    return GradedSeries._trusted(ctx, num, den)
 
 
 # The section oracle enumerates at most this many monomials (about 1 s on P^3).

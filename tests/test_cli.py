@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -125,6 +126,29 @@ def test_weyl_rows_and_exit(capsys):
     code, out = run(capsys, "weyl", "--nmax", "10", "--trunc", "16")
     assert code == 0
     assert out.count("[pass]") >= 12
+
+
+def test_weyl_renders_each_distinct_series_once(capsys, monkeypatch):
+    from equitau.gradedring import GradedSeries
+    from equitau.riemannroch import verify_weyl
+
+    report = verify_weyl(3, 8)
+    # one row whose three series differ takes the separate renderings
+    row = report.rows[2]
+    odd = dataclasses.replace(row, closed_form=row.pipeline + 1,
+                              oracle_series=row.pipeline * 2, ok=False)
+    rows = report.rows[:2] + (odd,) + report.rows[3:]
+    monkeypatch.setattr(equitau.cli, "verify_weyl",
+                        lambda nmax, trunc: dataclasses.replace(report, rows=rows))
+    to_str, rendered = GradedSeries.__str__, []
+    monkeypatch.setattr(GradedSeries, "__str__", lambda self: rendered.append(self) or to_str(self))
+    code, doc = run_json(capsys, "weyl", "--nmax", "3", "--trunc", "8")
+    assert code == 1
+    assert len(rendered) == len(rows) + 2
+    for got, expected in zip(doc["results"]["rows"], rows, strict=True):
+        assert got["series_text"] == to_str(expected.pipeline)
+        assert got["closed_form_text"] == to_str(expected.closed_form)
+        assert got["sections_series_text"] == to_str(expected.oracle_series)
 
 
 def test_pushforward_closed_form_check(capsys):
@@ -468,6 +492,44 @@ def test_a_segal_search_with_too_many_entries_exits_2_at_once(capsys, monkeypatc
         "equitau: error: the certificate search's system would have 1048595 nonzero entries "
         "(limit 100000)\n"
     ))
+
+
+@pytest.mark.parametrize("n", [10**4, 10**7])
+def test_a_segal_count_past_10_to_the_30_gets_the_guards_own_message(capsys, monkeypatch, n):
+    # 10^4 * 3^(10^4) has more digits than Python converts to a string, and 3^(10^7)
+    # takes seconds to form: neither is formed
+    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    start = time.perf_counter()
+    assert main(["segal", "--n", str(n), "--degree", "2"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "equitau: error: the certificate search would solve for more than 10^30 unknowns "
+        "(limit 10000)\n"
+    ))
+
+
+def test_an_entry_count_past_10_to_the_30_gets_the_guards_own_message(capsys, monkeypatch):
+    # bound 0 leaves 200 unknowns, but e_1..e_200 - C(200, k) have 2^200 - 1 + 200 terms
+    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    assert main(["segal", "--n", "200", "--degree", "2", "--bound", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "equitau: error: the certificate search's system would have more than 10^30 nonzero "
+        "entries (limit 100000)\n"
+    ))
+
+
+def test_capped_counts_are_exact_up_to_10_to_the_30():
+    capped_count = equitau.reprring._capped_count
+    assert capped_count(18, 3, 18) == 18 * 3**18
+    assert capped_count(1, 10, 30) == 10**30
+    assert capped_count(1, 10, 31) is None
+    assert capped_count(1, 3, 10**12) is None  # after 64 steps
+    assert capped_count(10**30 + 1, 3, 0) is None
+    # no step is taken for a zero count or a base of 1, whatever the exponent
+    assert (capped_count(0, 3, 10**12), capped_count(4, 1, 10**12)) == (0, 4)
+    assert capped_count(10**30 + 1, 1, 10**12) is None
 
 
 def test_the_segal_entry_count_admits_n_16_and_refuses_n_17_at_bound_0(monkeypatch):

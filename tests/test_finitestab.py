@@ -8,7 +8,7 @@ import pytest
 from equitau.charclass import mu_model
 from equitau.cli import parse_weights
 from equitau.finitestab import (
-    character_orbit_representatives,
+    character_orbits,
     fixed_locus,
     ktheory_free_module_dimension,
     sector_dimensions,
@@ -21,6 +21,13 @@ from equitau.lattice import GroupDescriptor, TorsionCharacterPoint, kernel_of_ch
 def euler_phi(n: int) -> int:
     """Euler's totient by counting, the reference for a sector's residue degree."""
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def character_orbit_representatives(group: GroupDescriptor):
+    """The least TorsionCharacterPoint of each Galois orbit of a finite group's characters."""
+    orders = group.torsion_orders
+    return [TorsionCharacterPoint(group, tuple(map(Fraction, r, orders)))
+            for r, _, _ in character_orbits(orders)]
 
 
 def test_euler_phi_small_values():

@@ -8,7 +8,7 @@ import pytest
 
 from equitau import reprring
 from equitau.charclass import mu_model
-from equitau.gradedring import GradedSeries, exp
+from equitau.gradedring import GradedSeries, SeriesRing, exp
 from equitau.lattice import GroupDescriptor
 from equitau.reprring import (
     CertificateError,
@@ -717,6 +717,106 @@ def segal_systems(monkeypatch):
     return systems
 
 
+def tuple_keyed_cofactors(target, generators, bound):
+    """The cofactors from the system on (i, m) unknowns, as first written,
+    solved by ``fraction_solver`` and split by (i, m); None if inconsistent."""
+    box = list(product(range(-bound, bound + 1), repeat=target.group.ngens))
+    columns = {}
+    for i, g in enumerate(generators):
+        for m in box:
+            for e, c in g.terms.items():
+                w = tuple(a + b for a, b in zip(m, e))
+                columns.setdefault(w, {})[(i, m)] = c
+    support = set(columns) | set(target.terms)
+    equations = [(columns.get(w, {}), target.terms.get(w, 0)) for w in sorted(support)]
+    # the answer does not depend on the row order; by decreasing least
+    # variable, most rows meet no pivot row that holds their pivot (far faster)
+    equations.sort(key=lambda eq: min(eq[0], default=(len(generators),)), reverse=True)
+    solution = fraction_solver(equations)
+    if solution is None:
+        return None
+    return [RepRingElement(target.group, {m: c for (j, m), c in solution.items() if j == i})
+            for i in range(len(generators))]
+
+
+def test_integer_unknowns_give_the_tuple_keyed_cofactors():
+    found = set()
+    for n, degree, bound in SEGAL_CASES:
+        target = (char(torus_group(n), 1, *(0,) * (n - 1)) - 1) ** degree
+        generators = gl_augmentation_generators(n)
+        cofactors = ideal_membership_certificate(target, generators, bound)
+        assert cofactors == tuple_keyed_cofactors(target, generators, bound), (n, degree, bound)
+        found.add(cofactors is not None)
+    assert found == {True, False}
+
+
+def test_segal_systems_are_numbered_in_pair_order(monkeypatch):
+    # unknown i * |box| + index(m): every number below len(generators) * |box| occurs
+    for (n, _, bound), equations in zip(SEGAL_CASES, segal_systems(monkeypatch)):
+        unknowns = set().union(*(row for row, _ in equations))
+        assert unknowns == set(range(n * (2 * bound + 1) ** n))
+
+
+def triangular_integer_system(rng, p):
+    """A system with one solution or none: a triangular core with nonzero
+    diagonal, entries scaled by p (so = 0 mod p), shifted past p or huge, plus
+    rows combined from the core, one of them with a shifted rhs half the time."""
+    n = rng.randint(1, 12)
+
+    def entry():
+        v = rng.choice((-3, -2, -1, 1, 2, 3))
+        return rng.choice((v, v * p, v + rng.randint(1, 5) * p, v * 10**40 + rng.randint(0, 9)))
+
+    core = [({k: entry() for k in range(i, n) if k == i or rng.random() < 0.4}, entry())
+            for i in range(n)]
+    equations = list(core)
+    for _ in range(rng.randint(0, 3)):
+        (r1, b1), (r2, b2) = rng.choice(core), rng.choice(core)
+        row = {k: v for k in set(r1) | set(r2) if (v := 2 * r1.get(k, 0) - r2.get(k, 0))}
+        equations.append((row, 2 * b1 - b2))
+    if rng.random() < 0.5:
+        row, b = equations.pop()
+        equations.append((row, b + rng.choice((-1, 1))))
+    rng.shuffle(equations)
+    return equations
+
+
+@pytest.mark.parametrize("prime", [7, 2**61 - 1])
+def test_integer_systems_are_solved_without_a_reduced_copy(monkeypatch, solver_log, prime):
+    monkeypatch.setattr(reprring, "_PRIME", prime)
+    reduce_mod_p = reprring._reduce_mod_p
+    reduced = []
+    monkeypatch.setattr(reprring, "_reduce_mod_p",
+                        lambda equations, p: reduced.append(p) or reduce_mod_p(equations, p))
+    rng = random.Random(prime)
+    outcomes = set()
+    for _ in range(120):
+        equations = triangular_integer_system(rng, prime)
+        solution = reprring._solve_sparse_linear(equations)
+        assert solution == fraction_solver(equations)
+        outcomes.add(solution is None)
+    assert outcomes == {True, False}
+    assert reduced == []
+    # entries = 0 mod p make the first modulus fail, the second decides
+    assert solver_log["escalations"] > 0
+    reprring._solve_sparse_linear([({0: Fraction(1, 2)}, 1)])
+    assert reduced[0] == prime
+
+
+def test_unreduced_integer_entries_give_the_reduced_systems_residues():
+    p, rng = reprring._PRIME, random.Random(16)
+    outcomes = set()
+    for _ in range(150):
+        equations = triangular_integer_system(rng, p)
+        reduced = reprring._reduce_mod_p(equations, p)
+        values, y = reprring._solve_mod_p(equations, p)
+        assert values == reprring._solve_mod_p(reduced, p)[0]
+        if y is not None:
+            assert farkas_holds_mod_p(reduced, y, p)
+        outcomes.add(values is None)
+    assert outcomes == {True, False}
+
+
 def test_one_pass_equals_two_pass_on_segal_systems(monkeypatch):
     """Every segal system of n = 2 (degree 2-7, bound 1-6) and n = 3
     (degree 2-4, bound 1-2): same residues, and each Farkas vector lifts with
@@ -891,6 +991,13 @@ def test_integer_chern_character_is_canonical_and_matches_fractions():
         for e, c in got.sorted_num():
             assert type(c) is int and c != 0
             assert len(e) == rank and min(e, default=0) >= 0 and sum(e) <= truncation
+
+
+def test_chern_character_builds_its_packed_keys_without_re_keying(monkeypatch):
+    a = RepRingElement(T2, {(1, -2): 3, (0, 1): -1, (0, 0): Fraction(1, 2)})
+    expected = chern_character_by_fractions(a, 7)
+    monkeypatch.setattr(SeriesRing, "keys", None)  # no exponent tuple is encoded
+    assert chern_character(a, 7) == expected
 
 
 def test_chern_character_rejects_a_negative_truncation():

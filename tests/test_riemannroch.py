@@ -13,7 +13,7 @@ from equitau.charclass import (
     mu_model,
     torus_model,
 )
-from equitau.gradedring import GradedSeries, exp, pushforward
+from equitau.gradedring import GradedSeries, SeriesRing, exp, pushforward
 from equitau.lattice import Weight
 from equitau.reprring import RepRingElement, chern_character, torus_group
 from equitau.riemannroch import (
@@ -235,6 +235,12 @@ def test_closed_form_equals_the_sum_of_exp_series():
 
         for m in range(-12, 13):
             assert weyl_closed_form(m, n) == exp_sum(m), (m, n)
+
+
+def test_the_closed_form_builds_its_packed_keys_itself(monkeypatch):
+    expected = [GradedSeries(1, 9, dict(weyl_closed_form(m, 9).terms)) for m in range(-4, 5)]
+    monkeypatch.setattr(SeriesRing, "keys", None)  # no exponent tuple is encoded
+    assert [weyl_closed_form(m, 9) for m in range(-4, 5)] == expected
 
 
 def test_the_oracle_refuses_more_monomials_than_its_limit():
