@@ -1,15 +1,18 @@
 """Canonical text rendering shared by the ring element types.
 
-Coefficients are rendered from integers: a coefficient is anything with
-``.numerator`` and ``.denominator`` (an int or a ``Fraction``), optionally over
-one extra shared denominator, and each one is brought to lowest terms with a
-single ``math.gcd``.  The text is exactly what ``str(Fraction(...))`` gives,
-but no ``Fraction`` is built.
+An element is rendered from its integer numerators over one positive
+denominator by ``terms_string``, a column at a time: each monomial's text is
+built one variable column at a time from the decoded exponent columns, and
+each sign and reduced coefficient is read straight off a numerator with one
+``math.gcd``.  A coefficient's text is exactly what ``str(Fraction(...))``
+gives, but no ``Fraction`` is built.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
+from operator import add
 
 
 def variable_names(stem: str, count: int) -> list[str]:
@@ -17,16 +20,6 @@ def variable_names(stem: str, count: int) -> list[str]:
     if count == 1:
         return [stem]
     return [f"{stem}{i + 1}" for i in range(count)]
-
-
-def monomial_string(names, exponents) -> str:
-    """Render u1^a1 u2^a2 ... omitting unit exponents and untouched variables."""
-    parts = []
-    for name, e in zip(names, exponents):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(parts)
 
 
 def rational_str(numerator: int, denominator: int = 1) -> str:
@@ -37,26 +30,28 @@ def rational_str(numerator: int, denominator: int = 1) -> str:
     return str(numerator // g)
 
 
-def join_signed_terms(terms, den=1) -> str:
-    """Join (coefficient, monomial) pairs as "2 - u + 1/12 t^4"; empty input is "0".
+def terms_string(names, columns, numerators, den=1) -> str:
+    """The sum of numerators[j] / den * prod_i names[i]^columns[i][j] as "2 - u + 1/12 t^4".
 
-    Each coefficient stands for coefficient / den, with den a positive int.
+    Terms print in the given order; columns[i] holds the exponents of
+    names[i], numerators are nonzero ints and den is a positive int.  Unit
+    exponents and unit magnitudes are omitted, and so is a variable at
+    exponent 0.  No terms give "0".
     """
-    out = []
-    for coeff, mono in terms:
-        p = coeff.numerator
-        if not p:
-            continue
-        sign = "-" if p < 0 else "+"
-        mag = rational_str(abs(p), coeff.denominator * den)
-        if not mono:
-            body = mag
-        elif mag == "1":
-            body = mono
-        else:
-            body = f"{mag} {mono}"
-        if not out:
-            out.append(body if sign == "+" else f"-{body}")
-        else:
-            out.append(f" {sign} {body}")
-    return "".join(out) if out else "0"
+    if not numerators:
+        return "0"
+    monomials = [""] * len(numerators)  # each nonempty one has a leading space
+    for name, column in zip(names, columns):
+        texts = {e: f" {name}^{e}" for e in set(column)}
+        texts[0], texts[1] = "", f" {name}"
+        monomials = list(map(add, monomials, map(texts.__getitem__, column)))
+    magnitudes = map(str, map(abs, numerators)) if den == 1 else map(
+        rational_str, map(abs, numerators), repeat(den)
+    )
+    text = "".join(
+        [
+            (" - " if p < 0 else " + ") + (mono[1:] if mono and mag == "1" else mag + mono)
+            for p, mag, mono in zip(numerators, magnitudes, monomials)
+        ]
+    )
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -19,8 +19,8 @@ of degree <= N is below B, so adding two keys adds the exponents without a
 carry as long as the product stays in degree <= N, which is exactly
 ``k1 + k2 < limit`` = B^(r+1); sorted keys run by total degree, then by
 exponent, which is also the print order.  The public constructor and
-``truncate`` encode keys, and ``terms``, ``coefficient`` and ``sorted_num``
-decode them; the closed forms ``reprring.chern_character`` and
+``truncate`` encode keys; ``terms``, ``coefficient``, ``sorted_num`` and
+``__str__`` decode them; the closed forms ``reprring.chern_character`` and
 ``riemannroch.weyl_closed_form`` build their keys from the ring's ``places``
 (t^e has key sum_i e_i places[i]) and hand them to ``_trusted``.  ``terms``
 is a view {exponent tuple: Fraction}; ``coefficient`` is 0 for an exponent
@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._format import join_signed_terms, monomial_string, variable_names
+from ._format import terms_string, variable_names
 from ._sparse import SparseElement
 
 
@@ -93,12 +93,15 @@ class SeriesRing(NamedTuple):
             keys = [k + e * place for k, e in zip(keys, column)]
         return keys
 
-    def exponents(self, keys):
-        """The exponent tuples of a list of keys, in the same order."""
+    def columns(self, keys):
+        """Per variable, the list of its exponents in a list of keys, in order."""
         # top is a multiple of B times every digit, so the degree digit drops out
         base = self.base
-        columns = [[k // d % base for k in keys] for d in self.digits]
-        return list(zip(*columns)) if columns else [()] * len(keys)
+        return [[k // d % base for k in keys] for d in self.digits]
+
+    def exponents(self, keys):
+        """The exponent tuples of a list of keys, in the same order."""
+        return list(zip(*self.columns(keys))) if self.rank else [()] * len(keys)
 
 
 @lru_cache(maxsize=None)
@@ -256,9 +259,12 @@ class GradedSeries(SparseElement):
         return list(zip(self.ctx.exponents(keys), map(self.num.__getitem__, keys)))
 
     def __str__(self):
-        names = variable_names("t", self.rank)
-        return join_signed_terms(
-            ((c, monomial_string(names, e)) for e, c in self.sorted_num()), self.den
+        keys = sorted(self.num)
+        return terms_string(
+            variable_names("t", self.rank),
+            self.ctx.columns(keys),
+            list(map(self.num.__getitem__, keys)),
+            self.den,
         )
 
     __repr__ = __str__
@@ -610,15 +616,15 @@ class BundleRingElement(SparseElement):
     def __str__(self):
         """Terms by total degree, then t-exponents, then h-degree."""
         ctx = self.ctx.ctx
-        keys = list(self.num)
-        # a key's t-digits read as a series key's: limit is a multiple of B.digit
-        items = sorted(
-            (sum(e) + key // ctx.limit, e, key // ctx.limit, self.num[key])
-            for key, e in zip(keys, ctx.exponents(keys))
-        )
-        names = variable_names("t", ctx.rank) + ["h"]
-        return join_signed_terms(
-            ((p, monomial_string(names, e + (k,))) for _, e, k, p in items), self.den
+        limit, top = ctx.limit, ctx.top
+        # h^k.t^e is keyed K = k.limit + |e|.top + digits(e); its t-digits read
+        # as a series key's, since limit is a multiple of B.digit
+        keys = sorted(self.num, key=lambda K: (K // limit + K % limit // top, K % top, K // limit))
+        return terms_string(
+            variable_names("t", ctx.rank) + ["h"],
+            ctx.columns(keys) + [[K // limit for K in keys]],
+            list(map(self.num.__getitem__, keys)),
+            self.den,
         )
 
     __repr__ = __str__

@@ -27,8 +27,13 @@ a ``Fraction`` otherwise.
 The Chern character is built without any ``Fraction``: for a = sum_w n_w
 chi_w / D as stored, the numerator of t^e is (sum_w n_w w^e) * (N! / e!)
 over the shared denominator D * N!, handed to ``gradedring`` on packed
-keys.  No exp series is built; ``riemannroch.hrr_chi`` still takes the
-e^L of a character twist through ``gradedring.exp``, and
+keys.  Its cost follows runs of weights, not weights times monomials: the
+weights are sorted by their reversed coordinates, so those that share
+coordinates i+1.. are contiguous, and once the exponent of t_i is fixed,
+each run is summed into one value (sliced sums, skipped where no run has
+two weights) before the walk descends; the last coordinate's exponents
+are looped in place.  No exp series is built; ``riemannroch.hrr_chi``
+still takes the e^L of a character twist through ``gradedring.exp``, and
 ``riemannroch.weyl_closed_form`` sums k^e in its own code, so the
 section-oracle checks compare independent routes.
 
@@ -51,10 +56,10 @@ import math
 from array import array
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product
-from operator import add, mul
+from itertools import chain, combinations, compress, product
+from operator import add, itemgetter, mul, ne, neg
 
-from ._format import join_signed_terms, monomial_string, variable_names
+from ._format import terms_string, variable_names
 from ._sparse import SparseElement
 from .gradedring import GradedSeries, series_ring
 from .lattice import GroupDescriptor, Weight
@@ -63,6 +68,10 @@ from .lattice import GroupDescriptor, Weight
 def _value(p, den):
     """p / den as an int when it is integral, else as a Fraction."""
     return p // den if p % den == 0 else Fraction(p, den)
+
+
+def _print_order(coords):
+    return sum(map(abs, coords)), tuple(map(neg, coords))
 
 
 class RepRingElement(SparseElement):
@@ -151,15 +160,15 @@ class RepRingElement(SparseElement):
 
     def sorted_terms(self):
         """Canonical order: total coordinate height, then descending lex."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (sum(abs(c) for c in item[0]), tuple(-c for c in item[0])),
-        )
+        return sorted(self.terms.items(), key=lambda item: _print_order(item[0]))
 
     def __str__(self):
-        names = variable_names("u", self.ctx.ngens)
-        return join_signed_terms(
-            (c, monomial_string(names, coords)) for coords, c in self.sorted_terms()
+        keys = sorted(self.num, key=_print_order)
+        return terms_string(
+            variable_names("u", self.ctx.ngens),
+            list(zip(*keys)),
+            list(map(self.num.__getitem__, keys)),
+            self.den,
         )
 
     __repr__ = __str__
@@ -180,13 +189,11 @@ def lambda_minus_one(group: GroupDescriptor, weights) -> RepRingElement:
 def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     """Ring homomorphism into truncated series: each weight w maps to exp(w.t).
 
-    Only defined over a free character lattice (a torus).  Closed form (see
-    the module docstring): the monomials of total degree <= truncation are
-    walked once, depth first, carrying prod_i w_i^e_i for every weight as an
-    integer and the monomial's packed key (``gradedring.SeriesRing``), one
-    ``places[i]`` added per step in t_i.  The series is built as integer
-    numerators over the denominator D * N!, where a = sum_w n_w chi_w / D is
-    stored: the numerator of t^e is (sum_w n_w w^e) * (N! / e!).
+    Only defined over a free character lattice (a torus).  Closed form, by
+    runs of weights (module docstring): integer numerators over D * N!, where
+    a = sum_w n_w chi_w / D is stored, on the packed keys sum_i e_i places[i]
+    of ``gradedring.SeriesRing``; the numerator of t^e is
+    (sum_w n_w w^e) * (N! / e!).
     """
     group = a.group
     if not group.is_free:
@@ -195,32 +202,43 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
         raise ValueError("rank and truncation must be nonnegative")
     rank = group.ngens
     ctx = series_ring(rank, truncation)
-    places = ctx.places
-    weights = list(a.num)
-    numerators = list(a.num.values())
-    top = math.factorial(truncation)
+    if not rank:  # the constant 1 is the only monomial
+        total = sum(a.num.values())
+        return GradedSeries._trusted(ctx, {0: total} if total else {}, a.den)
+    places, top, last = ctx.places, math.factorial(truncation), rank - 1
+    tails = sorted(a.num, key=lambda w: w[::-1]) if rank > 1 else list(a.num)
+    values = list(map(a.num.__getitem__, tails))
+    # columns[i]: coordinate i of the distinct tails (w_i, ..); runs[i]: the
+    # slices of them that share w_(i+1).., or None where all of those differ
+    columns, runs = [], []
+    for _ in range(last):
+        columns.append(list(map(itemgetter(0), tails)))
+        tails = list(map(itemgetter(slice(1, None)), tails))
+        starts = list(compress(range(len(tails)), map(ne, tails, chain((None,), tails))))
+        ends = starts[1:] + [len(tails)]
+        runs.append(None if len(starts) == len(tails) else list(map(slice, starts, ends)))
+        tails = list(map(tails.__getitem__, starts))
+    columns.append(list(map(itemgetter(0), tails)))
     num = {}
 
-    def walk(i, key, powers, factorials, room):
-        # key is the packed key of the fixed exponents, powers[j] the product
-        # over them of weights[j][i]^e_i
-        if i == rank:
-            value = sum(map(mul, numerators, powers))
-            if value:
-                num[key] = value * (top // factorials)
-            return
-        column = [w[i] for w in weights]
-        place = places[i]
+    def walk(i, key, values, scale, room):
+        # values[j]: run j's sum of n_w w^e over the fixed exponents e; key:
+        # their packed key; scale: N! over the product of their factorials
+        column, place, merge = columns[i], places[i], i < last and runs[i]
         for e in range(room + 1):
             if e:
-                powers = list(map(mul, powers, column))
-                factorials *= e
+                values = list(map(mul, values, column))
+                scale //= e
                 key += place
-                if not any(powers):  # so is every later monomial of this branch
-                    return
-            walk(i + 1, key, powers, factorials, room - e)
+            if i == last and (value := sum(values)):
+                num[key] = value * scale
+            elif not any(values):  # so is every later monomial of this branch
+                return
+            elif i < last:
+                merged = list(map(sum, map(values.__getitem__, merge))) if merge else values
+                walk(i + 1, key, merged, scale, room - e)
 
-    walk(0, 0, [1] * len(weights), 1, truncation)
+    walk(0, 0, values, top, truncation)
     return GradedSeries._trusted(ctx, num, a.den * top)
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from collections import Counter
+from itertools import accumulate, combinations, repeat
 from operator import mul, sub
 
 from .charclass import LineTwist, ProjSpaceModel, chern_roots, torus_model
@@ -127,18 +128,34 @@ def _monomial_characters(model: ProjSpaceModel, degree: int, sign: int) -> RepRi
 
     A monomial is a choice of bars b_0 < ... < b_{n-1} among degree + n places,
     e_i = b_i - b_{i-1} - 1 (b_{-1} = -1, b_n = degree + n), so its weight
-    sum_i e_i v_i = base + sum_{i<n} b_i (v_i - v_{i+1}) costs O(n) at any degree.
-    The constructor reduces torsion coordinates and merges what coincides.
+    sum_i e_i v_i = base + sum_{i<n} b_i (v_i - v_{i+1}).  Each coordinate c of
+    it lies in [low_c, low_c + span_c), low_c = degree * min_i v_i[c], so the
+    weight minus the lows packs into one int, digit c in radix span_c.
+    Packing is linear: a monomial costs one ``sum(map(mul, bars, steps))``
+    over the packed steps, and the distinct sums are unpacked once, a
+    coordinate at a time.  Over a group with torsion the constructor reduces
+    the coordinates and merges what coincides.
     """
     v = [tuple(sign * c for c in w) for w in model.weight_vectors()]
     n, places = model.dim, degree + model.dim
-    base = [places * vn + v0 - s for vn, v0, s in zip(v[-1], v[0], map(sum, zip(*v)))]
-    steps = list(zip(*(map(sub, a, b) for a, b in zip(v, v[1:]))))  # one tuple per coordinate
-    counts = {}
-    for bars in combinations(range(places), n):
-        key = tuple([c + sum(map(mul, bars, step)) for c, step in zip(base, steps)])
-        counts[key] = counts.get(key, 0) + 1
-    return RepRingElement(model.group, counts)
+    columns = list(zip(*v))  # one tuple per coordinate
+    lows = [degree * min(c) for c in columns]
+    spans = [degree * (max(c) - min(c)) + 1 for c in columns]
+    radices = list(accumulate([1, *spans[:-1]], mul))
+
+    def pack(x):
+        return sum(map(mul, x, radices))
+
+    base = [places * vn + v0 - s for vn, v0, s in zip(v[-1], v[0], map(sum, columns))]
+    steps = [pack(map(sub, a, b)) for a, b in zip(v, v[1:])]
+    sums = map(sum, map(map, repeat(mul), combinations(range(places), n), repeat(steps)))
+    counts, offset = Counter(sums), pack(map(sub, base, lows))
+    keys = [key + offset for key in counts]
+    digits = [[k // r % span + low for k in keys] for r, span, low in zip(radices, spans, lows)]
+    terms = dict(zip(zip(*digits) if digits else [()] * len(keys), counts.values()))
+    if model.group.is_free:  # distinct reduced coordinates, positive counts
+        return RepRingElement._trusted(model.group, terms, 1)
+    return RepRingElement(model.group, terms)
 
 
 @dataclass(frozen=True)

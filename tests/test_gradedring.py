@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from equitau._format import join_signed_terms, monomial_string, variable_names
+from equitau._format import rational_str, variable_names
 from equitau.gradedring import (
     BundleRing,
     BundleRingElement,
@@ -886,6 +886,21 @@ def test_bundle_arithmetic_is_slotwise_and_canonical():
         make_h() + BundleRing(P1, 1, 7).hyperplane()
     with pytest.raises(ValueError):
         make_h() * GradedSeries.variable(1, 7)
+
+
+def monomial_string(names, exponents):
+    """The per-term monomial renderer: u1^a1 u2^a2 ..., omitting unit exponents and zeros."""
+    return " ".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e)
+
+
+def join_signed_terms(terms, den=1):
+    """The per-term joiner: (numerator, monomial) pairs over den as "2 - u + 1/12 t^4"."""
+    out = []
+    for p, mono in terms:
+        mag = rational_str(abs(p), den)
+        body = mag if not mono else mono if mag == "1" else f"{mag} {mono}"
+        out.append(("-" if p < 0 else "") + body if not out else f" {'-' if p < 0 else '+'} {body}")
+    return "".join(out) if out else "0"
 
 
 def reference_bundle_str(x):

@@ -161,9 +161,38 @@ def test_chern_character_of_product_by_multiplying_expansions():
     assert got.low_degree() == 2
 
 
+def run_merge_cases(rng):
+    """(element, truncation) pairs for the run merge of ``chern_character``.
+
+    20-60 weights at ranks 2-3 whose later coordinates repeat, so that the
+    runs sharing coordinates i+1.. hold many weights; a column of zeros; a
+    truncation 0; and the empty element at ranks 0-3.
+    """
+    for case in range(24):
+        rank = 2 + case % 2
+        zero_column = rng.randrange(rank) if case % 3 == 0 else None
+        terms = {}
+        for _ in range(rng.randint(20, 60)):
+            coords = [rng.randint(-6, 6)] + [rng.randint(-1, 1) for _ in range(rank - 1)]
+            if zero_column is not None:
+                coords[zero_column] = 0
+            if rng.random() < 0.7:
+                c = rng.randint(-5, 5)
+            else:
+                c = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            terms[tuple(coords)] = terms.get(tuple(coords), 0) + c
+        truncation = 0 if case % 8 == 5 else rng.randint(1, 8 if rank == 2 else 5)
+        yield RepRingElement(torus_group(rank), terms), truncation
+    for rank in range(4):
+        yield RepRingElement.zero(torus_group(rank)), rng.randint(0, 6)
+
+
 def test_closed_form_chern_character_matches_exp_series_sum():
     rng = random.Random(20260905)
     seen = set()
+    for a, truncation in run_merge_cases(random.Random(20261019)):
+        got = chern_character(a, truncation)
+        assert got.terms == chern_character_by_exp_series(a, truncation).terms, (truncation, a)
     for case in range(240):
         rank = case % 4
         truncation = case % 17 if case < 68 else rng.randint(0, 16)
@@ -991,6 +1020,14 @@ def test_integer_chern_character_is_canonical_and_matches_fractions():
         for e, c in got.sorted_num():
             assert type(c) is int and c != 0
             assert len(e) == rank and min(e, default=0) >= 0 and sum(e) <= truncation
+    merged = 0
+    for a, truncation in run_merge_cases(random.Random(20261020)):
+        got = chern_character(a, truncation)
+        assert got == chern_character_by_fractions(a, truncation), (truncation, a)
+        assert got.den > 0 and math.gcd(got.den, *got.num.values()) == 1
+        tails = {k[1:] for k in a.num}
+        merged += len(tails) < len(a.num)
+    assert merged >= 20  # most cases have runs of more than one weight
 
 
 def test_chern_character_builds_its_packed_keys_without_re_keying(monkeypatch):
