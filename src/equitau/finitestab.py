@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .charclass import ProjSpaceModel
 from .lattice import (
@@ -143,16 +144,18 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     _check_group_order(group)
     orders = group.torsion_orders
     lcm = math.lcm(*orders)
+    coords = [w.coords for w in model.weights]
     sectors = []
     for residues, e, size in sorted(character_orbits(orders), key=lambda o: (o[1], o[0])):
         scaled = [r * (lcm // d) for r, d in zip(residues, orders)]
         groups: dict[int, list[int]] = {}
-        for i, w in enumerate(model.weights):
-            groups.setdefault(sum(c * s for c, s in zip(w.coords, scaled)) % lcm, []).append(i)
+        for i, c in enumerate(coords):
+            groups.setdefault(sum(map(mul, c, scaled)) % lcm, []).append(i)
         # an index list starts at its least index, so insertion order is sorted order
         components = tuple(FixedComponent(tuple(ix), tuple(model.weights[i] for i in ix))
                            for ix in groups.values())
-        point = TorsionCharacterPoint(group, tuple(map(Fraction, residues, orders)))
+        # 0 <= r < d: each value r/d is already a valid reduced value
+        point = TorsionCharacterPoint._trusted(group, tuple(map(Fraction, residues, orders)))
         sectors.append(Sector(point, e, size, GroupDescriptor(0, (e,) if e > 1 else ()),
                               components, sum(c.dim + 1 for c in components) * size))
     return SectorDecomposition(group, model, tuple(sectors))

@@ -134,6 +134,15 @@ class TorsionCharacterPoint:
                 raise ValueError(f"value {v} invalid on a torsion generator of order {d}")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _trusted(cls, group: GroupDescriptor, values: tuple[Fraction, ...]):
+        """The point with these values, unchecked: only for one Fraction in [0, 1)
+        per generator, with d * value integral on a torsion generator of order d."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "group", group)
+        object.__setattr__(point, "values", values)
+        return point
+
     def __call__(self, w: Weight) -> Fraction:
         if w.group != self.group:
             raise ValueError("weight over a different group")

@@ -37,13 +37,15 @@ still takes the e^L of a character twist through ``gradedring.exp``, and
 ``riemannroch.weyl_closed_form`` sums k^e in its own code, so the
 section-oracle checks compare independent routes.
 
-The certificate search solves its linear system modulo the prime 2^61 - 1
-in one forward elimination, lifts each value by rational reconstruction and
-checks every equation exactly.  An inconsistent system is reported only with
-a Farkas vector y (y.A = 0, y.b = 1), read off the same elimination's record
-of pivot rows and multipliers, lifted the same way and checked exactly; when
-a lift or a check fails, the same elimination runs once more, modulo a
-Mersenne prime past twice the squared Hadamard bound, and that answer lifts.
+The certificate search keys its linear system by monomials packed into one
+int each, solves it modulo the prime 2^61 - 1 in one forward elimination
+that takes the shortest rows first, lifts each value by rational
+reconstruction and checks every equation exactly.  An inconsistent system
+is reported only with a Farkas vector y (y.A = 0, y.b = 1), read off the
+same elimination's record of pivot rows and multipliers, lifted the same
+way and checked exactly; when a lift or a check fails, the same
+elimination runs once more, modulo a Mersenne prime past twice the squared
+Hadamard bound, and that answer lifts.
 The search re-expands sum_i c_i g_i before it returns a certificate.
 
 A failed certificate search is only "nothing found within the bound" and is
@@ -53,9 +55,8 @@ never evidence of non-membership.
 from __future__ import annotations
 
 import math
-from array import array
+from collections import defaultdict
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations, compress, product
 from operator import add, itemgetter, mul, ne, neg
 
@@ -388,20 +389,26 @@ def _reduce_mod_p(equations, p):
 def _solve_mod_p(equations, p):
     """One forward pass of elimination over GF(p) to row-echelon form, then back-substitution.
 
-    Variables are numbered in sorted order and each row is pivoted on its
-    least surviving variable, so the answer does not depend on the row order
-    (see ``_solve_sparse_linear``).  Rows are taken by decreasing least
-    variable, rows with no unknowns first: most rows then become pivot rows
-    unreduced, and an unreachable nonzero right-hand side ends the solve at
-    once.  A row is reduced in a dense scratch list by one increasing scan
-    (pivot v brings in only variables above v) that stops at its pivot or
-    past its highest live variable; its tail is read back from its own
-    variables and, if it subtracted any, those of the pivot rows.  Entries are
-    ints of any size, reduced mod p when read.  A pivot row is stored with
-    pivot coefficient 1 as a list of the variables above the pivot (an int64
-    array would box every entry read) and an array of their residues, next
-    to its source row, the inverse that normalized it and its reduction
-    steps; residues and multipliers are int64 below p = 2^63 and lists above.
+    Rows are taken shortest first, ties broken by decreasing least variable
+    (Markowitz's order, by row counts only): rows with no unknowns come first,
+    so an unreachable nonzero right-hand side ends the solve at once, and
+    short pivot rows bring little fill-in into the rows reduced after them.
+    The order moves no pivot.  Variables are numbered in sorted order and each
+    row is still pivoted on its least surviving variable, so the pivots are
+    the leading variables of the row space in any row order; the free
+    variables stay at zero, and the returned solution is the same for every
+    row order (see ``_solve_sparse_linear``).  Only a Farkas vector may
+    differ, and it is checked exactly by the caller.
+
+    A row is reduced in a dense scratch list by one increasing scan (pivot v
+    brings in only variables above v) that stops at its pivot or past its
+    highest live variable; its tail is read back from its own variables and,
+    if it subtracted any, those of the pivot rows.  Entries are ints of any
+    size, reduced mod p when read.  A pivot row is stored with pivot
+    coefficient 1 as a list of the variables above the pivot and a list of
+    their residues, next to its source row, the inverse that normalized it
+    and its reduction steps (pivot slots and multipliers).  Every record is a
+    plain list for every modulus: an int64 array would box every entry read.
 
     Returns (values, None), with {var: nonzero residue} and the free
     variables at zero, or (None, y) when row j reduces to 0 = b != 0: then
@@ -412,18 +419,17 @@ def _solve_mod_p(equations, p):
     names = sorted(set().union(*(row for row, _ in equations)))
     n = len(names)
     number = dict(zip(names, range(n))).__getitem__
-    order = sorted(range(len(equations)), reverse=True,
-                   key=lambda j: min(map(number, equations[j][0]), default=n))
+    order = sorted(range(len(equations)), key=lambda j: (
+        len(equations[j][0]), -min(map(number, equations[j][0]), default=n)))
     scratch = [0] * n
     slot = [-1] * n  # var -> its index in the pivot record, -1 for no pivot
-    residue_array = partial(array, "q") if p < 2**63 else list
     keys, residues, rhs, sources, inverses, step_slots, step_mults = ([] for _ in range(7))
     for j in order:
         row, b = equations[j]
         row_vars = list(map(number, row))
         for var, a in zip(row_vars, row.values()):
             scratch[var] = a
-        touched, slots, mults = [row_vars], array("q"), residue_array()
+        touched, slots, mults = [row_vars], [], []
         pivot, high = -1, max(row_vars, default=-1)
         for var in range(min(row_vars, default=n), n):
             x = scratch[var]
@@ -450,7 +456,7 @@ def _solve_mod_p(equations, p):
             mults.append(x)
         b %= p
         if pivot >= 0:
-            row_keys, row_residues = [], residue_array()
+            row_keys, row_residues = [], []
             tail = sorted(row_vars) if not slots else sorted(set().union(*touched))
             for k in tail:  # entries up to the pivot are zero
                 x = scratch[k] % p
@@ -574,10 +580,20 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
     re-verified by exact multiplication; None means nothing was found within
     the bound, which proves nothing about non-membership.  A negative bound
     or an oversized system (``check_certificate_size``) raises ValueError.
+
     The coefficient of box monomial m in c_i is unknown i * |box| + (index of
     m in the lex-ordered box): the ints sort as the pairs (i, m) do, so the
     solver's pivots and canonical solution are the pairs', and ``divmod``
-    splits the solution back into cofactors.
+    splits the solution back into cofactors.  Each equation is the
+    coefficient of one monomial w, keyed by one int instead of a tuple:
+    every coordinate is offset by low = (least coordinate of the generators
+    and the target) - degree_bound and read as a digit in radix span = (the
+    coordinates' range) + 2 * degree_bound + 1, the first coordinate most
+    significant, so every product and target monomial has digits in
+    [0, span), keys are distinct, and sorted keys run in the tuples' lex
+    order.  The key is affine in w, so key(m + e) = key(m) + key(e) - key(0):
+    each box monomial's shift key(m) - key(0) is computed once and added to
+    the key of each generator term.
     """
     group, generators = target.group, list(generators)
     rank = group.ngens
@@ -589,20 +605,31 @@ def ideal_membership_certificate(target: RepRingElement, generators, degree_boun
             raise ValueError("elements over mismatched group descriptors")
     box = list(product(range(-degree_bound, degree_bound + 1), repeat=rank))
     size = len(box)
-
-    # unknown (i, m) contributes g_i[e] to the product monomial m + e
-    # (distinct e give distinct w, so plain assignment)
-    columns = {}
-    for i, g in enumerate(generators):
-        terms = list(g.terms.items())
-        for var, m in enumerate(box, i * size):
-            for e, c in terms:
-                columns.setdefault(tuple(map(add, m, e)), {})[var] = c
-
+    generator_terms = [g.terms for g in generators]
     target_terms = target.terms
+    coords = [c for terms in (*generator_terms, target_terms) for w in terms for c in w]
+    low = min(coords, default=0) - degree_bound
+    span = max(coords, default=0) + degree_bound + 1 - low
+    powers = [span**i for i in range(rank - 1, -1, -1)]
+    origin = -low * sum(powers)
+
+    def key(w):
+        return origin + sum(map(mul, w, powers))
+
+    # unknown (i, m) contributes g_i[e] to the product monomial m + e, whose
+    # key is key(e) + key(m) - key(0) (distinct e give distinct w, so plain assignment)
+    shifts = [key(m) - origin for m in box]
+    columns = defaultdict(dict)
+    for i, terms in enumerate(generator_terms):
+        unknowns = range(i * size, (i + 1) * size)
+        for e, c in terms.items():
+            for var, w in zip(unknowns, map(key(e).__add__, shifts)):
+                columns[w][var] = c
+
+    target_rows = {key(w): c for w, c in target_terms.items()}
     equations = [
-        (columns.get(w, {}), target_terms.get(w, 0))
-        for w in sorted(columns.keys() | target_terms.keys())
+        (columns.get(w, {}), target_rows.get(w, 0))
+        for w in sorted(columns.keys() | target_rows.keys())
     ]
     solution = _solve_sparse_linear(equations)
     if solution is None:

@@ -541,7 +541,7 @@ def test_small_primes_stay_exact_through_the_fallback(monkeypatch, solver_log, p
 
 def test_large_entries_escalate_to_a_wide_mersenne_prime(monkeypatch, solver_log):
     # entries up to 10^6 and Fraction rows, first modulus 3: the second
-    # modulus reaches past 2^61 - 1, and its residues leave int64 for lists
+    # modulus reaches past 2^127
     monkeypatch.setattr(reprring, "_PRIME", 3)
     rng = random.Random(606)
     for _ in range(40):
@@ -777,6 +777,53 @@ def test_integer_unknowns_give_the_tuple_keyed_cofactors():
         assert cofactors == tuple_keyed_cofactors(target, generators, bound), (n, degree, bound)
         found.add(cofactors is not None)
     assert found == {True, False}
+
+
+def random_laurent(rng, group, terms, spread=3, fractional=False):
+    """A nonzero element with up to ``terms`` terms, exponents in [-spread, spread]."""
+    def coefficient():
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        return Fraction(c, rng.randint(2, 5)) if fractional and rng.random() < 0.5 else c
+
+    monomials = {tuple(rng.randint(-spread, spread) for _ in range(group.ngens))
+                 for _ in range(rng.randint(1, terms))}
+    return RepRingElement(group, {m: coefficient() for m in monomials})
+
+
+def test_packed_keys_give_the_tuple_keyed_cofactors_on_random_generators():
+    """Generators of rank 1-3 with exponents in [-3, 3] (some with Fraction
+    coefficients), bounds from 0, and targets that are combinations of the
+    generators, random elements, or hold a monomial outside every product's
+    range (which also moves the least coordinate the keys are offset by)."""
+    rng = random.Random(1718)
+    kinds = ("combination", "random", "outside")
+    found, fractional, bounds = set(), 0, set()
+    for trial in range(90):
+        rank = rng.randint(1, 3)
+        group = torus_group(rank)
+        bound = rng.randint(0, 4 - rank)  # at most 81 unknowns for the Fraction reference
+        with_fractions = trial % 5 == 0
+        generators = [random_laurent(rng, group, 3, fractional=with_fractions)
+                      for _ in range(rng.randint(1, 3))]
+        kind = kinds[trial % 3]
+        if kind == "random":
+            target = random_laurent(rng, group, 4)
+        else:
+            target = sum((random_laurent(rng, group, 2, spread=bound) * g for g in generators),
+                         RepRingElement.zero(group))
+        if kind == "outside":
+            far = 3 + bound + rng.randint(1, 4)
+            target = target + char(group, *(rng.choice((-far, far)) for _ in range(rank)))
+        cofactors = ideal_membership_certificate(target, generators, bound)
+        assert cofactors == tuple_keyed_cofactors(target, generators, bound), trial
+        if kind == "combination":
+            assert cofactors is not None, trial
+        if kind == "outside":
+            assert cofactors is None, trial
+        found.add(cofactors is not None)
+        fractional += any(g.den != 1 for g in generators)
+        bounds.add(bound)
+    assert found == {True, False} and fractional > 0 and 0 in bounds
 
 
 def test_segal_systems_are_numbered_in_pair_order(monkeypatch):
