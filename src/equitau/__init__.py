@@ -27,14 +27,12 @@ from .reprring import (
     torus_group,
 )
 from .charclass import (
-    BundleSum,
-    LineTwist,
     ProjSpaceModel,
-    TANGENT,
-    Tangent,
     chern_character_bundle,
     chern_roots,
+    line_class,
     mu_model,
+    tangent_class,
     todd_class_bundle,
     torus_model,
 )

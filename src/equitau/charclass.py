@@ -4,7 +4,9 @@ Convention (validated against the brute-force section-character oracle):
 V = direct sum of one-dimensional eigenspaces k_{w_i}, P(V) = lines in V,
 defining relation prod_i(h + w_i.t), c_1(O(1)) = h, and global sections of
 O(n) for n >= 0 carry the character of Sym^n V^* (negated sums of n of the
-w_i).  The tangent class is the Euler-sequence virtual difference
+w_i).  A bundle is a K-class: a dict {(k, c): m} standing for the signed sum
+of m . O(k) tensor chi_c, c a coordinate tuple (() the trivial character).
+The tangent class is the Euler-sequence virtual difference
 [sum_i O(1) tensor chi_{w_i}] - [O], which gives closed-form Chern roots.
 """
 
@@ -72,7 +74,7 @@ class ProjSpaceModel:
     @cached_property
     def tangent_todd(self) -> BundleRingElement:
         """td of the tangent class, built once per model (``hrr_chi`` uses it)."""
-        return todd_class_bundle(self, TANGENT)
+        return todd_class_bundle(self, tangent_class(self))
 
     def todd_moments(self, count):
         """``pushforward_moments(tangent_todd, count)``, kept on the model and rebuilt to extend."""
@@ -83,11 +85,6 @@ class ProjSpaceModel:
 
     def hyperplane(self) -> BundleRingElement:
         return self.ring.hyperplane()
-
-    def base_form(self, coords) -> BundleRingElement:
-        """The degree-1 class w.t of a character, embedded in the bundle ring."""
-        ring = self.ring
-        return ring.embed(GradedSeries.linear_form(ring.rank, ring.truncation, coords))
 
     def embed(self, value) -> BundleRingElement:
         return self.ring.embed(value)
@@ -126,80 +123,49 @@ def mu_model(orders, weights, truncation=DEFAULT_TRUNCATION) -> ProjSpaceModel:
 
 
 # ---------------------------------------------------------------------------
-# Bundle specifications
+# K-classes: a bundle is a dict {(k, c): m}, the signed sum of m . O(k) (x) chi_c
 
 
-@dataclass(frozen=True)
-class LineTwist:
-    """O(power) tensored with the character of the given coordinate vector."""
-
-    power: int = 0
-    character: tuple[int, ...] | None = None
+def line_class(power: int, character=()) -> dict:
+    """The K-class of O(power) tensored with the character of a coordinate tuple."""
+    return {(power, tuple(character)): 1}
 
 
-@dataclass(frozen=True)
-class Tangent:
-    """The tangent class of P(V), as an Euler-sequence virtual difference."""
+def tangent_class(model: ProjSpaceModel) -> dict:
+    """The tangent class sum_i O(1) (x) chi_(w_i) - O of the Euler sequence."""
+    bundle = {}
+    for w in model.weights:
+        bundle[1, w.coords] = bundle.get((1, w.coords), 0) + 1
+    bundle[0, ()] = -1
+    return bundle
 
 
-@dataclass(frozen=True)
-class BundleSum:
-    """A direct sum of line twists."""
-
-    summands: tuple[LineTwist, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(self.summands))
-        for s in self.summands:
-            if not isinstance(s, LineTwist):
-                raise ValueError("only line twists can be summed")
-
-
-TANGENT = Tangent()
-
-
-def chern_roots(model: ProjSpaceModel, bundle):
-    """(positive_roots, negative_roots) as degree-1 bundle ring elements."""
-    h = model.hyperplane()
-    if isinstance(bundle, LineTwist):
-        root = h * bundle.power
-        if bundle.character is not None:
-            root = root + model.base_form(bundle.character)
-        return [root], []
-    if isinstance(bundle, BundleSum):
-        positives = []
-        for summand in bundle.summands:
-            positives.extend(chern_roots(model, summand)[0])
-        return positives, []
-    if isinstance(bundle, Tangent):
-        positives = [h + model.base_form(w.coords) for w in model.weights]
-        trivial = model.embed(GradedSeries.zero(model.rank, model.truncation))
-        return positives, [trivial]
-    raise ValueError(f"unsupported bundle kind: {bundle!r}")
+def chern_roots(model: ProjSpaceModel, bundle) -> list:
+    """[(m, x)]: the root x = k.h + c.t of each key (k, c), with its multiplicity m."""
+    ring = model.ring
+    roots = []
+    for (k, c), m in bundle.items():
+        num = dict(GradedSeries.linear_form(ring.rank, ring.truncation, c).num) if c else {}
+        if k:
+            num[ring.ctx.limit] = k  # the key of h
+        roots.append((m, BundleRingElement._trusted(ring, num, 1)))
+    return roots
 
 
 def chern_character_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
-    """sum exp(x_i) over positive roots minus the same over negative roots."""
-    positives, negatives = chern_roots(model, bundle)
-    total = model.embed(0)
-    for x in positives:
-        total = total + exp(x)
-    for x in negatives:
-        total = total - exp(x)
-    return total
+    """sum m . exp(x) over the roots."""
+    return sum((exp(x) * m for m, x in chern_roots(model, bundle)), model.embed(0))
 
 
 def todd_class_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
-    """Product of x/(1-e^(-x)) over positive roots and (1-e^(-x))/x over negatives.
+    """Product of td(x)^m over the roots, td(x) = x/(1-e^(-x)).
 
     Always a unit with constant term 1, built by one ``root_series_product``
-    call (Newton coordinates, no dense product).  A zero root, such as the
-    tangent's trivial negative one, contributes the factor 1; ch still needs
-    it (it subtracts the class of O).
+    call (Newton coordinates, no dense product) of |m| factors per root, each
+    (1-e^(-x))/x when m < 0.  A zero root, such as the tangent's trivial one,
+    contributes the factor 1; ch still needs it (it subtracts the class of O).
     """
-    positives, negatives = chern_roots(model, bundle)
-    return root_series_product(
-        model.ring,
-        [(todd_coefficient, x) for x in positives]
-        + [(todd_inverse_coefficient, x) for x in negatives],
-    )
+    factors = []
+    for m, x in chern_roots(model, bundle):
+        factors += [(todd_coefficient if m > 0 else todd_inverse_coefficient, x)] * abs(m)
+    return root_series_product(model.ring, factors)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from ._format import rational_str
-from .charclass import DEFAULT_TRUNCATION, LineTwist, mu_model, torus_model
+from .charclass import DEFAULT_TRUNCATION, line_class, mu_model, torus_model
 from .finitestab import (
     ktheory_free_module_dimension,
     sector_dimensions,
@@ -161,8 +161,8 @@ def cmd_chi(args) -> int:
     trunc = resolve_truncation(args)
     weights = parse_weights(args.weights)
     model = torus_model(weights, trunc)
-    character = tuple(int(x) for x in args.char.split(",")) if args.char else None
-    result = chi_with_oracle(model, LineTwist(args.twist, character))
+    character = tuple(int(x) for x in args.char.split(",")) if args.char else ()
+    result = chi_with_oracle(model, line_class(args.twist, character))
     checks = [("section-oracle agreement up to truncation", result.matches_oracle)]
     is_weyl_model = model.rank == 1 and model.weight_vectors() == ((1,), (-1,)) and not character
     if is_weyl_model:

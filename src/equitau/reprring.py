@@ -539,7 +539,7 @@ def _is_farkas_vector(equations, y):
     return rhs == denominator and not any(totals.values())
 
 
-# Unknowns per certificate search; `segal --n 4 --degree 4` has 9,604 (about 5 s).
+# Unknowns per certificate search; `segal --n 4 --degree 4` has 9,604 (about 2 s).
 CERTIFICATE_UNKNOWN_LIMIT = 10**4
 # Nonzero entries of its system, generator terms times cofactor monomials; 45,619 there.
 CERTIFICATE_ENTRY_LIMIT = 10**5

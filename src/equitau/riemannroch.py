@@ -23,7 +23,7 @@ from collections import Counter
 from itertools import accumulate, combinations, repeat
 from operator import mul, sub
 
-from .charclass import LineTwist, ProjSpaceModel, chern_roots, torus_model
+from .charclass import ProjSpaceModel, line_class, torus_model
 from .gradedring import GradedSeries, exp, series_ring
 from .lattice import Weight
 from .reprring import RepRingElement, chern_character
@@ -32,27 +32,25 @@ from .reprring import RepRingElement, chern_character
 def hrr_chi(model: ProjSpaceModel, bundle) -> GradedSeries:
     """Euler characteristic pushforward(ch(bundle) * td(tangent)), by the projection formula.
 
-    A Chern root x = (a.h + L) / dx, L from the base, gives pushforward(e^x td) = e^(L/dx) *
-    sum_j (a/dx)^j / j! * mu_j, with mu_j = pushforward(h^j td), j <= N + n (Fulton,
-    *Intersection Theory*, Prop. 8.3(c)), summed on integers; e^(L/dx) is ``exp`` of a base
-    series, used only when L != 0.  The model's ring refuses a group that is not a torus.
+    A key (a, c) of multiplicity m has the root x = a.h + c.t, and pushforward(e^x td) =
+    e^(c.t) * sum_j a^j / j! * mu_j, with mu_j = pushforward(h^j td), j <= N + n (Fulton,
+    *Intersection Theory*, Prop. 8.3(c)), summed on integers; e^(c.t) is ``exp`` of a base
+    linear form, used only when c != ().  The model's ring refuses a group that is not a torus.
     """
-    ring, ctx = model.ring, model.ring.ctx
-    positives, negatives = chern_roots(model, bundle)
+    ctx = model.ring.ctx
     total = GradedSeries.zero(ctx.rank, ctx.truncation)
-    for sign, x in [(1, x) for x in positives] + [(-1, x) for x in negatives]:
-        a, form, dx = ring.linear_parts(x)
+    for (a, c), m in bundle.items():
         last = ctx.truncation + model.dim if a else 0
-        moments, m, num = model.todd_moments(last + 1), sign * a**last, {}
-        for j in range(last, -1, -1):  # m = sign * a^j * dx^(last - j) * last! / j!
-            for k, c in moments[j].items():
-                num[k] = num.get(k, 0) + m * c
+        moments, m, num = model.todd_moments(last + 1), m * a**last, {}
+        for j in range(last, -1, -1):  # m = multiplicity * a^j * last! / j!
+            for k, v in moments[j].items():
+                num[k] = num.get(k, 0) + m * v
             if j:  # a divides m, which holds a^j
-                m = m // a * j * dx
-        den = abs(m) * model.tangent_todd.den
-        term = GradedSeries._trusted(ctx, {k: c for k, c in num.items() if c}, den)
-        if form:
-            term = exp(GradedSeries._trusted(ctx, dict(form), dx)) * term
+                m = m // a * j
+        den = math.factorial(last) * model.tangent_todd.den
+        term = GradedSeries._trusted(ctx, {k: v for k, v in num.items() if v}, den)
+        if c:
+            term = exp(GradedSeries.linear_form(ctx.rank, ctx.truncation, c)) * term
         total = total + term
     return total
 
@@ -165,12 +163,19 @@ class EulerCharacteristicResult:
     matches_oracle: bool
 
 
-def chi_with_oracle(model: ProjSpaceModel, bundle: LineTwist) -> EulerCharacteristicResult:
-    """Run the pushforward pipeline and the section oracle on a line twist."""
-    oracle = sections_character_oracle(model, bundle.power)  # size-checked first
+def chi_with_oracle(model: ProjSpaceModel, bundle) -> EulerCharacteristicResult:
+    """Run the pushforward pipeline and the section oracle on a K-class.
+
+    The oracle goes by linearity, chi(O(k) (x) chi_c) = chi_c . chi(O(k)); every
+    O(k) is size-checked and enumerated before ``hrr_chi`` runs.
+    """
+    oracles = {k: sections_character_oracle(model, k) for k in {k for k, _ in bundle}}
+    terms = []
+    for (k, c), m in bundle.items():  # a one-term class keeps the oracle's own element
+        term = oracles[k] * RepRingElement.character(model.group, c) if c else oracles[k]
+        terms.append(term if m == 1 else term * m)
+    oracle = sum(terms[1:], terms[0]) if terms else RepRingElement.zero(model.group)
     series = hrr_chi(model, bundle)
-    if bundle.character is not None:
-        oracle = oracle * RepRingElement.character(model.group, bundle.character)
     matches = chern_character(oracle, model.truncation) == series
     return EulerCharacteristicResult(series, oracle, matches)
 
@@ -207,7 +212,7 @@ def verify_weyl(n_max: int, truncation: int) -> WeylReport:
     model = torus_model([1, -1], truncation)
     rows = []
     for n in range(-1, n_max + 1):
-        pipeline = hrr_chi(model, LineTwist(n))
+        pipeline = hrr_chi(model, line_class(n))
         closed = weyl_closed_form(n, truncation)
         oracle = sections_character_oracle(model, n)
         oracle_series = chern_character(oracle, truncation)

@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from .charclass import LineTwist, TANGENT, mu_model, todd_class_bundle, torus_model
+from .charclass import line_class, mu_model, tangent_class, todd_class_bundle, torus_model
 from .gradedring import (
     GradedSeries,
     apply_power_series,
@@ -41,6 +41,9 @@ from .riemannroch import hrr_chi, verify_weyl
 WEYL_NMAX = 10
 WEYL_TRUNCATION = 16
 WEYL_TIME_LIMIT = 5.0
+# The largest Segal degree d whose target's largest coefficient, C(d, d // 2), has at most
+# 4,300 digits, the default limit of Python's int-to-str conversion.
+SEGAL_DEGREE_LIMIT = 14291
 
 
 def check_weyl_three_way():
@@ -71,7 +74,7 @@ def check_pushforward_lemma(cases=100, seed=20260809):
 def check_todd_consistency():
     """Euler-sequence Todd product equals the single factor at 2h, mod h^2 = t^2."""
     model = torus_model([1, -1], WEYL_TRUNCATION)
-    via_roots = todd_class_bundle(model, TANGENT)
+    via_roots = todd_class_bundle(model, tangent_class(model))
     via_2h = apply_power_series(todd_coefficient, model.hyperplane() * 2)
     return via_roots == via_2h, f"truncation {WEYL_TRUNCATION}"
 
@@ -82,7 +85,7 @@ def check_nonequivariant_sanity():
     for m in (1, 2, 3):
         model = torus_model([0] * (m + 1), 10)
         for n in range(0, 7):
-            chi = hrr_chi(model, LineTwist(n))
+            chi = hrr_chi(model, line_class(n))
             if chi.constant_term() != math.comb(n + m, m) or chi != GradedSeries.const(
                 1, 10, math.comb(n + m, m)
             ):
@@ -124,20 +127,26 @@ def check_chern_filtration(cases=50, seed=977):
 def segal_certificate(n: int, degree: int, bound: int | None = None):
     """Certificate that (t_1 - 1)^degree lies in the rank-0 GL_n ideal of the torus ring.
 
-    Default search bound: exponents in [-(degree - 1), degree - 1].
+    Default search bound: exponents in [-(degree - 1), degree - 1].  A degree past
+    ``SEGAL_DEGREE_LIMIT`` raises ValueError before anything is built.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
+    if degree > SEGAL_DEGREE_LIMIT:
+        raise ValueError(f"the target (t_1 - 1)^{degree} has a coefficient of more than 4300 "
+                         f"digits (limit degree {SEGAL_DEGREE_LIMIT})")
     if bound is None:
         bound = max(1, degree - 1)
     check_certificate_size(n, 0, n, bound)  # the unknowns first: n <= 10^4 from here on
     # e_k - C(n, k), k = 1..n, have 2^n - 1 + n terms: checked before they are built
     check_certificate_size(n, 2**n - 1 + n, n, bound)
-    group = torus_group(n)
-    t1 = RepRingElement.character(group, (1,) + (0,) * (n - 1))
-    target = (t1 - 1) ** degree
+    zeros, coeff, terms = (0,) * (n - 1), (-1) ** degree, {}
+    for k in range(degree + 1):  # (t_1 - 1)^degree = sum_k (-1)^(degree - k) C(degree, k) t_1^k
+        terms[(k, *zeros)] = coeff
+        coeff = -coeff * (degree - k) // (k + 1)
+    target = RepRingElement._trusted(torus_group(n), terms, 1)
     generators = gl_augmentation_generators(n)
     cofactors = ideal_membership_certificate(target, generators, bound)
     return target, generators, cofactors, bound

@@ -1,16 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from equitau.charclass import (
-    BundleSum,
-    LineTwist,
     ProjSpaceModel,
-    TANGENT,
     chern_character_bundle,
     chern_roots,
+    line_class,
     mu_model,
+    tangent_class,
     todd_class_bundle,
     torus_model,
 )
@@ -45,52 +45,48 @@ def test_chow_side_requires_torus():
 
 def test_line_twist_roots():
     h = P1.hyperplane()
-    roots, neg = chern_roots(P1, LineTwist(3))
-    assert neg == []
-    assert roots == [h * 3]
-    roots, _ = chern_roots(P1, LineTwist(0))
-    assert roots[0].is_zero()
+    assert line_class(3) == {(3, ()): 1}
+    assert chern_roots(P1, line_class(3)) == [(1, h * 3)]
+    [(m, x)] = chern_roots(P1, line_class(0))
+    assert m == 1 and x.is_zero()
     # character twist shifts by the base linear form
-    roots, _ = chern_roots(P1, LineTwist(2, (5,)))
-    assert roots == [h * 2 + P1.base_form((5,))]
+    t_form = P1.embed(GradedSeries.linear_form(1, 8, (5,)))
+    assert chern_roots(P1, line_class(2, [5])) == [(1, h * 2 + t_form)]
+
+
+def test_tangent_class_merges_repeated_weights():
+    model = torus_model([(1, 0), (0, 1), (1, 0)], 4)
+    assert tangent_class(model) == {(1, (1, 0)): 2, (1, (0, 1)): 1, (0, ()): -1}
 
 
 def test_tangent_roots_give_first_chern_class_2h():
-    positives, negatives = chern_roots(P1, TANGENT)
     total = P1.embed(0)
-    for x in positives:
-        total = total + x
-    for x in negatives:
-        total = total - x
+    for m, x in chern_roots(P1, tangent_class(P1)):
+        total = total + x * m
     assert total == P1.hyperplane() * 2
-
-
-def test_unsupported_bundle_kind():
-    with pytest.raises(ValueError):
-        chern_roots(P1, "tangent")
 
 
 def test_chern_character_of_twists():
     h = P1.hyperplane()
-    assert chern_character_bundle(P1, LineTwist(0)) == P1.embed(1)
-    assert chern_character_bundle(P1, LineTwist(4)) == exp(h * 4)
+    assert chern_character_bundle(P1, line_class(0)) == P1.embed(1)
+    assert chern_character_bundle(P1, line_class(4)) == exp(h * 4)
 
 
 def test_chern_character_of_tangent():
-    t_form = P1.base_form((1,))
+    t_form = P1.embed(GradedSeries.linear_form(1, 8, (1,)))
     h = P1.hyperplane()
     expected = exp(h + t_form) + exp(h - t_form) - 1
-    got = chern_character_bundle(P1, TANGENT)
+    got = chern_character_bundle(P1, tangent_class(P1))
     assert got == expected
     assert got.constant_term() == 1  # virtual rank
 
 
 def test_todd_of_trivial_bundle_is_one():
-    assert todd_class_bundle(P1, LineTwist(0)) == P1.embed(1)
+    assert todd_class_bundle(P1, line_class(0)) == P1.embed(1)
 
 
 def test_todd_tangent_two_ways():
-    via_roots = todd_class_bundle(P1, TANGENT)
+    via_roots = todd_class_bundle(P1, tangent_class(P1))
     via_2h = apply_power_series(todd_coefficient, P1.hyperplane() * 2)
     assert via_roots == via_2h
     assert via_roots.constant_term() == 1
@@ -99,7 +95,7 @@ def test_todd_tangent_two_ways():
 def test_todd_tangent_on_trivial_pm():
     for m in (1, 2, 3):
         model = torus_model([0] * (m + 1), 8)
-        td = todd_class_bundle(model, TANGENT)
+        td = todd_class_bundle(model, tangent_class(model))
         assert td.constant_term() == 1
         # degree-1 part is (m+1)h/2
         assert td.coeffs[1].constant_term() == Fraction(m + 1, 2)
@@ -110,9 +106,11 @@ def test_ch_additive_and_td_multiplicative_over_sums():
     rng = random.Random(2)
     for _ in range(10):
         twists = [
-            LineTwist(rng.randint(-2, 2), (rng.randint(-2, 2),)) for _ in range(rng.randint(1, 3))
+            line_class(rng.randint(-2, 2), (rng.randint(-2, 2),)) for _ in range(rng.randint(1, 3))
         ]
-        sum_bundle = BundleSum(tuple(twists))
+        sum_bundle = Counter()
+        for tw in twists:
+            sum_bundle.update(tw)
         ch_sum = chern_character_bundle(P1, sum_bundle)
         td_sum = todd_class_bundle(P1, sum_bundle)
         ch_parts = P1.embed(0)
@@ -129,8 +127,8 @@ def test_ch_multiplicative_over_tensor_of_twists():
     rng = random.Random(23)
     for _ in range(10):
         (pa, ca), (pb, cb) = ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2))
-        a, b = LineTwist(pa, (ca,)), LineTwist(pb, (cb,))
-        lhs = chern_character_bundle(P1, LineTwist(pa + pb, (ca + cb,)))  # a tensor b
+        a, b = line_class(pa, (ca,)), line_class(pb, (cb,))
+        lhs = chern_character_bundle(P1, line_class(pa + pb, (ca + cb,)))  # a tensor b
         rhs = chern_character_bundle(P1, a) * chern_character_bundle(P1, b)
         assert lhs == rhs
 
@@ -153,21 +151,21 @@ def test_tangent_todd_is_built_once_per_model(monkeypatch):
     monkeypatch.setattr(charclass, "todd_class_bundle", counting)
     monkeypatch.setattr(charclass, "pushforward_moments", counting_moments)
     model = torus_model([(1, 0), (0, 1), (1, 1)], 6)
-    first = hrr_chi(model, LineTwist(1))
-    assert hrr_chi(model, LineTwist(1)) == first and hrr_chi(model, LineTwist(2)) != first
-    assert calls == [TANGENT] and moment_counts == [6 + 2 + 1]  # mu_0 .. mu_(N+n)
-    assert model.tangent_todd == original(model, TANGENT)
+    first = hrr_chi(model, line_class(1))
+    assert hrr_chi(model, line_class(1)) == first and hrr_chi(model, line_class(2)) != first
+    assert calls == [tangent_class(model)] and moment_counts == [6 + 2 + 1]  # mu_0 .. mu_(N+n)
+    assert model.tangent_todd == original(model, tangent_class(model))
     assert torus_model([(1, 0), (0, 1), (1, 1)], 6).tangent_todd is not model.tangent_todd
     # a twist with no h-part reads mu_0 alone; a later one extends the moments once
     model, moment_counts[:] = torus_model([(1, 0), (0, 1), (1, 1)], 6), []
-    hrr_chi(model, LineTwist(0, (1, 2)))
-    hrr_chi(model, LineTwist(3))
-    hrr_chi(model, LineTwist(-1))
+    hrr_chi(model, line_class(0, (1, 2)))
+    hrr_chi(model, line_class(3))
+    hrr_chi(model, line_class(-1))
     assert moment_counts == [1, 6 + 2 + 1]
     calls.clear()
     moment_counts.clear()
     assert verify_weyl(10, 32).all_pass
-    assert calls == [TANGENT]  # one Todd class for the whole table
+    assert calls == [{(1, (1,)): 1, (1, (-1,)): 1, (0, ()): -1}]  # one Todd class for the table
     assert moment_counts == [32 + 1 + 1]  # and one set of moments
 
 
@@ -187,22 +185,20 @@ def inverse(x):
 
 
 def reference_todd_class_bundle(model, bundle):
-    """One todd_factor per root, inverse for nonzero negative roots, dense products."""
-    positives, negatives = chern_roots(model, bundle)
+    """|m| todd_factors per root, inverses for nonzero roots with m < 0, dense products."""
     total = model.embed(1)
-    for x in positives:
-        total = total * todd_factor(x)
-    for x in negatives:
-        if not x.is_zero():
-            total = total * inverse(todd_factor(x))
+    for m, x in chern_roots(model, bundle):
+        factor = todd_factor(x) if m > 0 or x.is_zero() else inverse(todd_factor(x))
+        for _ in range(abs(m)):
+            total = total * factor
     return total
 
 
 def random_line_twist(rng, rank):
     power = rng.choice((-3, 0, 1, 3))
     if rng.random() < 0.5:
-        return LineTwist(power)
-    return LineTwist(power, tuple(rng.randint(-2, 2) for _ in range(rank)))
+        return line_class(power)
+    return line_class(power, tuple(rng.randint(-2, 2) for _ in range(rank)))
 
 
 def test_todd_class_matches_the_dense_product_route():
@@ -214,11 +210,13 @@ def test_todd_class_matches_the_dense_product_route():
         model = torus_model(weights, n, rank=rank)
         kind = rng.choice(("tangent", "twist", "sum"))
         if kind == "tangent":
-            bundle = TANGENT
+            bundle = tangent_class(model)
         elif kind == "twist":
             bundle = random_line_twist(rng, rank)
-        else:
-            bundle = BundleSum(tuple(random_line_twist(rng, rank) for _ in range(rng.randint(1, 3))))
+        else:  # a virtual class: signed line classes, repeats adding up
+            bundle = Counter()
+            for _ in range(rng.randint(1, 3)):
+                bundle.update({key: rng.choice((1, -1)) for key in random_line_twist(rng, rank)})
         got = todd_class_bundle(model, bundle)
         want = reference_todd_class_bundle(model, bundle)
         assert got == want, (case, weights, n, bundle)
@@ -231,7 +229,7 @@ def test_root_series_product_takes_negative_and_fraction_roots():
     model = torus_model([(1, 0), (0, 1), (1, 1), (2, -1)], 7)
     ring, h = model.ring, model.hyperplane()
     t = ring.embed(GradedSeries.linear_form(2, 7, (Fraction(1, 3), Fraction(-5, 2))))
-    x, y = h * Fraction(3, 4) + t, h * -2 + model.base_form((1, -1))
+    x, y = h * Fraction(3, 4) + t, h * -2 + ring.embed(GradedSeries.linear_form(2, 7, (1, -1)))
     assert root_series_product(ring, [(todd_coefficient, x)]) == todd_factor(x)
     assert root_series_product(ring, [(todd_inverse_coefficient, y)]) == inverse(todd_factor(y))
     both = [(todd_coefficient, x), (todd_inverse_coefficient, y), (todd_coefficient, t)]
@@ -246,7 +244,7 @@ def test_root_series_product_takes_negative_and_fraction_roots():
 
 def test_todd_class_makes_no_bundle_multiply(monkeypatch):
     model = torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 8)
-    want = reference_todd_class_bundle(model, TANGENT)
+    want = reference_todd_class_bundle(model, tangent_class(model))
     calls = []
     original = BundleRingElement.__mul__
 
@@ -256,5 +254,5 @@ def test_todd_class_makes_no_bundle_multiply(monkeypatch):
 
     monkeypatch.setattr(BundleRingElement, "__mul__", counting)
     monkeypatch.setattr(BundleRingElement, "__rmul__", counting)
-    assert todd_class_bundle(model, TANGENT) == want
+    assert todd_class_bundle(model, tangent_class(model)) == want
     assert calls == []

@@ -20,8 +20,10 @@ from equitau.reprring import (
     CERTIFICATE_ENTRY_LIMIT,
     CERTIFICATE_UNKNOWN_LIMIT,
     CertificateError,
+    RepRingElement,
     check_certificate_size,
     gl_augmentation_generators,
+    torus_group,
 )
 
 
@@ -61,6 +63,12 @@ def test_chi_with_character_twist(capsys):
     assert code == 0
     assert doc["results"]["oracle_character_text"] == "u + u^3"
     assert all(c["pass"] for c in doc["checks"])
+
+
+def test_a_character_of_the_wrong_length_exits_2_in_one_line(capsys):
+    assert main(["chi", "--weights", "1,-1", "--twist", "1", "--char", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "equitau: error: expected 1 coordinates, got 2\n")
 
 
 def test_json_round_trips_byte_identically(capsys):
@@ -507,6 +515,34 @@ def test_a_segal_count_past_10_to_the_30_gets_the_guards_own_message(capsys, mon
         "equitau: error: the certificate search would solve for more than 10^30 unknowns "
         "(limit 10000)\n"
     ))
+
+
+@pytest.mark.parametrize("degree", [14292, 14500, 10**12])
+def test_a_segal_degree_past_the_print_limit_exits_2_at_once(capsys, monkeypatch, degree):
+    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    start = time.perf_counter()
+    assert main(["segal", "--n", "1", "--degree", str(degree), "--bound", "0"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"equitau: error: the target (t_1 - 1)^{degree} has a coefficient of more than 4300 "
+        "digits (limit degree 14291)\n"
+    ))
+
+
+def test_the_segal_degree_limit_is_the_last_degree_that_prints():
+    # C(d, d // 2), the largest coefficient of (t_1 - 1)^d, grows with d
+    limit = equitau.selftest.SEGAL_DEGREE_LIMIT
+    assert math.comb(limit, limit // 2) < 10**4300 <= math.comb(limit + 1, (limit + 1) // 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_closed_form_segal_target_is_the_power(monkeypatch, n):
+    monkeypatch.setattr(equitau.selftest, "ideal_membership_certificate", lambda *args: None)
+    t1 = RepRingElement.character(torus_group(n), (1,) + (0,) * (n - 1))
+    for degree in range(13):
+        target = equitau.selftest.segal_certificate(n, degree, 0)[0]
+        assert target == (t1 - 1) ** degree and str(target) == str((t1 - 1) ** degree)
 
 
 def test_an_entry_count_past_10_to_the_30_gets_the_guards_own_message(capsys, monkeypatch):

@@ -496,7 +496,7 @@ def test_equal_series_by_different_routes_hash_equal():
 
 def test_hrr_chi_builds_the_relation_at_most_once(monkeypatch):
     from equitau import gradedring
-    from equitau.charclass import LineTwist, torus_model
+    from equitau.charclass import line_class, torus_model
     from equitau.riemannroch import hrr_chi
 
     calls = []
@@ -508,10 +508,10 @@ def test_hrr_chi_builds_the_relation_at_most_once(monkeypatch):
 
     monkeypatch.setattr(gradedring, "newton_basis", counting)
     model = torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 6)
-    chi = hrr_chi(model, LineTwist(1, (1, -2, 3)))
+    chi = hrr_chi(model, line_class(1, (1, -2, 3)))
     assert chi.constant_term() == 4
     assert len(calls) <= 1
-    hrr_chi(model, LineTwist(0))
+    hrr_chi(model, line_class(0))
     assert len(calls) <= 1  # the model keeps its ring, and the ring its relation
 
 

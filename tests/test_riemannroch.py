@@ -1,16 +1,15 @@
 import math
 import random
-from fractions import Fraction
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from equitau.charclass import (
-    TANGENT,
-    BundleSum,
-    LineTwist,
     chern_character_bundle,
+    line_class,
     mu_model,
+    tangent_class,
     torus_model,
 )
 from equitau.gradedring import GradedSeries, SeriesRing, exp, pushforward
@@ -32,21 +31,27 @@ T1 = torus_group(1)
 
 
 def test_chi_structure_sheaf():
-    assert hrr_chi(P1, LineTwist(0)) == GradedSeries.one(1, TRUNC)
+    assert hrr_chi(P1, line_class(0)) == GradedSeries.one(1, TRUNC)
 
 
 def test_chi_o1_is_cosh_like():
     expected = exp(GradedSeries.variable(1, TRUNC)) + exp(-GradedSeries.variable(1, TRUNC))
-    assert hrr_chi(P1, LineTwist(1)) == expected
+    assert hrr_chi(P1, line_class(1)) == expected
 
 
 def test_chi_o_minus_one_vanishes():
-    assert hrr_chi(P1, LineTwist(-1)).is_zero()
+    assert hrr_chi(P1, line_class(-1)).is_zero()
 
 
 def test_hrr_requires_torus():
     with pytest.raises(ValueError):
-        hrr_chi(mu_model(2, [0, 1]), LineTwist(1))
+        hrr_chi(mu_model(2, [0, 1]), line_class(1))
+
+
+@pytest.mark.parametrize("character", [(1, 2), (0, 0)])
+def test_hrr_refuses_a_character_of_the_wrong_length(character):
+    with pytest.raises(ValueError, match="expected 1 coefficients"):
+        hrr_chi(P1, line_class(1, character))
 
 
 def test_closed_form_examples():
@@ -99,26 +104,26 @@ def test_nonequivariant_recovery():
     for m in (1, 2, 3):
         model = torus_model([0] * (m + 1), 10)
         for n in range(0, 7):
-            chi = hrr_chi(model, LineTwist(n))
+            chi = hrr_chi(model, line_class(n))
             assert chi.constant_term() == math.comb(n + m, m)
 
 
 def test_twist_by_character_equivariance():
     for w in (-2, 1, 3):
         for n in (-1, 0, 2):
-            plain = hrr_chi(P1, LineTwist(n))
-            twisted = hrr_chi(P1, LineTwist(n, (w,)))
+            plain = hrr_chi(P1, line_class(n))
+            twisted = hrr_chi(P1, line_class(n, (w,)))
             factor = exp(GradedSeries.linear_form(1, TRUNC, (w,)))
             assert twisted == factor * plain
 
 
 def test_chi_with_oracle_flags():
-    res = chi_with_oracle(P1, LineTwist(2))
+    res = chi_with_oracle(P1, line_class(2))
     assert res.matches_oracle is True
     assert res.oracle_character == sections_character_oracle(P1, 2)
     assert chern_character(res.oracle_character, TRUNC) == res.series
 
-    res_neg = chi_with_oracle(P1, LineTwist(-2))
+    res_neg = chi_with_oracle(P1, line_class(-2))
     assert res_neg.oracle_character == -RepRingElement.one(T1)
     assert res_neg.matches_oracle is True
     # and the closed form agrees
@@ -126,7 +131,7 @@ def test_chi_with_oracle_flags():
 
 
 def test_chi_with_oracle_character_twist():
-    res = chi_with_oracle(P1, LineTwist(1, (2,)))
+    res = chi_with_oracle(P1, line_class(1, (2,)))
     assert res.matches_oracle is True
     expected = RepRingElement(T1, {(3,): 1, (1,): 1})
     assert res.oracle_character == expected
@@ -134,14 +139,14 @@ def test_chi_with_oracle_character_twist():
 
 def test_rank_two_torus_oracle_agreement():
     model = torus_model([(1, 0), (0, 1)], 8)
-    res = chi_with_oracle(model, LineTwist(1))
+    res = chi_with_oracle(model, line_class(1))
     assert res.matches_oracle is True
     assert res.oracle_character == RepRingElement(
         torus_group(2), {(-1, 0): 1, (0, -1): 1}
     )
     p2 = torus_model([(1, 0), (0, 1), (1, 1)], 6)
     for n in (-1, 0, 2):
-        assert chi_with_oracle(p2, LineTwist(n)).matches_oracle is True
+        assert chi_with_oracle(p2, line_class(n)).matches_oracle is True
 
 
 def test_verify_weyl_rejects_negative_nmax():
@@ -167,8 +172,8 @@ def test_serre_duality_oracle_below_minus_dim():
             oracle = sections_character_oracle(model, twist)
             # rank of chi(O(k)) is (-1)^n * C(-k-1, n) below -dim
             assert oracle.augmentation() == (-1) ** n * math.comb(-twist - 1, n)
-            assert chern_character(oracle, model.truncation) == hrr_chi(model, LineTwist(twist))
-            res = chi_with_oracle(model, LineTwist(twist, (1,) * model.rank))
+            assert chern_character(oracle, model.truncation) == hrr_chi(model, line_class(twist))
+            res = chi_with_oracle(model, line_class(twist, (1,) * model.rank))
             assert res.matches_oracle is True
 
 
@@ -260,8 +265,8 @@ def test_the_oracle_refuses_more_monomials_than_its_limit():
 def random_twist(rng, rank, dim):
     twist = rng.choice((0, rng.randint(-dim - 3, 5)))
     if rng.random() < 0.5:
-        return LineTwist(twist)
-    return LineTwist(twist, tuple(rng.randint(-3, 3) for _ in range(rank)))
+        return line_class(twist)
+    return line_class(twist, tuple(rng.randint(-3, 3) for _ in range(rank)))
 
 
 def test_chi_from_todd_moments_matches_the_pushforward_of_ch_times_td():
@@ -275,12 +280,13 @@ def test_chi_from_todd_moments_matches_the_pushforward_of_ch_times_td():
         model = torus_model(weights, n, rank=rank)
         kind = ("twist", "tangent", "sum", "twist")[case // 12 % 4]
         if kind == "tangent":
-            bundle = TANGENT
+            bundle = tangent_class(model)
         elif kind == "twist":
             bundle = random_twist(rng, rank, dim)
         else:
-            summands = rng.randint(1, 3)
-            bundle = BundleSum(tuple(random_twist(rng, rank, dim) for _ in range(summands)))
+            bundle = Counter()
+            for _ in range(rng.randint(1, 3)):
+                bundle.update(random_twist(rng, rank, dim))
         got = hrr_chi(model, bundle)
         want = pushforward(chern_character_bundle(model, bundle) * model.tangent_todd)
         assert got == want, (case, weights, n, bundle)
@@ -292,14 +298,79 @@ def test_chi_from_todd_moments_matches_the_pushforward_of_ch_times_td():
     assert {(repeated, zero) for *_, repeated, zero in seen} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-def test_a_root_with_a_denominator_is_not_cut(monkeypatch):
-    """A root (a.h + L) / dx with dx != 1, fed through chern_roots."""
+# ---------------------------------------------------------------------------
+# the section oracle by linearity, on classes that are not line twists
+
+
+def euler_class_models(seed, count):
+    """Seeded torus models: ranks 1-2, P^1 to P^3, weights in [-2, 2] with repeats and zeros."""
+    rng = random.Random(seed)
+    for case in range(count):
+        rank, dim = 1 + case % 2, 1 + case // 2 % 3
+        weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        yield torus_model(weights, rng.randint(2, 6), rank=rank)
+
+
+def omega_class(model, p, k):
+    """Omega^p(k) = sum_(j <= p) (-1)^(p - j) sum_(|S| = j) O(k - j) (x) chi_(-w_S)."""
+    bundle = Counter()
+    for j in range(p + 1):
+        for subset in combinations(model.weight_vectors(), j):
+            character = tuple(-sum(c) for c in zip(*subset))
+            bundle[k - j, character] += (-1) ** (p - j)
+    return bundle
+
+
+def chi_line(n, m):
+    """chi(P^n, O(m)) = C(n + m, n) as a polynomial in m, so also for m < 0."""
+    return math.prod(range(m + 1, m + n + 1)) // math.factorial(n)
+
+
+def test_the_oracle_checks_the_tangent_class_by_linearity():
+    seen = set()
+    for model in euler_class_models(3030, 30):
+        n = model.dim
+        res = chi_with_oracle(model, tangent_class(model))
+        assert res.matches_oracle is True, model.weight_vectors()
+        assert res.oracle_character.augmentation() == n * n + 2 * n
+        assert res.series.constant_term() == n * n + 2 * n
+        seen.add((model.rank, n))
+    assert seen == {(r, n) for r in (1, 2) for n in (1, 2, 3)}
+
+
+def test_the_oracle_checks_twisted_forms_by_linearity():
+    cases = 0
+    for model in euler_class_models(4040, 30):
+        n = model.dim
+        for p in range(n + 1):
+            for k in range(-n - 2, 3):
+                res = chi_with_oracle(model, omega_class(model, p, k))
+                want = sum(
+                    (-1) ** (p - j) * math.comb(n + 1, j) * chi_line(n, k - j) for j in range(p + 1)
+                )
+                assert res.matches_oracle is True, (model.weight_vectors(), p, k)
+                assert res.oracle_character.augmentation() == want
+                assert res.series.constant_term() == want
+                if k == 0:
+                    assert want == (-1) ** p
+                cases += 1
+    assert cases > 500
+
+
+def test_a_one_term_class_keeps_the_oracle_element(monkeypatch):
     from equitau import riemannroch
 
-    model = torus_model([(1, 0), (0, 1), (1, 1)], 7)
-    h = model.hyperplane()
-    x = h * Fraction(3, 4) + model.base_form((1, -2)) * Fraction(1, 2)
-    y = h * Fraction(-2, 3)
-    monkeypatch.setattr(riemannroch, "chern_roots", lambda m, b: ([x], [y]))
-    want = pushforward((exp(x) - exp(y)) * model.tangent_todd)
-    assert hrr_chi(model, LineTwist(0)) == want and want.den % 3 == 0
+    oracles = []
+
+    def recording(model, k):
+        oracles.append(sections_character_oracle(model, k))
+        return oracles[-1]
+
+    monkeypatch.setattr(riemannroch, "sections_character_oracle", recording)
+    model = torus_model([(1, 0), (0, 1), (1, 1)], 4)
+    res = chi_with_oracle(model, line_class(2))
+    assert res.oracle_character is oracles[0]  # not copied
+    twice = chi_with_oracle(model, {(2, ()): 2, (-1, (1, 1)): 0})
+    assert twice.oracle_character == res.oracle_character * 2 and twice.matches_oracle is True
+    empty = chi_with_oracle(model, {})
+    assert empty.oracle_character.is_zero() and empty.series.is_zero() and empty.matches_oracle
