@@ -18,7 +18,9 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from ._format import rational_str
 from .charclass import DEFAULT_TRUNCATION, line_class, mu_model, torus_model
@@ -30,7 +32,7 @@ from .finitestab import (
 )
 from .gradedring import GradedSeries, odd_part_quotient, pushforward
 from .lattice import GroupDescriptor, TorsionCharacterPoint
-from .reprring import CertificateError, RepRingElement
+from .reprring import CertificateError, RepRingElement, _print_order
 from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
 from .selftest import run_all, segal_certificate
 
@@ -44,22 +46,57 @@ def fraction_str(value) -> str:
     return rational_str(value.numerator, value.denominator)
 
 
-def series_to_json(s: GradedSeries):
-    by_degree: dict[int, list] = {}
-    den = s.den
-    for exps, p in s.sorted_num():
-        by_degree.setdefault(sum(exps), []).append(
-            {"exponents": list(exps), "coeff": rational_str(p, den)}
+class JSONText(str):
+    """The JSON text of a value at indent "", which ``render_json`` splices in as it is."""
+
+    __slots__ = ()
+
+
+def _monomial_texts(columns, numerators, den, indent):
+    """The JSON text of {"coeff": p / den, "exponents": [...]} per numerator, at an indent.
+
+    columns[i] holds the exponents of variable i; the texts are built a
+    column at a time, as ``_format.terms_string`` builds its monomials.
+    """
+    inner, item = indent + "  ", indent + "    "
+    coeffs = map(str, numerators) if den == 1 else map(rational_str, numerators, repeat(den))
+    if not columns:
+        return [f'{{\n{inner}"coeff": "{c}",\n{inner}"exponents": []\n{indent}}}' for c in coeffs]
+    texts = [f'{{\n{inner}"coeff": "{c}",\n{inner}"exponents": [\n{item}' for c in coeffs]
+    last = len(columns) - 1
+    for i, column in enumerate(columns):
+        tail = f",\n{item}" if i < last else f"\n{inner}]\n{indent}}}"
+        strs = {e: f"{e}{tail}" for e in set(column)}
+        texts = list(map(add, texts, map(strs.__getitem__, column)))
+    return texts
+
+
+def _list_text(items):
+    """The JSON text at indent "" of a list whose items are texts at indent "  "."""
+    return JSONText("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
+
+
+def series_to_json(s: GradedSeries) -> JSONText:
+    """[{"degree", "monomials": [{"coeff", "exponents"}, ...]}, ...] by degree, then exponents."""
+    ctx, num = s.ctx, s.num
+    keys = sorted(num)
+    monomials = _monomial_texts(ctx.columns(keys), map(num.__getitem__, keys), s.den, "      ")
+    top, blocks, start = ctx.top, [], 0
+    for degree, run in groupby(k // top for k in keys):
+        end = start + sum(1 for _ in run)
+        blocks.append(
+            f'{{\n    "degree": {degree},\n    "monomials": [\n      '
+            + ",\n      ".join(monomials[start:end])
+            + "\n    ]\n  }"
         )
-    return [
-        {"degree": d, "monomials": monos} for d, monos in sorted(by_degree.items())
-    ]
+        start = end
+    return _list_text(blocks)
 
 
-def rep_to_json(a: RepRingElement):
-    return [
-        {"exponents": list(k), "coeff": fraction_str(c)} for k, c in a.sorted_terms()
-    ]
+def rep_to_json(a: RepRingElement) -> JSONText:
+    """[{"coeff", "exponents"}, ...] in the print order of ``sorted_terms``."""
+    keys = sorted(a.num, key=_print_order)
+    return _list_text(_monomial_texts(list(zip(*keys)), map(a.num.__getitem__, keys), a.den, "  "))
 
 
 def group_to_json(g: GroupDescriptor):
@@ -71,7 +108,11 @@ def group_to_json(g: GroupDescriptor):
 
 
 def render_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, in one recursive pass."""
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, in one recursive pass.
+
+    A ``JSONText`` (``series_to_json``, ``rep_to_json``) stands for the value
+    it is the text of: it is spliced in at any depth by indenting its lines.
+    """
     return _json_text(doc, "")
 
 
@@ -82,6 +123,8 @@ def _json_text(value, indent):
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is JSONText:
+        return value.replace("\n", "\n" + indent)
     inner = indent + "  "
     if kind is dict and all(type(k) is str for k in value):
         if not value:

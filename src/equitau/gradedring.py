@@ -321,36 +321,41 @@ def _slot_product(a, b, limit, relation):
     return prod
 
 
-def _power_series_sum(coeff_fn, power, dx, truncation, times_x):
-    """(slot dicts, den) of sum_j coeff_fn(j) * y_j for y_0 = power, y_j = y_(j-1) * x.
-
-    power holds n+1 (key, numerator) item lists, x = X / dx, and ``times_x``
-    takes such a list to the slot dicts of its product by X.  x^(N+n+1) = 0
-    (x has no term below degree 1); each coeff_fn(j) / dx^j goes over den.
-    """
-    coeffs = [coeff_fn(j) for j in range(truncation + len(power))]
+def _scaled_coefficients(coeff_fn, dx, count):
+    """([m_0, ..., m_(count-1)], den), m_j / den = coeff_fn(j) / dx^j: f(X / dx) over one den."""
+    coeffs = [coeff_fn(j) for j in range(count)]
     dens = [c.denominator * dx**j for j, c in enumerate(coeffs)]
     den = math.lcm(*dens)
+    return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
+
+
+def _power_series_sum(multipliers, power, times_x):
+    """The slot dicts of sum_j multipliers[j] * y_j for y_0 = power, y_j = times_x(y_(j-1)).
+
+    power holds n+1 dicts {key: numerator}, and ``times_x`` takes such a
+    list to its product by X; zero entries are kept, and the sum stops early
+    once a power is empty.
+    """
     total = [{} for _ in power]
-    for j, (c, q) in enumerate(zip(coeffs, dens)):
+    for j, m in enumerate(multipliers):
         if j:
-            power = [[(k, v) for k, v in p.items() if v] for p in times_x(power)]
+            power = times_x(power)
             if not any(power):
                 break
-        m = c.numerator * (den // q)
         if m:
             for t, p in zip(total, power):
                 get = t.get
-                for k, v in p:
+                for k, v in p.items():
                     t[k] = get(k, 0) + m * v
-    return total, den
+    return total
 
 
 def apply_power_series(coeff_fn, x):
     """Evaluate sum_k coeff_fn(k) * x^k for nilpotent x (zero constant term).
 
     Works for GradedSeries and BundleRingElement alike, on integers
-    (``_power_series_sum``), X^(j-1) times X by ``_slot_product``.
+    (``_power_series_sum``), X^(j-1) times X by ``_slot_product``; x^(N+n+1)
+    = 0, as x has no term below degree 1.
     """
     if x.constant_term() != 0:
         raise ValueError("substitution requires a zero constant term")
@@ -362,10 +367,11 @@ def apply_power_series(coeff_fn, x):
         ctx, relation, (xs, dx) = ring.ctx, ring._relation_items(), ring._sorted_slots(x)
 
     def times_x(power):
-        return _slot_product(power, xs, ctx.limit, relation)
+        return _slot_product([p.items() for p in power], xs, ctx.limit, relation)
 
-    unit = [[(0, 1)], *([] for _ in xs[1:])]
-    total, den = _power_series_sum(coeff_fn, unit, dx, ctx.truncation, times_x)
+    multipliers, den = _scaled_coefficients(coeff_fn, dx, ctx.truncation + len(xs))
+    unit = [{0: 1}, *({} for _ in xs[1:])]
+    total = _power_series_sum(multipliers, unit, times_x)
     if isinstance(x, GradedSeries):
         return GradedSeries._trusted(ctx, {k: c for k, c in total[0].items() if c}, den)
     return ring._element(total, den)
@@ -428,10 +434,13 @@ def root_series_product(ring, factors):
     """prod_r f_r(x_r) in ``ring`` for pairs (coeff_fn, x_r), f_r = sum_k coeff_fn(k) x^k.
 
     Each x_r = a.h + L is of degree 1 or zero (else ValueError); the product
-    is built in Newton coordinates (module docstring).
+    is built in Newton coordinates (module docstring).  The scaled
+    coefficients of f_r are computed once per distinct (coeff_fn, dx) of a
+    call, so the n+1 tangent roots share one list.
     """
     ctx, weights = ring.ctx, ring.weights
-    coords, den = [[(0, 1)], *([] for _ in weights[1:])], 1
+    count, limit, scaled = ctx.truncation + len(weights), ctx.limit, {}
+    coords, den = [{0: 1}, *({} for _ in weights[1:])], 1
     for coeff_fn, x in factors:
         a, form, dx = ring.linear_parts(x)
         linear = dict(form)  # dx.x = a.(h + l_m) + (L - a.l_m): the second part keeps N_m
@@ -441,19 +450,22 @@ def root_series_product(ring, factors):
         ]
 
         def times_x(y, a=a, forms=forms):
-            out, below = [], ()
+            out, below = [], {}
             for u, f in zip(y, forms):  # the top coordinate's shift lands on N_(n+1) = 0
-                out.append({k: a * c for k, c in below})
-                _convolve(u, f, ctx.limit, out[-1])
-                below = u
+                out.append(dict(below) if a == 1 else {k: a * c for k, c in below.items()})
+                _convolve(u.items(), f, limit, out[-1])
+                if a:  # with a = 0 nothing shifts
+                    below = u
             return out
 
-        total, d = _power_series_sum(coeff_fn, coords, dx, ctx.truncation, times_x)
-        coords, den = [[(k, c) for k, c in t.items() if c] for t in total], den * d
-    slots = [dict(u) for u in coords]  # the leading 1 of each N_m
+        if (coeff_fn, dx) not in scaled:
+            scaled[coeff_fn, dx] = _scaled_coefficients(coeff_fn, dx, count)
+        multipliers, d = scaled[coeff_fn, dx]
+        coords, den = _power_series_sum(multipliers, coords, times_x), den * d
+    slots = [dict(u) for u in coords]  # the leading 1 of each N_m; zeros go in _element
     for u, poly in zip(coords[1:], ring._basis_items()):
         for k, c in enumerate(poly[:-1]):
-            _convolve(u, c, ctx.limit, slots[k])
+            _convolve(u.items(), c, limit, slots[k])
     return ring._element(slots, den)
 
 

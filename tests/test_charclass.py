@@ -202,7 +202,7 @@ def random_line_twist(rng, rank):
 
 
 def test_todd_class_matches_the_dense_product_route():
-    rng = random.Random(1010)
+    rng, scales = random.Random(1010), random.Random(1011)
     seen = set()
     for case in range(200):
         rank, dim, n = 1 + case % 3, 1 + case // 3 % 4, rng.randint(0, 12)
@@ -221,6 +221,15 @@ def test_todd_class_matches_the_dense_product_route():
         want = reference_todd_class_bundle(model, bundle)
         assert got == want, (case, weights, n, bundle)
         assert [(c.den, c.num) for c in got.coeffs] == [(c.den, c.num) for c in want.coeffs]
+        if case % 4 == 0:  # one coeff_fn on roots over different denominators
+            factors = [
+                (todd_coefficient, x * Fraction(1, scales.randint(1, 3)))
+                for _, x in chern_roots(model, bundle)
+            ]
+            want = model.embed(1)
+            for _, x in factors:
+                want = want * todd_factor(x)
+            assert root_series_product(model.ring, factors) == want, (case, weights, n, bundle)
         seen.add((rank, dim, kind))
     assert len(seen) == 3 * 4 * 3
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,8 @@ import equitau.finitestab
 import equitau.lattice
 import equitau.reprring
 import equitau.selftest
-from equitau.cli import main, render_json
+from equitau.cli import main, render_json, rep_to_json, series_to_json
+from equitau.gradedring import GradedSeries
 from equitau.reprring import (
     CERTIFICATE_ENTRY_LIMIT,
     CERTIFICATE_UNKNOWN_LIMIT,
@@ -80,10 +82,16 @@ def test_json_round_trips_byte_identically(capsys):
         ["pushforward", "--weights", "1,-1", "--poly", "0,0,0,1", "--trunc", "6"],
         ["segal", "--n", "2", "--degree", "2"],
         ["selftest"],
+        ["chi", "--weights", "1,0;0,1;1,1", "--twist", "2", "--char", "1,-2", "--trunc", "6"],
+        ["pushforward", "--weights", "1,0;0,1;2,-1", "--poly", "3,-1,4,1", "--trunc", "6"],
+        ["chi", "--weights", "0,1,2", "--twist", "-1"],  # vanishes: no series, no character
+        ["segal", "--n", "3", "--degree", "3", "--bound", "2"],  # rank-3 cofactors
     ):
         code, out = run(capsys, *argv, "--format", "json")
         assert code == 0
         doc = json.loads(out)
+        if argv[:3] == ["chi", "--weights", "0,1,2"]:
+            assert doc["results"]["series"] == doc["results"]["oracle_character"] == []
         assert render_json(doc) == out.rstrip("\n")
         assert out.rstrip("\n") == json.dumps(doc, indent=2, sort_keys=True)
 
@@ -116,6 +124,73 @@ def test_render_json_writes_the_bytes_of_json_dumps():
     # what is left to json.dumps: floats, non-string keys, empty containers deep inside
     for doc in ({"x": [1.5, {}, [], ()], "y": {1: "a", 2: [True]}}, [{"k": {3: None}}, -0.0]):
         assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def reference_series_to_json(s):
+    """The dict route ``cli.series_to_json`` replaced: one dict per degree and per monomial."""
+    by_degree = {}
+    for exps, p in s.sorted_num():
+        by_degree.setdefault(sum(exps), []).append(
+            {"exponents": list(exps), "coeff": str(Fraction(p, s.den))}
+        )
+    return [{"degree": d, "monomials": monos} for d, monos in sorted(by_degree.items())]
+
+
+def reference_rep_to_json(a):
+    """The dict route ``cli.rep_to_json`` replaced: one dict per term, in ``sorted_terms`` order."""
+    return [{"exponents": list(k), "coeff": str(Fraction(c))} for k, c in a.sorted_terms()]
+
+
+def random_json_coefficient(rng):
+    if rng.random() < 0.5:
+        return rng.choice((-1, 1)) * rng.randint(1, 40)
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 720))
+
+
+def test_json_fragments_match_the_dict_route_at_every_depth():
+    rng = random.Random(20)
+    shapes = set()
+    for case in range(160):
+        rank, truncation = case % 4, rng.choice((0, 1, 3, 6))
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(rank)): random_json_coefficient(rng)
+            for _ in range(rng.choice((0, 1, 4, 12)))
+        }
+        series = GradedSeries(rank, truncation, terms)
+        group = torus_group(max(rank, 1))
+        coords = {
+            tuple(rng.randint(-3, 3) for _ in range(group.ngens)): random_json_coefficient(rng)
+            for _ in range(rng.choice((0, 1, 4, 12)))
+        }
+        rep = RepRingElement(group, coords)
+        for s, a in ((series, rep), (-series, -rep)):
+            fragments = [series_to_json(s), rep_to_json(a)]
+            references = [reference_series_to_json(s), reference_rep_to_json(a)]
+            for f, r in zip(fragments, references):
+                assert f == json.dumps(r, indent=2, sort_keys=True)
+
+            def place(series_value, rep_value):
+                # each at the top of a list item, inside a list inside a dict inside a list
+                return [
+                    series_value,
+                    {"inner": [rep_value, {"deep": [series_value]}], "rep": rep_value, "n": 1},
+                    [rep_value],
+                ]
+
+            assert render_json({"doc": place(*fragments)}) == json.dumps(
+                {"doc": place(*references)}, indent=2, sort_keys=True
+            )
+            assert render_json(fragments[0]) == fragments[0]
+            for x, text in ((s, fragments[0]), (a, fragments[1])):
+                shapes.add((type(x).__name__, x.ctx.ngens if type(x) is RepRingElement else x.rank,
+                            text == "[]", x.den != 1, str(x).startswith("-")))
+            shapes.add(("truncation", truncation, series.is_zero()))
+    # every rank, the zero element, Fraction coefficients and negative leading terms
+    for kind, ranks in (("GradedSeries", {0, 1, 2, 3}), ("RepRingElement", {1, 2, 3})):
+        assert {shape[1] for shape in shapes if shape[0] == kind} == ranks
+        for flags in ((True, False, False), (False, True, True), (False, False, True)):
+            assert (kind, *flags) in {(shape[0], *shape[2:]) for shape in shapes}
+    assert ("truncation", 0, False) in shapes
 
 
 def test_document_schema_keys(capsys):
