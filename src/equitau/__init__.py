@@ -48,7 +48,6 @@ from .finitestab import (
     FixedComponent,
     Sector,
     SectorDecomposition,
-    fixed_locus,
     ktheory_free_module_dimension,
     sector_dimensions,
     support_subgroup,

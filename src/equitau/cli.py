@@ -32,7 +32,7 @@ from .finitestab import (
 )
 from .gradedring import GradedSeries, odd_part_quotient, pushforward
 from .lattice import GroupDescriptor, TorsionCharacterPoint
-from .reprring import CertificateError, RepRingElement, _print_order
+from .reprring import CertificateError, RepRingElement
 from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
 from .selftest import run_all, segal_certificate
 
@@ -93,9 +93,13 @@ def series_to_json(s: GradedSeries) -> JSONText:
     return _list_text(blocks)
 
 
-def rep_to_json(a: RepRingElement) -> JSONText:
-    """[{"coeff", "exponents"}, ...] in the print order of ``sorted_terms``."""
-    keys = sorted(a.num, key=_print_order)
+def rep_to_json(a: RepRingElement, keys=None) -> JSONText:
+    """[{"coeff", "exponents"}, ...] in the print order of ``sorted_terms``.
+
+    ``keys``, when given, is ``a.print_keys()``, sorted once by the caller.
+    """
+    if keys is None:
+        keys = a.print_keys()
     return _list_text(_monomial_texts(list(zip(*keys)), map(a.num.__getitem__, keys), a.den, "  "))
 
 
@@ -211,12 +215,14 @@ def cmd_chi(args) -> int:
     if is_weyl_model:
         closed = weyl_closed_form(args.twist, trunc)
         checks.append(("closed-form agreement up to truncation", closed == result.series))
+    oracle = result.oracle_character
+    keys = oracle.print_keys()  # one sort for the JSON and the text
     results = {
         "series": series_to_json(result.series),
         "series_text": str(result.series),
         "degree_zero": fraction_str(result.series.constant_term()),
-        "oracle_character": rep_to_json(result.oracle_character),
-        "oracle_character_text": str(result.oracle_character),
+        "oracle_character": rep_to_json(oracle, keys),
+        "oracle_character_text": oracle.text(keys),
     }
     inputs = {"weights": args.weights, "twist": args.twist, "char": args.char}
     doc = make_document("chi", inputs, trunc, results, checks)
@@ -277,6 +283,29 @@ def cmd_pushforward(args) -> int:
     return emit(doc, lines, args.format)
 
 
+def sector_rows_to_json(sectors) -> JSONText:
+    """[{"components", "dimension", "order", "point", "residue_degree", "support"}, ...].
+
+    Each row is written once, as text; the support of each order e and each
+    distinct component list are rendered once.
+    """
+    supports, components, rows = {}, {}, []
+    for s in sectors:
+        if (support := supports.get(s.order)) is None:
+            support = supports[s.order] = _json_text(group_to_json(s.support), "    ")
+        key = tuple(c.indices for c in s.components)
+        if (comps := components.get(key)) is None:
+            comps = components[key] = _json_text(key, "    ")
+        point = '",\n      "'.join(map(str, s.point.values))
+        rows.append(
+            f'{{\n    "components": {comps},\n    "dimension": {s.dimension},\n'
+            f'    "order": {s.order},\n    "point": '
+            + (f'[\n      "{point}"\n    ]' if s.point.values else "[]")
+            + f',\n    "residue_degree": {s.residue_degree},\n    "support": {support}\n  }}'
+        )
+    return _list_text(rows)
+
+
 def cmd_sectors(args) -> int:
     trunc = resolve_truncation(args)
     orders = parse_orders(args)
@@ -284,46 +313,35 @@ def cmd_sectors(args) -> int:
     model = mu_model(orders, weights, trunc)
     decomp = sector_dimensions(model)
     free_module_dim = ktheory_free_module_dimension(model)
-    rows = []
-    lines = []
-    ncoords = len(model.weights)
-    partition_ok = True
-    for s in decomp.sectors:
-        covered = sorted(i for c in s.components for i in c.indices)
-        partition_ok = partition_ok and covered == list(range(ncoords))
-        rows.append(
-            {
-                "order": s.order,
-                "residue_degree": s.residue_degree,
-                "point": [fraction_str(v) for v in s.point.values],
-                "support": group_to_json(s.support),
-                "components": [list(c.indices) for c in s.components],
-                "dimension": s.dimension,
-            }
-        )
-        comps = " + ".join(f"P^{c.dim}" for c in s.components)
-        lines.append(
-            f"e={s.order:>3}  residue degree {s.residue_degree}  support {s.support}  "
-            f"fixed {comps}  dim {s.dimension}"
-        )
+    everyone = list(range(len(model.weights)))
+    # each distinct component list is checked once
+    partitions = dict.fromkeys(tuple(c.indices for c in s.components) for s in decomp.sectors)
     total = decomp.total_dimension
     results = {
-        "rows": rows,
+        "rows": sector_rows_to_json(decomp.sectors),
         "total_dimension": total,
         "untwisted_dimension": decomp.untwisted_dimension,
         "vistoli_kernel_dimension": vistoli_kernel_dimension(decomp),
         "free_module_dimension": free_module_dim,
     }
     checks = [
-        ("fixed components partition the coordinates", partition_ok),
+        ("fixed components partition the coordinates",
+         all(sorted(i for ix in key for i in ix) == everyone for key in partitions)),
         ("total equals the free-module dimension (rank dim V over the group algebra)",
          total == free_module_dim),
     ]
     inputs = {"order": args.order, "orders": args.orders, "weights": args.weights}
     doc = make_document("sectors", inputs, trunc, results, checks)
-    lines.append(f"total {total}, untwisted {decomp.untwisted_dimension}, "
-                 f"localization kernel {results['vistoli_kernel_dimension']}")
-    return emit(doc, lines, args.format)
+
+    def lines():  # only the text format reads them, so a JSON run builds none
+        for s in decomp.sectors:
+            comps = " + ".join(f"P^{c.dim}" for c in s.components)
+            yield (f"e={s.order:>3}  residue degree {s.residue_degree}  support {s.support}  "
+                   f"fixed {comps}  dim {s.dimension}")
+        yield (f"total {total}, untwisted {decomp.untwisted_dimension}, "
+               f"localization kernel {results['vistoli_kernel_dimension']}")
+
+    return emit(doc, lines(), args.format)
 
 
 def cmd_support(args) -> int:

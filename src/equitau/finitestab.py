@@ -7,7 +7,12 @@ sector has support dual to N/ker(phi) = im(phi), cyclic of order e; its fixed
 components are the coordinates grouped by the value phi(w) of their weights;
 its residue degree is the orbit's size phi_Euler(e), as (Z/e)^x acts freely.
 Its dimension is (sum over components of (dim + 1)) * residue degree, one row
-per orbit.  `support_subgroup` and `fixed_locus` are the Smith-normal-form route.
+per orbit.  An orbit is the generators of one cyclic subgroup, so
+`character_orbits` writes down each least generator a coordinate at a time
+and never visits the group's elements: the work is per row, not per element.
+`support_subgroup` is the Smith-normal-form route; `tests/test_finitestab.py`
+keeps `fixed_locus`, the same route to the fixed components, as the reference
+for the rows.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cache, partial
 from operator import mul
 
 from .charclass import ProjSpaceModel
@@ -25,7 +30,6 @@ from .lattice import (
     Weight,
     kernel_of_character_point,
     quotient_group,
-    quotient_with_projection,
 )
 
 
@@ -60,24 +64,6 @@ class FixedComponent:
         return len(self.indices) - 1
 
 
-def fixed_locus(model: ProjSpaceModel, vanishing_characters) -> list[FixedComponent]:
-    """Components of the subscheme fixed by the subgroup H dual to N/K.
-
-    H is specified by K = `vanishing_characters`, the subgroup of characters
-    restricting trivially to it.  Coordinates are grouped by their weight
-    modulo K; a group of size s contributes a P^{s-1}.  The components
-    partition the coordinate set (trivial H gives the whole space back).
-    """
-    _, project = quotient_with_projection(model.group, vanishing_characters)
-    groups: dict[Weight, list[int]] = {}
-    for i, w in enumerate(model.weights):
-        groups.setdefault(project(w), []).append(i)
-    return [
-        FixedComponent(tuple(indices), tuple(model.weights[i] for i in indices))
-        for indices in sorted(groups.values())
-    ]
-
-
 @dataclass(frozen=True)
 class Sector:
     point: TorsionCharacterPoint
@@ -107,26 +93,67 @@ class SectorDecomposition:
         return sum(s.dimension for s in self.sectors if s.is_untwisted)
 
 
+def _factorization(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) for each prime dividing n >= 1, by trial division."""
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n, k = n // p, k + 1
+            factors.append((p, k))
+        p += 1
+    return factors + [(n, 1)] if n > 1 else factors
+
+
+def _totient(n: int) -> int:
+    """Euler's phi(n), the size of a Galois orbit of order n."""
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in _factorization(n))
+
+
+def _least_residues(d: int, divisors, m: int) -> list[tuple[int, int]]:
+    """(least residue, order) of each orbit of Z/d under the units a = 1 (mod m), sorted.
+
+    The elements of order o are (d/o) * u for the units u mod o, and the
+    units a = 1 (mod m) move u through its class mod g = gcd(m, o): one orbit
+    per unit class c mod g, least at the least unit z = c (mod g).
+    """
+    residues = []
+    for o in divisors:
+        if o == 1:
+            residues.append((0, 1))
+            continue
+        g = math.gcd(m, o)
+        for c in range(1, g + 1):
+            if math.gcd(c, g) == 1:
+                z = next(z for z in range(c, o, g) if math.gcd(z, o) == 1)
+                residues.append((d // o * z, o))
+    residues.sort()
+    return residues
+
+
 def character_orbits(orders: tuple[int, ...]):
     """(least residue tuple, order e, orbit size) for each Galois orbit of characters.
 
     A character of Z/d_1 + ... + Z/d_s is a residue tuple r, with value r_i / d_i
-    on the i-th generator; its orbit {a * r : gcd(a, e) = 1} for e = ord(r) has
-    phi_Euler(e) elements.  Tuples are visited in lexicographic order, so each
-    orbit is met first at its least tuple, which is also its least value tuple.
+    on the i-th generator; its orbit {a * r : gcd(a, e) = 1} for e = ord(r) is
+    the phi_Euler(e) generators of one cyclic subgroup of order e.  The least
+    tuple is chosen a coordinate at a time: once r_1..r_k are least, with m the
+    lcm of their orders, the units a = 1 (mod m) fix them and move r_{k+1}
+    (`_least_residues`).  No group element is visited, and the orbits come in
+    lexicographic order of their least tuples.
     """
-    seen = set()
-    for residues in product(*(range(d) for d in orders)):
-        if residues in seen:
-            continue
-        e = math.lcm(*(d // math.gcd(r, d) for r, d in zip(residues, orders)))
-        orbit = {
-            tuple(a * r % d for r, d in zip(residues, orders))
-            for a in range(1, e + 1)
-            if math.gcd(a, e) == 1
-        }
-        seen.update(orbit)
-        yield residues, e, len(orbit)
+    prefixes = [((), 1)]  # least prefixes in lexicographic order, with the lcm of their orders
+    for d in orders:
+        divisors = [1]
+        for p, k in _factorization(d):
+            divisors = [q * p**j for q in divisors for j in range(k + 1)]
+        residues = cache(partial(_least_residues, d, divisors))  # one list per m, this call only
+        prefixes = [(prefix + (r,), math.lcm(m, o))
+                    for prefix, m in prefixes for r, o in residues(m)]
+    sizes = cache(_totient)
+    for prefix, e in prefixes:
+        yield prefix, e, sizes(e)
 
 
 def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
@@ -136,7 +163,8 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     L = lcm(d_i), phi(w) = k(w) / L for k(w) = sum_i w_i r_i (L / d_i) mod L.
     The support is Z/e (trivial for e = 1), the fixed components group the
     coordinates by k(w), and the residue degree is the orbit's size.  Rows are
-    sorted by (e, r), which is the order of (e, values of phi).
+    sorted by (e, r), which is the order of (e, values of phi).  Each distinct
+    support, component tuple and value is built once, so the work is per row.
     """
     group = model.group
     if not group.is_finite:
@@ -144,20 +172,27 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     _check_group_order(group)
     orders = group.torsion_orders
     lcm = math.lcm(*orders)
-    coords = [w.coords for w in model.weights]
+    weights = model.weights
+    scaled = [[c * (lcm // d) for c, d in zip(w.coords, orders)] for w in weights]
+    # each distinct support, value and component tuple is built once per call
+    supports = cache(lambda e: GroupDescriptor(0, (e,) if e > 1 else ()))
+    # 0 <= r < d: each value r/d is already a valid reduced value
+    values = cache(Fraction)
+
+    @cache
+    def components(key):
+        # an index tuple starts at its least index, so insertion order is sorted order
+        comps = tuple(FixedComponent(ix, tuple(weights[i] for i in ix)) for ix in key)
+        return comps, sum(c.dim + 1 for c in comps)
+
     sectors = []
     for residues, e, size in sorted(character_orbits(orders), key=lambda o: (o[1], o[0])):
-        scaled = [r * (lcm // d) for r, d in zip(residues, orders)]
         groups: dict[int, list[int]] = {}
-        for i, c in enumerate(coords):
-            groups.setdefault(sum(map(mul, c, scaled)) % lcm, []).append(i)
-        # an index list starts at its least index, so insertion order is sorted order
-        components = tuple(FixedComponent(tuple(ix), tuple(model.weights[i] for i in ix))
-                           for ix in groups.values())
-        # 0 <= r < d: each value r/d is already a valid reduced value
-        point = TorsionCharacterPoint._trusted(group, tuple(map(Fraction, residues, orders)))
-        sectors.append(Sector(point, e, size, GroupDescriptor(0, (e,) if e > 1 else ()),
-                              components, sum(c.dim + 1 for c in components) * size))
+        for i, c in enumerate(scaled):
+            groups.setdefault(sum(map(mul, c, residues)) % lcm, []).append(i)
+        comps, width = components(tuple(map(tuple, groups.values())))
+        point = TorsionCharacterPoint._trusted(group, tuple(map(values, residues, orders)))
+        sectors.append(Sector(point, e, size, supports(e), comps, width * size))
     return SectorDecomposition(group, model, tuple(sectors))
 
 

@@ -163,8 +163,15 @@ class RepRingElement(SparseElement):
         """Canonical order: total coordinate height, then descending lex."""
         return sorted(self.terms.items(), key=lambda item: _print_order(item[0]))
 
+    def print_keys(self):
+        """The keys of the terms in the order ``sorted_terms`` lists them."""
+        return sorted(self.num, key=_print_order)
+
     def __str__(self):
-        keys = sorted(self.num, key=_print_order)
+        return self.text(self.print_keys())
+
+    def text(self, keys):
+        """``str(self)`` from ``keys = self.print_keys()``, for a caller that sorts once."""
         return terms_string(
             variable_names("u", self.ctx.ngens),
             list(zip(*keys)),

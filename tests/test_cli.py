@@ -16,7 +16,9 @@ import equitau.finitestab
 import equitau.lattice
 import equitau.reprring
 import equitau.selftest
-from equitau.cli import main, render_json, rep_to_json, series_to_json
+from equitau.charclass import mu_model
+from equitau.cli import main, render_json, rep_to_json, sector_rows_to_json, series_to_json
+from equitau.finitestab import sector_dimensions
 from equitau.gradedring import GradedSeries
 from equitau.reprring import (
     CERTIFICATE_ENTRY_LIMIT,
@@ -191,6 +193,62 @@ def test_json_fragments_match_the_dict_route_at_every_depth():
         for flags in ((True, False, False), (False, True, True), (False, False, True)):
             assert (kind, *flags) in {(shape[0], *shape[2:]) for shape in shapes}
     assert ("truncation", 0, False) in shapes
+
+
+def reference_sector_rows(sectors):
+    """The dict route ``cli.sector_rows_to_json`` replaced: one dict per row."""
+    return [
+        {
+            "order": s.order,
+            "residue_degree": s.residue_degree,
+            "point": [str(Fraction(v)) for v in s.point.values],
+            "support": {
+                "free_rank": s.support.free_rank,
+                "torsion_orders": list(s.support.torsion_orders),
+                "name": str(s.support),
+            },
+            "components": [list(c.indices) for c in s.components],
+            "dimension": s.dimension,
+        }
+        for s in sectors
+    ]
+
+
+def reference_sector_lines(decomp):
+    """The text lines of ``sectors``, written out row by row."""
+    lines = [
+        f"e={s.order:>3}  residue degree {s.residue_degree}  support {s.support}  "
+        f"fixed {' + '.join(f'P^{c.dim}' for c in s.components)}  dim {s.dimension}"
+        for s in decomp.sectors
+    ]
+    kernel = decomp.total_dimension - decomp.untwisted_dimension
+    return lines + [f"total {decomp.total_dimension}, untwisted {decomp.untwisted_dimension}, "
+                    f"localization kernel {kernel}"]
+
+
+def test_sector_rows_match_the_dict_rows_at_every_depth(capsys):
+    assert sector_rows_to_json(()) == "[]"
+    rng = random.Random(21)
+    chains = [(), (1,), (2,), (7,), (12,), (2, 2), (6, 12), (12, 60), (2, 6, 12), (3, 9, 27)]
+    for case in range(80):
+        orders = chains[case % len(chains)]
+        weights = [tuple(rng.randint(-40, 40) for _ in orders) for _ in range(rng.randint(2, 6))]
+        decomp = sector_dimensions(mu_model(orders, weights))
+        fragment = sector_rows_to_json(decomp.sectors)
+        reference = reference_sector_rows(decomp.sectors)
+        assert fragment == json.dumps(reference, indent=2, sort_keys=True)
+
+        def place(rows):
+            # at the top, inside a dict inside a dict, and inside a list inside a list
+            return {"rows": rows, "results": {"rows": rows, "n": 1},
+                    "list": [[rows], {"deep": rows}]}
+
+        expected = json.dumps(place(reference), indent=2, sort_keys=True)
+        assert render_json(place(fragment)) == expected
+        if orders and case % 4 == 0:
+            argv = ["sectors", "--orders", ",".join(map(str, orders)),
+                    "--weights=" + ";".join(",".join(map(str, w)) for w in weights)]
+            assert run(capsys, *argv)[1].splitlines()[2:-2] == reference_sector_lines(decomp)
 
 
 def test_document_schema_keys(capsys):

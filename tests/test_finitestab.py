@@ -8,19 +8,67 @@ import pytest
 from equitau.charclass import mu_model
 from equitau.cli import parse_weights
 from equitau.finitestab import (
+    FixedComponent,
     character_orbits,
-    fixed_locus,
     ktheory_free_module_dimension,
     sector_dimensions,
     support_subgroup,
     vistoli_kernel_dimension,
 )
-from equitau.lattice import GroupDescriptor, TorsionCharacterPoint, kernel_of_character_point
+from equitau.lattice import (
+    GroupDescriptor,
+    TorsionCharacterPoint,
+    kernel_of_character_point,
+    quotient_with_projection,
+)
 
 
 def euler_phi(n: int) -> int:
     """Euler's totient by counting, the reference for a sector's residue degree."""
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def fixed_locus(model, vanishing_characters):
+    """Components of the subscheme fixed by the subgroup H dual to N/K, on Smith normal form.
+
+    H is specified by K = `vanishing_characters`, the subgroup of characters
+    restricting trivially to it.  Coordinates are grouped by their weight
+    modulo K; a group of size s contributes a P^{s-1}.  The reference for the
+    components `sector_dimensions` reads off integer residues.
+    """
+    _, project = quotient_with_projection(model.group, vanishing_characters)
+    groups = {}
+    for i, w in enumerate(model.weights):
+        groups.setdefault(project(w), []).append(i)
+    return [
+        FixedComponent(tuple(indices), tuple(model.weights[i] for i in indices))
+        for indices in sorted(groups.values())
+    ]
+
+
+def reference_character_orbits(orders):
+    """The Galois orbits as sets of residue tuples, visiting every group element."""
+    seen = set()
+    for residues in product(*(range(d) for d in orders)):
+        if residues in seen:
+            continue
+        e = math.lcm(*(d // math.gcd(r, d) for r, d in zip(residues, orders)))
+        orbit = {
+            tuple(a * r % d for r, d in zip(residues, orders))
+            for a in range(1, e + 1)
+            if math.gcd(a, e) == 1
+        }
+        seen.update(orbit)
+        yield residues, e, len(orbit)
+
+
+def divisibility_chains(limit, least=2):
+    """Every chain least <= d_1 | d_2 | ... with product at most limit, the empty one included."""
+    yield ()
+    for d in range(least, limit + 1):
+        for rest in divisibility_chains(limit // d, d):
+            if all(r % d == 0 for r in rest[:1]):
+                yield (d, *rest)
 
 
 def character_orbit_representatives(group: GroupDescriptor):
@@ -191,6 +239,36 @@ def test_integer_orbits_equal_the_fraction_enumeration(orders):
     group = GroupDescriptor(0, orders)
     got = character_orbit_representatives(group)
     assert got == fraction_orbit_representatives(group)
+
+
+def test_character_orbits_equal_the_reference_on_every_small_chain():
+    # every chain with |N| <= 2,000, the trivial group included, then seeded 3-factor chains
+    chains = list(divisibility_chains(2000))
+    assert () in chains and (2, 2, 2) in chains and (12, 60) in chains and (30, 90) not in chains
+    assert len(chains) == 4278
+    rng = random.Random(21)
+    while len(chains) < 4278 + 24:
+        d1 = rng.randint(2, 6)
+        d2 = d1 * rng.randint(1, 6)
+        d3 = d2 * rng.randint(1, 6)
+        if d1 * d2 * d3 <= 20000:
+            chains.append((d1, d2, d3))
+    for orders in chains:
+        assert list(character_orbits(orders)) == list(reference_character_orbits(orders)), orders
+
+
+def test_cyclic_groups_have_one_row_per_divisor():
+    for d in [*range(1, 201), 99991]:
+        divisors = [e for e in range(1, d + 1) if d % e == 0]
+        # the orbit of order e is the generator d/e of the subgroup of order e
+        assert list(character_orbits((d,))) == sorted(
+            ((d // e % d,), e, euler_phi(e)) for e in divisors
+        )
+        decomp = sector_dimensions(mu_model(d, [0, 1]))
+        assert [(s.order, s.point.values) for s in decomp.sectors] == [
+            (e, (Fraction(d // e % d, d),) if d > 1 else ()) for e in divisors
+        ]
+        assert decomp.total_dimension == 2 * d
 
 
 def test_group_orders_past_the_limit_are_refused_before_enumeration(monkeypatch):
