@@ -32,9 +32,8 @@ from .finitestab import (
 )
 from .gradedring import GradedSeries, odd_part_quotient, pushforward
 from .lattice import GroupDescriptor, TorsionCharacterPoint
-from .reprring import CertificateError, RepRingElement
+from .reprring import CertificateError, RepRingElement, segal_certificate
 from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
-from .selftest import run_all, segal_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +407,8 @@ def cmd_segal(args) -> int:
 def cmd_selftest(args) -> int:
     if args.trunc is not None:
         raise ValueError("selftest runs its criteria at fixed truncations; --trunc is not accepted")
+    from .selftest import run_all  # imported here: no other subcommand needs the criteria
+
     trunc = resolve_truncation(args)
     results = run_all()
     rows = [{"name": name, "pass": passed, "detail": detail} for name, passed, detail in results]

@@ -51,8 +51,11 @@ Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
 h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  A
 degree-1 x = a.h + L acts bidiagonally, x.N_m = a.N_(m+1) + (L - a.l_m).N_m,
 so ``root_series_product`` (the Todd class) multiplies by a Chern root with a
-shift and a convolution by one linear form per coordinate: no relation fold,
-no dense product.  It converts to the h-basis once, by N_1..N_n.
+shift and a product by one linear form per coordinate, in one fused loop that
+also adds each power into the running sum: no relation fold, no dense
+product.  It converts to the h-basis once, by N_1..N_n.  The coefficient
+tables c_j / dx^j of a power series (``_scaled_coefficients``) are built once
+per process for each (coefficient function, dx, count).
 """
 
 from __future__ import annotations
@@ -321,12 +324,17 @@ def _slot_product(a, b, limit, relation):
     return prod
 
 
+@lru_cache(maxsize=128)
 def _scaled_coefficients(coeff_fn, dx, count):
-    """([m_0, ..., m_(count-1)], den), m_j / den = coeff_fn(j) / dx^j: f(X / dx) over one den."""
+    """((m_0, ..., m_(count-1)), den), m_j / den = coeff_fn(j) / dx^j: f(X / dx) over one den.
+
+    Built once per process for each (coeff_fn, dx, count), as ``bernoulli_number``
+    is, so callers pass module-level coefficient functions, not a new lambda per call.
+    """
     coeffs = [coeff_fn(j) for j in range(count)]
     dens = [c.denominator * dx**j for j, c in enumerate(coeffs)]
     den = math.lcm(*dens)
-    return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
+    return tuple(c.numerator * (den // q) for c, q in zip(coeffs, dens)), den
 
 
 def _power_series_sum(multipliers, power, times_x):
@@ -377,9 +385,14 @@ def apply_power_series(coeff_fn, x):
     return ring._element(total, den)
 
 
+def exp_coefficient(k: int) -> Fraction:
+    """Coefficient of x^k in e^x: 1 / k!."""
+    return Fraction(1, math.factorial(k))
+
+
 def exp(x):
     """exp of a series or bundle element without constant term."""
-    return apply_power_series(lambda k: Fraction(1, math.factorial(k)), x)
+    return apply_power_series(exp_coefficient, x)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +431,7 @@ def newton_basis(weights, rank, truncation):
 
     weights are integer vectors; N_(n+1) = h^(n+1) + e_1 h^n + ... + e_(n+1).
     """
+    # GradedSeries products on purpose: perfbench/test_perfbench.py expects an hrr job to trace one
     poly, basis = [GradedSeries.one(rank, truncation)], []
     for w in weights:
         l = GradedSeries.linear_form(rank, truncation, w)
@@ -434,38 +448,48 @@ def root_series_product(ring, factors):
     """prod_r f_r(x_r) in ``ring`` for pairs (coeff_fn, x_r), f_r = sum_k coeff_fn(k) x^k.
 
     Each x_r = a.h + L is of degree 1 or zero (else ValueError); the product
-    is built in Newton coordinates (module docstring).  The scaled
-    coefficients of f_r are computed once per distinct (coeff_fn, dx) of a
-    call, so the n+1 tangent roots share one list.
+    is built in Newton coordinates (module docstring).  Each root's series is
+    summed in one loop: a step takes the power y to x.y coordinate by
+    coordinate, from the top down, so that N_(m-1)'s old value is still there
+    to shift, and adds multiplier * power into the running total as it goes.
     """
     ctx, weights = ring.ctx, ring.weights
-    count, limit, scaled = ctx.truncation + len(weights), ctx.limit, {}
+    count, bound, top = ctx.truncation + len(weights), ctx.limit - ctx.top, len(weights) - 1
     coords, den = [{0: 1}, *({} for _ in weights[1:])], 1
     for coeff_fn, x in factors:
         a, form, dx = ring.linear_parts(x)
         linear = dict(form)  # dx.x = a.(h + l_m) + (L - a.l_m): the second part keeps N_m
         forms = [
-            sorted((p, d) for p, w in zip(ctx.places, wm) if (d := linear.get(p, 0) - a * w))
+            [(p, d) for p, w in zip(ctx.places, wm) if (d := linear.get(p, 0) - a * w)]
             for wm in weights
         ]
-
-        def times_x(y, a=a, forms=forms):
-            out, below = [], {}
-            for u, f in zip(y, forms):  # the top coordinate's shift lands on N_(n+1) = 0
-                out.append(dict(below) if a == 1 else {k: a * c for k, c in below.items()})
-                _convolve(u.items(), f, limit, out[-1])
-                if a:  # with a = 0 nothing shifts
-                    below = u
-            return out
-
-        if (coeff_fn, dx) not in scaled:
-            scaled[coeff_fn, dx] = _scaled_coefficients(coeff_fn, dx, count)
-        multipliers, d = scaled[coeff_fn, dx]
-        coords, den = _power_series_sum(multipliers, coords, times_x), den * d
+        multipliers, d = _scaled_coefficients(coeff_fn, dx, count)
+        m = multipliers[0]
+        power, total = coords, [{k: m * c for k, c in u.items()} for u in coords]
+        for m in multipliers[1:]:
+            # the top coordinate's shift lands on N_(n+1) = 0; with a = 0 nothing shifts
+            for i in range(top, -1, -1):
+                below = power[i - 1] if i and a else {}
+                out = dict(below) if a == 1 else {k: a * c for k, c in below.items()}
+                get = out.get
+                for k, c in power[i].items():
+                    if k < bound:  # a key of degree N times a linear form leaves the ring
+                        for p, e in forms[i]:
+                            q = k + p
+                            out[q] = get(q, 0) + c * e
+                power[i] = out
+                if m:
+                    t = total[i]
+                    tget = t.get
+                    for k, c in out.items():
+                        t[k] = tget(k, 0) + m * c
+            if not any(power):
+                break
+        coords, den = total, den * d
     slots = [dict(u) for u in coords]  # the leading 1 of each N_m; zeros go in _element
     for u, poly in zip(coords[1:], ring._basis_items()):
         for k, c in enumerate(poly[:-1]):
-            _convolve(u.items(), c, limit, slots[k])
+            _convolve(u.items(), c, ctx.limit, slots[k])
     return ring._element(slots, den)
 
 

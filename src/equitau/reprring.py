@@ -4,8 +4,10 @@ R(G) = Z[N] for the character group N: elements are finite combinations of
 weights, stored sparsely.  Includes the augmentation (virtual rank), the
 alternating classes lambda_{-1}(V) = prod(1 - chi_i), the Chern character
 into truncated graded series (tori only), the generators e_i - C(n, i) of the
-rank-0 ideal of R(GL_n) inside the rank-n torus ring, and a bounded cofactor
-search that produces explicit, re-verified ideal-membership certificates.
+rank-0 ideal of R(GL_n) inside the rank-n torus ring, the Segal target
+(t_1 - 1)^d with those generators (``segal_certificate``, behind the CLI's
+``segal``), and a bounded cofactor search that produces explicit,
+re-verified ideal-membership certificates.
 
 The Chern character sends chi_w to exp(w.t) and is computed in closed form:
 the coefficient of t^e in ch(sum_w c_w chi_w) is
@@ -289,6 +291,39 @@ def gl_augmentation_generators(n: int) -> list[RepRingElement]:
         elementary_symmetric_character(n, i) - math.comb(n, i)
         for i in range(1, n + 1)
     ]
+
+
+# The largest Segal degree d whose target's largest coefficient, C(d, d // 2), has at most
+# 4,300 digits, the default limit of Python's int-to-str conversion.
+SEGAL_DEGREE_LIMIT = 14291
+
+
+def segal_certificate(n: int, degree: int, bound: int | None = None):
+    """Certificate that (t_1 - 1)^degree lies in the rank-0 GL_n ideal of the torus ring.
+
+    Default search bound: exponents in [-(degree - 1), degree - 1].  A degree past
+    ``SEGAL_DEGREE_LIMIT`` raises ValueError before anything is built.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    if degree > SEGAL_DEGREE_LIMIT:
+        raise ValueError(f"the target (t_1 - 1)^{degree} has a coefficient of more than 4300 "
+                         f"digits (limit degree {SEGAL_DEGREE_LIMIT})")
+    if bound is None:
+        bound = max(1, degree - 1)
+    check_certificate_size(n, 0, n, bound)  # the unknowns first: n <= 10^4 from here on
+    # e_k - C(n, k), k = 1..n, have 2^n - 1 + n terms: checked before they are built
+    check_certificate_size(n, 2**n - 1 + n, n, bound)
+    zeros, coeff, terms = (0,) * (n - 1), (-1) ** degree, {}
+    for k in range(degree + 1):  # (t_1 - 1)^degree = sum_k (-1)^(degree - k) C(degree, k) t_1^k
+        terms[(k, *zeros)] = coeff
+        coeff = -coeff * (degree - k) // (k + 1)
+    target = RepRingElement._trusted(torus_group(n), terms, 1)
+    generators = gl_augmentation_generators(n)
+    cofactors = ideal_membership_certificate(target, generators, bound)
+    return target, generators, cofactors, bound
 
 
 # ---------------------------------------------------------------------------

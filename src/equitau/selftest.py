@@ -30,10 +30,8 @@ from .finitestab import (
 from .reprring import (
     RepRingElement,
     augmentation_order,
-    check_certificate_size,
     chern_character,
-    gl_augmentation_generators,
-    ideal_membership_certificate,
+    segal_certificate,
     torus_group,
 )
 from .riemannroch import hrr_chi, verify_weyl
@@ -41,9 +39,6 @@ from .riemannroch import hrr_chi, verify_weyl
 WEYL_NMAX = 10
 WEYL_TRUNCATION = 16
 WEYL_TIME_LIMIT = 5.0
-# The largest Segal degree d whose target's largest coefficient, C(d, d // 2), has at most
-# 4,300 digits, the default limit of Python's int-to-str conversion.
-SEGAL_DEGREE_LIMIT = 14291
 
 
 def check_weyl_three_way():
@@ -122,34 +117,6 @@ def check_chern_filtration(cases=50, seed=977):
         if order is not None and order < k:
             bad.append((k, order))
     return not bad, f"{cases} products, truncation {truncation}, violations {bad}"
-
-
-def segal_certificate(n: int, degree: int, bound: int | None = None):
-    """Certificate that (t_1 - 1)^degree lies in the rank-0 GL_n ideal of the torus ring.
-
-    Default search bound: exponents in [-(degree - 1), degree - 1].  A degree past
-    ``SEGAL_DEGREE_LIMIT`` raises ValueError before anything is built.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    if degree > SEGAL_DEGREE_LIMIT:
-        raise ValueError(f"the target (t_1 - 1)^{degree} has a coefficient of more than 4300 "
-                         f"digits (limit degree {SEGAL_DEGREE_LIMIT})")
-    if bound is None:
-        bound = max(1, degree - 1)
-    check_certificate_size(n, 0, n, bound)  # the unknowns first: n <= 10^4 from here on
-    # e_k - C(n, k), k = 1..n, have 2^n - 1 + n terms: checked before they are built
-    check_certificate_size(n, 2**n - 1 + n, n, bound)
-    zeros, coeff, terms = (0,) * (n - 1), (-1) ** degree, {}
-    for k in range(degree + 1):  # (t_1 - 1)^degree = sum_k (-1)^(degree - k) C(degree, k) t_1^k
-        terms[(k, *zeros)] = coeff
-        coeff = -coeff * (degree - k) // (k + 1)
-    target = RepRingElement._trusted(torus_group(n), terms, 1)
-    generators = gl_augmentation_generators(n)
-    cofactors = ideal_membership_certificate(target, generators, bound)
-    return target, generators, cofactors, bound
 
 
 def check_segal_witnesses():

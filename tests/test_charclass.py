@@ -17,8 +17,10 @@ from equitau.charclass import (
 from equitau.gradedring import (
     BundleRingElement,
     GradedSeries,
+    _scaled_coefficients,
     apply_power_series,
     exp,
+    exp_coefficient,
     root_series_product,
     todd_coefficient,
     todd_inverse_coefficient,
@@ -249,6 +251,27 @@ def test_root_series_product_takes_negative_and_fraction_roots():
             root_series_product(ring, [(todd_coefficient, bad)])
     with pytest.raises(ValueError):
         root_series_product(ring, [(todd_coefficient, P1.hyperplane())])
+
+
+def test_coefficient_tables_are_built_once_per_function_dx_and_count():
+    # P^1 at truncation 8 and P^2 at truncation 7 share the count N + n + 1 = 10
+    models = [torus_model([1, -1], 8), torus_model([1, 2, 3], 7), torus_model([(1, 0), (0, 1)], 5)]
+    _scaled_coefficients.cache_clear()
+    for _ in range(3):
+        for model in models:
+            exp(model.hyperplane())
+            exp(GradedSeries.variable(model.rank, model.truncation))
+            todd_class_bundle(model, tangent_class(model))
+    counts = {model.truncation + model.dim + 1 for model in models}
+    functions = (exp_coefficient, todd_coefficient, todd_inverse_coefficient)
+    keys = {(fn, 1, c) for fn in functions for c in counts}
+    keys |= {(exp_coefficient, 1, model.truncation + 1) for model in models}
+    assert _scaled_coefficients.cache_info().currsize == len(keys) == 9
+    for key in keys:
+        multipliers, den = _scaled_coefficients(*key)
+        assert type(multipliers) is tuple and len(multipliers) == key[2]
+        assert multipliers[0] == den  # every coefficient function here has f(0) = 1
+    assert _scaled_coefficients.cache_info().currsize == len(keys)
 
 
 def test_todd_class_makes_no_bundle_multiply(monkeypatch):

@@ -587,7 +587,7 @@ def no_generators(n):
 
 
 def test_an_oversized_segal_search_is_refused_before_any_generator_is_built(capsys, monkeypatch):
-    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    monkeypatch.setattr(equitau.reprring, "gl_augmentation_generators", no_generators)
     assert main(["segal", "--n", "18", "--degree", "2", "--bound", "1"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", (
@@ -624,7 +624,7 @@ def test_a_segal_search_just_under_the_unknown_limit_runs(capsys):
 
 def test_a_segal_search_with_too_many_entries_exits_2_at_once(capsys, monkeypatch):
     # bound 0 leaves 20 unknowns, but e_1..e_20 - C(20, k) have 2^20 - 1 + 20 terms
-    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    monkeypatch.setattr(equitau.reprring, "gl_augmentation_generators", no_generators)
     start = time.perf_counter()
     assert main(["segal", "--n", "20", "--degree", "2", "--bound", "0"]) == 2
     assert time.perf_counter() - start < 1
@@ -639,7 +639,7 @@ def test_a_segal_search_with_too_many_entries_exits_2_at_once(capsys, monkeypatc
 def test_a_segal_count_past_10_to_the_30_gets_the_guards_own_message(capsys, monkeypatch, n):
     # 10^4 * 3^(10^4) has more digits than Python converts to a string, and 3^(10^7)
     # takes seconds to form: neither is formed
-    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    monkeypatch.setattr(equitau.reprring, "gl_augmentation_generators", no_generators)
     start = time.perf_counter()
     assert main(["segal", "--n", str(n), "--degree", "2"]) == 2
     assert time.perf_counter() - start < 0.5
@@ -652,7 +652,7 @@ def test_a_segal_count_past_10_to_the_30_gets_the_guards_own_message(capsys, mon
 
 @pytest.mark.parametrize("degree", [14292, 14500, 10**12])
 def test_a_segal_degree_past_the_print_limit_exits_2_at_once(capsys, monkeypatch, degree):
-    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    monkeypatch.setattr(equitau.reprring, "gl_augmentation_generators", no_generators)
     start = time.perf_counter()
     assert main(["segal", "--n", "1", "--degree", str(degree), "--bound", "0"]) == 2
     assert time.perf_counter() - start < 0.5
@@ -665,22 +665,22 @@ def test_a_segal_degree_past_the_print_limit_exits_2_at_once(capsys, monkeypatch
 
 def test_the_segal_degree_limit_is_the_last_degree_that_prints():
     # C(d, d // 2), the largest coefficient of (t_1 - 1)^d, grows with d
-    limit = equitau.selftest.SEGAL_DEGREE_LIMIT
+    limit = equitau.reprring.SEGAL_DEGREE_LIMIT
     assert math.comb(limit, limit // 2) < 10**4300 <= math.comb(limit + 1, (limit + 1) // 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_closed_form_segal_target_is_the_power(monkeypatch, n):
-    monkeypatch.setattr(equitau.selftest, "ideal_membership_certificate", lambda *args: None)
+    monkeypatch.setattr(equitau.reprring, "ideal_membership_certificate", lambda *args: None)
     t1 = RepRingElement.character(torus_group(n), (1,) + (0,) * (n - 1))
     for degree in range(13):
-        target = equitau.selftest.segal_certificate(n, degree, 0)[0]
+        target = equitau.reprring.segal_certificate(n, degree, 0)[0]
         assert target == (t1 - 1) ** degree and str(target) == str((t1 - 1) ** degree)
 
 
 def test_an_entry_count_past_10_to_the_30_gets_the_guards_own_message(capsys, monkeypatch):
     # bound 0 leaves 200 unknowns, but e_1..e_200 - C(200, k) have 2^200 - 1 + 200 terms
-    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", no_generators)
+    monkeypatch.setattr(equitau.reprring, "gl_augmentation_generators", no_generators)
     assert main(["segal", "--n", "200", "--degree", "2", "--bound", "0"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", (
@@ -708,11 +708,11 @@ def test_the_segal_entry_count_admits_n_16_and_refuses_n_17_at_bound_0(monkeypat
     def admitted(n):
         raise Admitted
 
-    monkeypatch.setattr(equitau.selftest, "gl_augmentation_generators", admitted)
+    monkeypatch.setattr(equitau.reprring, "gl_augmentation_generators", admitted)
     with pytest.raises(Admitted):
-        equitau.selftest.segal_certificate(16, 2, 0)  # 65,551 entries
+        equitau.reprring.segal_certificate(16, 2, 0)  # 65,551 entries
     with pytest.raises(ValueError, match="131088 nonzero entries"):
-        equitau.selftest.segal_certificate(17, 2, 0)
+        equitau.reprring.segal_certificate(17, 2, 0)
     # segal --n 4 --degree 4 (default bound 3) stays admitted
     assert (2**4 - 1 + 4) * 7**4 == 45619 <= CERTIFICATE_ENTRY_LIMIT
     check_certificate_size(1, CERTIFICATE_ENTRY_LIMIT, 1, 0)
@@ -724,7 +724,7 @@ def test_the_segal_entry_count_admits_n_16_and_refuses_n_17_at_bound_0(monkeypat
 def test_the_segal_entry_count_is_the_systems_nonzero_entries(monkeypatch, n, bound):
     systems = []
     monkeypatch.setattr(equitau.reprring, "_solve_sparse_linear", lambda eqs: systems.append(eqs))
-    equitau.selftest.segal_certificate(n, 2, bound)
+    equitau.reprring.segal_certificate(n, 2, bound)
     assert sum(len(row) for row, _ in systems[0]) == (2**n - 1 + n) * (2 * bound + 1) ** n
 
 
@@ -736,6 +736,16 @@ def test_a_solve_that_fails_both_moduli_exits_1(capsys, monkeypatch):
     assert (captured.out, captured.err) == ("", (
         "equitau: check failed: the linear solve failed its exact check modulo a prime past 2 H^2\n"
     ))
+
+
+def test_importing_the_cli_leaves_the_selftest_criteria_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equitau.__file__)))
+    code = "import sys, equitau.cli; print('equitau.selftest' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def test_python_dash_m_equitau(capsys, monkeypatch):
