@@ -21,10 +21,11 @@ carry as long as the product stays in degree <= N, which is exactly
 exponent, which is also the print order.  The public constructor and
 ``truncate`` encode keys; ``terms``, ``coefficient``, ``sorted_num`` and
 ``__str__`` decode them; the closed forms ``reprring.chern_character`` and
-``riemannroch.weyl_closed_form`` build their keys from the ring's ``places``
-(t^e has key sum_i e_i places[i]) and hand them to ``_trusted``.  ``terms``
-is a view {exponent tuple: Fraction}; ``coefficient`` is 0 for an exponent
-vector outside the ring.  A product sorts the right operand's items and
+``riemannroch.weyl_closed_forms`` build their keys from the ring's ``places``
+(t^e has key sum_i e_i places[i]) and hand them to ``_trusted``, and
+``times_exp_linear_form`` multiplies a series by e^(c.t) by adding multiples
+of one place at a time to its keys.  ``terms`` is a view {exponent tuple:
+Fraction}; ``coefficient`` is 0 for an exponent vector outside the ring.  A product sorts the right operand's items and
 ``_convolve`` adds the products into a dict, scanning the right operand only
 up to the bound.
 
@@ -53,9 +54,11 @@ degree-1 x = a.h + L acts bidiagonally, x.N_m = a.N_(m+1) + (L - a.l_m).N_m,
 so ``root_series_product`` (the Todd class) multiplies by a Chern root with a
 shift and a product by one linear form per coordinate, in one fused loop that
 also adds each power into the running sum: no relation fold, no dense
-product.  It converts to the h-basis once, by N_1..N_n.  The coefficient
-tables c_j / dx^j of a power series (``_scaled_coefficients``) are built once
-per process for each (coefficient function, dx, count).
+product.  It skips a zero root whose series starts at 1, coordinates that
+are empty and the inner loop of a one-term form.  It converts to the h-basis
+once, by N_1..N_n.  The coefficient tables c_j / dx^j of a power series
+(``_scaled_coefficients``) are built once per process for each (coefficient
+function, dx, count).
 """
 
 from __future__ import annotations
@@ -395,6 +398,35 @@ def exp(x):
     return apply_power_series(exp_coefficient, x)
 
 
+def times_exp_linear_form(series, coeffs) -> GradedSeries:
+    """series * e^(sum_p coeffs[p] t_p) for integer coeffs, one variable at a time.
+
+    e^(c t_p) = sum_k c^k t_p^k / k!, so each term t^e spreads along t_p, up to
+    degree N, with numerators c^k N!/k! over N!: no exp series, no dense product.
+    """
+    ctx = series.ctx
+    if len(coeffs) != ctx.rank:
+        raise ValueError(f"expected {ctx.rank} coefficients")
+    if not any(coeffs):
+        return series
+    n, top = ctx.truncation, ctx.top
+    num, den, scale = series.num, series.den, math.factorial(n)
+    for place, c in zip(ctx.places, coeffs):
+        if not c:
+            continue
+        weights = [scale]  # c^k N!/k!, k = 0..N; each division is exact
+        for k in range(1, n + 1):
+            weights.append(weights[-1] * c // k)
+        out = {}
+        get = out.get
+        for key, v in num.items():
+            for w in weights[: n + 1 - key // top]:  # t_p^k stays in degree <= N
+                out[key] = get(key, 0) + v * w
+                key += place
+        num, den = {k: v for k, v in out.items() if v}, den * scale
+    return GradedSeries._trusted(ctx, num, den)
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and the coefficients of the Todd factor x/(1 - e^(-x))
 
@@ -452,31 +484,45 @@ def root_series_product(ring, factors):
     summed in one loop: a step takes the power y to x.y coordinate by
     coordinate, from the top down, so that N_(m-1)'s old value is still there
     to shift, and adds multiplier * power into the running total as it goes.
+    A zero root whose series starts at 1 (the Euler sequence's -O) is the
+    factor 1 and is skipped; a coordinate that is empty, with nothing to
+    shift into it, stays empty untouched; a one-term form is applied without
+    an inner loop.
     """
     ctx, weights = ring.ctx, ring.weights
     count, bound, top = ctx.truncation + len(weights), ctx.limit - ctx.top, len(weights) - 1
     coords, den = [{0: 1}, *({} for _ in weights[1:])], 1
     for coeff_fn, x in factors:
         a, form, dx = ring.linear_parts(x)
+        multipliers, d = _scaled_coefficients(coeff_fn, dx, count)
+        if not (a or form) and multipliers[0] == d:
+            continue  # the factor 1 of a zero root, such as the Euler sequence's -O
         linear = dict(form)  # dx.x = a.(h + l_m) + (L - a.l_m): the second part keeps N_m
         forms = [
-            [(p, d) for p, w in zip(ctx.places, wm) if (d := linear.get(p, 0) - a * w)]
+            [(p, e) for p, w in zip(ctx.places, wm) if (e := linear.get(p, 0) - a * w)]
             for wm in weights
         ]
-        multipliers, d = _scaled_coefficients(coeff_fn, dx, count)
         m = multipliers[0]
         power, total = coords, [{k: m * c for k, c in u.items()} for u in coords]
         for m in multipliers[1:]:
             # the top coordinate's shift lands on N_(n+1) = 0; with a = 0 nothing shifts
             for i in range(top, -1, -1):
-                below = power[i - 1] if i and a else {}
+                here, below = power[i], power[i - 1] if i and a else {}
+                if not (here or below):
+                    continue  # a coordinate that is still, or already, empty stays so
                 out = dict(below) if a == 1 else {k: a * c for k, c in below.items()}
-                get = out.get
-                for k, c in power[i].items():
-                    if k < bound:  # a key of degree N times a linear form leaves the ring
-                        for p, e in forms[i]:
-                            q = k + p
-                            out[q] = get(q, 0) + c * e
+                get, f = out.get, forms[i]
+                if len(f) == 1:
+                    [(p, e)] = f
+                    for k, c in here.items():
+                        if k < bound:  # a key of degree N times a linear form leaves the ring
+                            out[k + p] = get(k + p, 0) + c * e
+                elif f:
+                    for k, c in here.items():
+                        if k < bound:
+                            for p, e in f:
+                                q = k + p
+                                out[q] = get(q, 0) + c * e
                 power[i] = out
                 if m:
                     t = total[i]

@@ -74,7 +74,8 @@ def _value(p, den):
 
 
 def _print_order(coords):
-    return sum(map(abs, coords)), tuple(map(neg, coords))
+    """The sort key (sum_i |c_i|, -c_1, ..., -c_r): total height, then descending lex."""
+    return (sum(map(abs, coords)), *map(neg, coords))
 
 
 class RepRingElement(SparseElement):

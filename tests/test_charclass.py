@@ -234,6 +234,30 @@ def test_todd_class_matches_the_dense_product_route():
             assert root_series_product(model.ring, factors) == want, (case, weights, n, bundle)
         seen.add((rank, dim, kind))
     assert len(seen) == 3 * 4 * 3
+    # a zero root first, in the middle and last, next to a root with a = 0 and a nonzero form
+    p3 = [(1, 0, 2), (0, 1, -1), (2, 0, 0), (1, 1, 1)]
+    for weights, n in (([1, -1], 9), ([(1, 0), (0, 1), (1, 1)], 6), (p3, 5)):
+        model = torus_model(weights, n)
+        ring, h, rank = model.ring, model.hyperplane(), model.rank
+        form = [rng.choice((1, -2, 3)) for _ in range(rank)]
+        flat = ring.embed(GradedSeries.linear_form(rank, n, form))  # a = 0
+        roots = [(todd_coefficient, h * 2 - flat), (todd_inverse_coefficient, flat)]
+        roots.append((todd_coefficient, h))
+        for place in range(len(roots) + 1):
+            for fn in (todd_coefficient, todd_inverse_coefficient, shifted_coefficient):
+                factors = roots[:place] + [(fn, model.embed(0))] + roots[place:]
+                want = model.embed(1)
+                for f, x in factors:
+                    want = want * apply_power_series(f, x)
+                got = root_series_product(ring, factors)
+                assert got == want, (weights, place, fn)
+                scale = 2 if fn is shifted_coefficient else 1
+                assert got == root_series_product(ring, roots) * scale
+
+
+def shifted_coefficient(k):
+    """Coefficients of a series that starts at 2, so that its factor at a zero root is 2, not 1."""
+    return Fraction(k + 2)
 
 
 def test_root_series_product_takes_negative_and_fraction_roots():

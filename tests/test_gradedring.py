@@ -16,6 +16,7 @@ from equitau.gradedring import (
     pushforward,
     pushforward_moments,
     reduce,
+    times_exp_linear_form,
     todd_coefficient,
 )
 
@@ -537,6 +538,24 @@ def test_exp_of_linear_forms_against_sympy():
             expected[monom[1:]] = Fraction(int(c.numerator), int(c.denominator))
         got = exp(GradedSeries.linear_form(rank, n, coeffs))
         assert got.terms == expected, (rank, n, coeffs)
+
+
+def test_exp_linear_form_twist_matches_the_exp_series_product():
+    rng = random.Random(2323)
+    for case in range(120):
+        rank, n = 1 + case % 3, case % 13
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            e = tuple(rng.randint(0, n) for _ in range(rank))
+            terms[e] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+        series = GradedSeries(rank, n, terms)
+        # zero, negative and positive entries, and an all-zero character now and then
+        coeffs = tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(rank))
+        want = exp(GradedSeries.linear_form(rank, n, coeffs)) * series
+        got = times_exp_linear_form(series, coeffs)
+        assert got == want, (rank, n, coeffs, series)
+        with pytest.raises(ValueError, match=f"expected {rank} coefficients"):
+            times_exp_linear_form(series, coeffs + (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from equitau.riemannroch import (
     sections_character_oracle,
     verify_weyl,
     weyl_closed_form,
+    weyl_closed_forms,
 )
 
 TRUNC = 12
@@ -64,6 +65,17 @@ def test_closed_form_examples():
     )
     assert two == expected
     assert weyl_closed_form(-1, 8).is_zero()
+    for n_trunc in (0, 1, 8, 30):
+        rows = weyl_closed_forms(12, n_trunc)
+        assert len(rows) == 14
+        for n, row in enumerate(rows, -1):  # every row against its direct sum of exp(k t)
+            direct = GradedSeries.zero(1, n_trunc)
+            for k in range(-n, n + 1, 2):
+                direct = direct + exp(GradedSeries.linear_form(1, n_trunc, (k,)))
+            assert row == direct == weyl_closed_form(n, n_trunc), (n, n_trunc)
+    for n_max in (0, 1):
+        report = verify_weyl(n_max, 0)
+        assert report.all_pass and [r.twist for r in report.rows] == list(range(-1, n_max + 1))
 
 
 def test_closed_form_serre_symmetry():
