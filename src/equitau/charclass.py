@@ -12,6 +12,7 @@ The tangent class is the Euler-sequence virtual difference
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +21,9 @@ from .gradedring import (
     BundleRingElement,
     GradedSeries,
     exp,
-    pushforward_moments,
+    newton_moments,
     reduce,
+    root_series_coordinates,
     root_series_product,
     todd_coefficient,
     todd_inverse_coefficient,
@@ -29,6 +31,35 @@ from .gradedring import (
 from .lattice import GroupDescriptor, Weight
 
 DEFAULT_TRUNCATION = 16
+
+# Sizes past which a torus model's series pipeline is refused (``check_series_size``).
+TRUNCATION_LIMIT = 128
+SERIES_WORK_LIMIT = 8 * 10**6
+
+
+def check_series_size(rank: int, dim: int, truncation: int) -> None:
+    """Refuse, with ValueError, a model of P^dim over a rank-`rank` torus too large to run.
+
+    It works from the sizes alone, before anything is built, and counts the
+    work of the two steps that grow fastest (the rest of a run scales with
+    them): the Todd walk, n + 1 roots of N + n + 1 powers each over n + 1
+    coordinates of at most C(N + r, r) terms, on numerators that grow by one
+    root's denominator per root, (n + 1)^3 (N + n + 1) C(N + r, r); and the
+    moments, n + 1 truncated products of two series, (n + 1) C(N + 2r, 2r)
+    term pairs.  Past truncation 128 the coefficients' bit sizes take over
+    on their own (rank 1 at truncation 512 takes about 20 s), so the
+    truncation is capped as well.
+    """
+    if truncation > TRUNCATION_LIMIT:
+        raise ValueError(f"truncation {truncation} is above the limit {TRUNCATION_LIMIT}")
+    n1 = dim + 1
+    walk = n1**3 * (truncation + n1) * math.comb(truncation + rank, rank)
+    work = walk + n1 * math.comb(truncation + 2 * rank, 2 * rank)
+    if work > SERIES_WORK_LIMIT:
+        raise ValueError(
+            f"P^{dim} over a rank-{rank} torus at truncation {truncation} is too large: "
+            f"{work} units of work (limit {SERIES_WORK_LIMIT})"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,15 +103,25 @@ class ProjSpaceModel:
         return BundleRing(self.weight_vectors(), self.rank, self.truncation)
 
     @cached_property
+    def tangent_todd_coordinates(self):
+        """(c, den): td(tangent) = sum_m c[m].N_m / den, built once per model for ``hrr_chi``."""
+        return todd_coordinates(self, tangent_class(self))
+
+    @cached_property
     def tangent_todd(self) -> BundleRingElement:
-        """td of the tangent class, built once per model (``hrr_chi`` uses it)."""
-        return todd_class_bundle(self, tangent_class(self))
+        """td of the tangent class in the h-basis, from its Newton coordinates."""
+        return self.ring.newton_element(*self.tangent_todd_coordinates)
 
     def todd_moments(self, count):
-        """``pushforward_moments(tangent_todd, count)``, kept on the model and rebuilt to extend."""
+        """The numerators of mu_p = pushforward(h^p.td(tangent)), p < count, over its den.
+
+        Read off the Newton coordinates by ``newton_moments``, kept on the model
+        and rebuilt to extend.
+        """
         moments = self.__dict__.get("_todd_moments", ())
         if len(moments) < count:
-            moments = self.__dict__["_todd_moments"] = pushforward_moments(self.tangent_todd, count)
+            coords, _ = self.tangent_todd_coordinates
+            moments = self.__dict__["_todd_moments"] = newton_moments(self.ring, coords, count)
         return moments
 
     def hyperplane(self) -> BundleRingElement:
@@ -157,15 +198,25 @@ def chern_character_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
     return sum((exp(x) * m for m, x in chern_roots(model, bundle)), model.embed(0))
 
 
+def _todd_factors(model: ProjSpaceModel, bundle) -> list:
+    """|m| pairs (coefficient function, x) per root: x/(1-e^(-x)), or (1-e^(-x))/x when m < 0."""
+    factors = []
+    for m, x in chern_roots(model, bundle):
+        factors += [(todd_coefficient if m > 0 else todd_inverse_coefficient, x)] * abs(m)
+    return factors
+
+
+def todd_coordinates(model: ProjSpaceModel, bundle):
+    """(c, den) of td(bundle) = sum_m c[m].N_m / den: ``root_series_coordinates`` of the roots."""
+    return root_series_coordinates(model.ring, _todd_factors(model, bundle))
+
+
 def todd_class_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
-    """Product of td(x)^m over the roots, td(x) = x/(1-e^(-x)).
+    """Product of td(x)^m over the roots, td(x) = x/(1-e^(-x)), in the h-basis.
 
     Always a unit with constant term 1, built by one ``root_series_product``
     call (Newton coordinates, no dense product) of |m| factors per root, each
     (1-e^(-x))/x when m < 0.  A zero root, such as the tangent's trivial one,
     contributes the factor 1; ch still needs it (it subtracts the class of O).
     """
-    factors = []
-    for m, x in chern_roots(model, bundle):
-        factors += [(todd_coefficient if m > 0 else todd_inverse_coefficient, x)] * abs(m)
-    return root_series_product(model.ring, factors)
+    return root_series_product(model.ring, _todd_factors(model, bundle))

@@ -6,7 +6,8 @@ Common flags: --trunc N (default 16, overridable via EQUITAU_TRUNC) and
 rendered as exact strings, never floats.  Exit status is 0 iff every embedded
 check passes, 1 on a check failure (a certificate that fails exact
 re-verification included, reported in one line on stderr), 2 on bad flags or
-input (a negative truncation, a zero denominator), also in one line.
+input (a negative truncation, a zero denominator, a model too large for the
+series pipeline), also in one line.
 A reader that closes the pipe early (`| head`) ends the run quietly with 1.
 """
 
@@ -23,7 +24,13 @@ from json.encoder import encode_basestring_ascii
 from operator import add
 
 from ._format import rational_str
-from .charclass import DEFAULT_TRUNCATION, line_class, mu_model, torus_model
+from .charclass import (
+    DEFAULT_TRUNCATION,
+    check_series_size,
+    line_class,
+    mu_model,
+    torus_model,
+)
 from .finitestab import (
     ktheory_free_module_dimension,
     sector_dimensions,
@@ -176,6 +183,13 @@ def resolve_truncation(args) -> int:
     return trunc
 
 
+def checked_torus_model(weights, trunc):
+    """``torus_model(weights, trunc)``, refused by ``check_series_size`` before it is built."""
+    rank = len(weights[0]) if isinstance(weights[0], tuple) else 1
+    check_series_size(rank, len(weights) - 1, trunc)
+    return torus_model(weights, trunc)
+
+
 def make_document(command, inputs, truncation, results, checks):
     return {
         "command": command,
@@ -206,7 +220,7 @@ def emit(doc: dict, text_lines, fmt: str) -> int:
 def cmd_chi(args) -> int:
     trunc = resolve_truncation(args)
     weights = parse_weights(args.weights)
-    model = torus_model(weights, trunc)
+    model = checked_torus_model(weights, trunc)
     character = tuple(int(x) for x in args.char.split(",")) if args.char else ()
     result = chi_with_oracle(model, line_class(args.twist, character))
     checks = [("section-oracle agreement up to truncation", result.matches_oracle)]
@@ -235,6 +249,7 @@ def cmd_chi(args) -> int:
 
 def cmd_weyl(args) -> int:
     trunc = resolve_truncation(args)
+    check_series_size(1, 1, trunc)
     report = verify_weyl(args.nmax, trunc)
     rows, checks, lines = [], [], []
     for row in report.rows:
@@ -262,7 +277,7 @@ def cmd_weyl(args) -> int:
 def cmd_pushforward(args) -> int:
     trunc = resolve_truncation(args)
     weights = parse_weights(args.weights)
-    model = torus_model(weights, trunc)
+    model = checked_torus_model(weights, trunc)
     coeffs = [int(x) for x in args.poly.split(",")]
     reduced = model.reduce_poly(coeffs)
     series = pushforward(reduced)

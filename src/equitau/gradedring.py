@@ -44,21 +44,27 @@ slots 2n..n+1 back from the top down with h^(n+1) = -(e_1 h^n + ... +
 e_{n+1}).  The public ``reduce`` multiplies by 1, and
 ``apply_power_series`` (``exp``) runs on the same kernel, on integers.
 
-``pushforward_moments(y, count)`` gives mu_j = pushforward(h^j.y), j < count,
-each by one shift and one ``_reduce_slots`` fold; ``riemannroch.hrr_chi``
-reads chi off the moments of the tangent Todd class.
-
 Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
 h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  A
 degree-1 x = a.h + L acts bidiagonally, x.N_m = a.N_(m+1) + (L - a.l_m).N_m,
-so ``root_series_product`` (the Todd class) multiplies by a Chern root with a
-shift and a product by one linear form per coordinate, in one fused loop that
-also adds each power into the running sum: no relation fold, no dense
-product.  It skips a zero root whose series starts at 1, coordinates that
-are empty and the inner loop of a one-term form.  It converts to the h-basis
-once, by N_1..N_n.  The coefficient tables c_j / dx^j of a power series
-(``_scaled_coefficients``) are built once per process for each (coefficient
-function, dx, count).
+so ``root_series_coordinates`` (the Todd class) multiplies by a Chern root
+with a shift and a product by one linear form per coordinate, in one fused
+loop that also adds each power into the running sum: no relation fold, no
+dense product.  It skips a zero root whose series starts at 1, coordinates
+that are empty and the inner loop of a one-term form.  The coefficient
+tables c_j / dx^j of a power series (``_scaled_coefficients``) are built
+once per process for each (coefficient function, dx, count).
+
+The pushforward reads Newton coordinates directly, by the closed-form Gysin
+map: pushforward(h^(n+i)) is the degree-i part of the Segre series
+S_0 = prod_i 1/(1 + l_i) (Fulton, *Intersection Theory*, Section 3.1), and
+pushforward(N_m.h^k) is the degree-(k - n + m) part of its tail
+S_m = S_0.prod_(i<m)(1 + l_i).  ``newton_moments`` gives every
+mu_p = pushforward(h^p.y) of y = sum_m c_m.N_m from n + 1 products c_m.S_m,
+bucketed by p, with no h-basis and no relation fold; ``riemannroch.hrr_chi``
+reads chi off the moments of the tangent Todd class.  Only
+``root_series_product`` and the tangent Todd class of the library convert
+coordinates to the h-basis (``BundleRing.newton_element``), by N_1..N_n.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from ._format import terms_string, variable_names
@@ -417,10 +424,11 @@ def times_exp_linear_form(series, coeffs) -> GradedSeries:
         weights = [scale]  # c^k N!/k!, k = 0..N; each division is exact
         for k in range(1, n + 1):
             weights.append(weights[-1] * c // k)
+        runs = [weights[: n + 1 - d] for d in range(n + 1)]  # t_p^k stays in degree <= N
         out = {}
         get = out.get
         for key, v in num.items():
-            for w in weights[: n + 1 - key // top]:  # t_p^k stays in degree <= N
+            for w in runs[key // top]:
                 out[key] = get(key, 0) + v * w
                 key += place
         num, den = {k: v for k, v in out.items() if v}, den * scale
@@ -463,7 +471,6 @@ def newton_basis(weights, rank, truncation):
 
     weights are integer vectors; N_(n+1) = h^(n+1) + e_1 h^n + ... + e_(n+1).
     """
-    # GradedSeries products on purpose: perfbench/test_perfbench.py expects an hrr job to trace one
     poly, basis = [GradedSeries.one(rank, truncation)], []
     for w in weights:
         l = GradedSeries.linear_form(rank, truncation, w)
@@ -476,18 +483,19 @@ def newton_basis(weights, rank, truncation):
     return basis
 
 
-def root_series_product(ring, factors):
-    """prod_r f_r(x_r) in ``ring`` for pairs (coeff_fn, x_r), f_r = sum_k coeff_fn(k) x^k.
+def root_series_coordinates(ring, factors):
+    """(c, den): prod_r f_r(x_r) = sum_m c[m].N_m / den, for pairs (coeff_fn, x_r).
 
-    Each x_r = a.h + L is of degree 1 or zero (else ValueError); the product
-    is built in Newton coordinates (module docstring).  Each root's series is
-    summed in one loop: a step takes the power y to x.y coordinate by
-    coordinate, from the top down, so that N_(m-1)'s old value is still there
-    to shift, and adds multiplier * power into the running total as it goes.
-    A zero root whose series starts at 1 (the Euler sequence's -O) is the
-    factor 1 and is skipped; a coordinate that is empty, with nothing to
-    shift into it, stays empty untouched; a one-term form is applied without
-    an inner loop.
+    f_r = sum_k coeff_fn(k) x^k, and each x_r = a.h + L is of degree 1 or zero
+    (else ValueError); c[m] is a dict {series key: numerator}, zeros dropped,
+    over the least common den.  The product is built in Newton coordinates
+    (module docstring).  Each root's series is summed in one loop: a step
+    takes the power y to x.y coordinate by coordinate, from the top down, so
+    that N_(m-1)'s old value is still there to shift, and adds multiplier *
+    power into the running total as it goes.  A zero root whose series
+    starts at 1 (the Euler sequence's -O) is the factor 1 and is skipped; a
+    coordinate that is empty, with nothing to shift into it, stays empty
+    untouched; a one-term form is applied without an inner loop.
     """
     ctx, weights = ring.ctx, ring.weights
     count, bound, top = ctx.truncation + len(weights), ctx.limit - ctx.top, len(weights) - 1
@@ -532,11 +540,64 @@ def root_series_product(ring, factors):
             if not any(power):
                 break
         coords, den = total, den * d
-    slots = [dict(u) for u in coords]  # the leading 1 of each N_m; zeros go in _element
-    for u, poly in zip(coords[1:], ring._basis_items()):
-        for k, c in enumerate(poly[:-1]):
-            _convolve(u.items(), c, ctx.limit, slots[k])
-    return ring._element(slots, den)
+    g = math.gcd(den, *(c for u in coords for c in u.values()))
+    return [{k: c // g for k, c in u.items() if c} for u in coords], den // g
+
+
+def root_series_product(ring, factors):
+    """``root_series_coordinates`` converted to the h-basis: prod_r f_r(x_r) as an element."""
+    return ring.newton_element(*root_series_coordinates(ring, factors))
+
+
+def segre_series(ring, degree) -> GradedSeries:
+    """S_0 = prod_i 1/(1 + l_i) through degree min(degree, N), on integer numerators.
+
+    Its degree-i part is pushforward(h^(n+i)) (Fulton, *Intersection Theory*,
+    Section 3.1).  Each weight divides by 1 + l in one pass by degree,
+    T_d = S_d - l.T_(d-1), in place from degree 1 up.
+    """
+    ctx = ring.ctx
+    parts = [{0: 1}] + [{} for _ in range(min(degree, ctx.truncation))]  # by degree
+    for w in ring.weights:
+        form = [(p, e) for p, e in zip(ctx.places, w) if e]
+        for below, out in zip(parts, parts[1:]):
+            get = out.get
+            for k, c in below.items():
+                for p, e in form:
+                    out[k + p] = get(k + p, 0) - e * c
+    return GradedSeries._trusted(ctx, {k: c for part in parts for k, c in part.items() if c}, 1)
+
+
+def newton_moments(ring, coords, count) -> list:
+    """The numerators {series key: int} of mu_p = pushforward(h^p.y), p < count, over y's den.
+
+    y = sum_m coords[m].N_m.  pushforward(N_m.h^k) is the degree-(k - n + m)
+    part of the Segre tail S_m = prod_(i >= m) 1/(1 + l_i) = S_0.prod_(i<m)(1 + l_i),
+    the Segre series of the last n + 1 - m lines, so
+    mu_p = sum_m c_m.[S_m]_(p - n + m): one product of c_m by S_m per
+    coordinate, each part [S_m]_d landing in bucket p = d + n - m.  No mu_p
+    with p < count reads S_0 past degree count - 1, so S_0 stops there, and
+    the tails are exact where they are read.
+    """
+    ctx, n = ring.ctx, len(ring.weights) - 1
+    limit, top = ctx.limit, ctx.top
+    moments = [{} for _ in range(count)]
+    tail = segre_series(ring, count - 1)
+    for m, c in enumerate(coords):
+        if m:
+            # GradedSeries products on purpose: perfbench/test_perfbench.py expects
+            # an hrr job to trace one
+            w = ring.weights[m - 1] if ctx.truncation else ()
+            head = {p: e for p, e in zip(ctx.places, w) if e}
+            tail = tail * GradedSeries._trusted(ctx, {0: 1, **head}, 1)
+        if not c:
+            continue
+        items = sorted(c.items())
+        for d, part in groupby(sorted(tail.num.items()), key=lambda kv: kv[0] // top):
+            if d + n - m >= count:
+                break
+            _convolve(part, items, limit, moments[d + n - m])
+    return [{k: v for k, v in mu.items() if v} for mu in moments]
 
 
 class BundleRing:
@@ -614,6 +675,14 @@ class BundleRing:
         if any(k // self.ctx.top != 1 for k, _ in form) or sum(map(len, high)) != (a != 0):
             raise ValueError("expected a Chern root of degree 1")
         return a, form, dx
+
+    def newton_element(self, coords, den) -> BundleRingElement:
+        """The element sum_m coords[m].N_m / den, coords[m] a dict {series key: numerator}."""
+        slots = [dict(u) for u in coords]  # the leading 1 of each N_m
+        for u, poly in zip(coords[1:], self._basis_items()):
+            for k, c in enumerate(poly[:-1]):
+                _convolve(u.items(), c, self.ctx.limit, slots[k])
+        return self._element(slots, den)
 
     def _basis_items(self):
         """``newton_basis`` as sorted item lists, built once."""
@@ -738,19 +807,6 @@ def pushforward(p: BundleRingElement) -> GradedSeries:
     if not isinstance(p, BundleRingElement):
         raise ValueError("pushforward expects a reduced bundle ring element")
     return p.coeffs[-1]
-
-
-def pushforward_moments(element: BundleRingElement, count: int) -> list:
-    """The numerators {series key: int} of pushforward(h^j * element), j < count, over its den."""
-    ring = element.ctx
-    slots = [dict(s) for s in ring._sorted_slots(element)[0]]
-    relation, limit, moments = ring._relation_items(), ring.ctx.limit, []
-    for j in range(count):
-        if j:
-            slots.insert(0, {})
-            _reduce_slots(slots, relation, limit)
-        moments.append({k: c for k, c in slots[-1].items() if c})
-    return moments
 
 
 def odd_part_quotient(coeffs, truncation) -> GradedSeries:

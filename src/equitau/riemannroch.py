@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections import Counter
+from collections import Counter, deque
 from itertools import accumulate, combinations, repeat
 from operator import add, mul, sub
 
@@ -37,6 +37,8 @@ def hrr_chi(model: ProjSpaceModel, bundle) -> GradedSeries:
     e^(c.t) * sum_j a^j / j! * mu_j, with mu_j = pushforward(h^j td), j <= N + n (Fulton,
     *Intersection Theory*, Prop. 8.3(c)), summed on integers; the sum is then twisted by
     e^(c.t) one variable at a time (``times_exp_linear_form``), only when c != ().  The
+    model reads the moments off the Newton coordinates of its tangent Todd class by the
+    closed-form Gysin map (``ProjSpaceModel.todd_moments``), with no h-basis.  The
     model's ring refuses a group that is not a torus.
     """
     ctx = model.ring.ctx
@@ -49,12 +51,37 @@ def hrr_chi(model: ProjSpaceModel, bundle) -> GradedSeries:
                 num[k] = num.get(k, 0) + m * v
             if j:  # a divides m, which holds a^j
                 m = m // a * j
-        den = math.factorial(last) * model.tangent_todd.den
+        den = math.factorial(last) * model.tangent_todd_coordinates[1]
         term = GradedSeries._trusted(ctx, {k: v for k, v in num.items() if v}, den)
         if c:
             term = times_exp_linear_form(term, c)
         total = total + term
     return total
+
+
+def _weyl_rows(n_max: int, truncation: int):
+    """The numerators of W(-1), W(0), ..., W(n_max) over N!, one row at a time.
+
+    Row i holds the coefficient of t^(2i); only the last two rows are kept.
+    """
+    den = math.factorial(truncation)
+    scales = [den // math.factorial(e) for e in range(0, truncation + 1, 2)]  # N!/e!, e even
+    rows = [[0] * len(scales), [den] + [0] * (len(scales) - 1)]  # W(-1), W(0)
+    yield from rows[: n_max + 2]
+    for n in range(1, n_max + 1):
+        square, power, gain = n * n, 2, []  # power = 2 n^e
+        for s in scales:
+            gain.append(power * s)
+            power *= square
+        rows = [rows[1], list(map(add, rows[0], gain))]
+        yield rows[1]
+
+
+def _weyl_series(row, truncation) -> GradedSeries:
+    ctx = series_ring(1, truncation)
+    place = ctx.places[0]
+    num = {2 * i * place: v for i, v in enumerate(row) if v}
+    return GradedSeries._trusted(ctx, num, math.factorial(truncation))
 
 
 def weyl_closed_forms(n_max: int, truncation: int) -> list:
@@ -65,32 +92,20 @@ def weyl_closed_forms(n_max: int, truncation: int) -> list:
     numerator over N! gains 2 n^e N!/e! for even e (the odd powers cancel).  No
     series is multiplied or exponentiated.
     """
-    ctx = series_ring(1, truncation)
-    den, place = math.factorial(truncation), ctx.places[0]
-    scales = [den // math.factorial(e) for e in range(0, truncation + 1, 2)]  # N!/e!, e even
-    rows = [[0] * len(scales), [den] + [0] * (len(scales) - 1)]  # W(-1), W(0)
-    for n in range(1, n_max + 1):
-        square, power, gain = n * n, 2, []  # power = 2 n^e
-        for s in scales:
-            gain.append(power * s)
-            power *= square
-        rows.append(list(map(add, rows[-2], gain)))
-    return [
-        GradedSeries._trusted(ctx, {2 * i * place: v for i, v in enumerate(row) if v}, den)
-        for row in rows[: n_max + 2]
-    ]
+    return [_weyl_series(row, truncation) for row in _weyl_rows(n_max, truncation)]
 
 
 def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
     """W(n) = (e^{(n+1)t} - e^{-(n+1)t}) / (e^t - e^{-t}) as a truncated series.
 
-    Read off the running sums of ``weyl_closed_forms`` for n >= -1 (it vanishes
-    at n = -1); for n <= -2 it is minus the reflected row, as the numerator is
-    odd under n -> -n - 2.
+    The last of the running sums of ``weyl_closed_forms`` for n >= -1 (it
+    vanishes at n = -1), with only two rows kept on the way; for n <= -2 it is
+    minus the reflected row, as the numerator is odd under n -> -n - 2.
     """
     if n < -1:
         return -weyl_closed_form(-n - 2, truncation)
-    return weyl_closed_forms(n, truncation)[-1]
+    [row] = deque(_weyl_rows(n, truncation), maxlen=1)
+    return _weyl_series(row, truncation)
 
 
 # The section oracle enumerates at most this many monomials (about 1 s on P^3).

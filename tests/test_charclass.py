@@ -139,35 +139,37 @@ def test_tangent_todd_is_built_once_per_model(monkeypatch):
     from equitau import charclass
     from equitau.riemannroch import hrr_chi, verify_weyl
 
-    calls, moment_counts = [], []
-    original, moments = charclass.todd_class_bundle, charclass.pushforward_moments
+    walks, moment_counts = [], []
+    walk, moments = charclass.todd_coordinates, charclass.newton_moments
 
-    def counting(model, bundle):
-        calls.append(bundle)
-        return original(model, bundle)
+    def counting_walk(model, bundle):
+        walks.append(bundle)
+        return walk(model, bundle)
 
-    def counting_moments(element, count):
+    def counting_moments(ring, coords, count):
         moment_counts.append(count)
-        return moments(element, count)
+        return moments(ring, coords, count)
 
-    monkeypatch.setattr(charclass, "todd_class_bundle", counting)
-    monkeypatch.setattr(charclass, "pushforward_moments", counting_moments)
+    monkeypatch.setattr(charclass, "todd_coordinates", counting_walk)
+    monkeypatch.setattr(charclass, "newton_moments", counting_moments)
     model = torus_model([(1, 0), (0, 1), (1, 1)], 6)
     first = hrr_chi(model, line_class(1))
     assert hrr_chi(model, line_class(1)) == first and hrr_chi(model, line_class(2)) != first
-    assert calls == [tangent_class(model)] and moment_counts == [6 + 2 + 1]  # mu_0 .. mu_(N+n)
-    assert model.tangent_todd == original(model, tangent_class(model))
+    assert walks == [tangent_class(model)] and moment_counts == [6 + 2 + 1]  # mu_0 .. mu_(N+n)
+    # the h-basis Todd class converts the coordinates the model keeps: no second walk
+    assert model.tangent_todd == todd_class_bundle(model, tangent_class(model))
+    assert walks == [tangent_class(model)]
     assert torus_model([(1, 0), (0, 1), (1, 1)], 6).tangent_todd is not model.tangent_todd
     # a twist with no h-part reads mu_0 alone; a later one extends the moments once
-    model, moment_counts[:] = torus_model([(1, 0), (0, 1), (1, 1)], 6), []
+    model, walks[:], moment_counts[:] = torus_model([(1, 0), (0, 1), (1, 1)], 6), [], []
     hrr_chi(model, line_class(0, (1, 2)))
     hrr_chi(model, line_class(3))
     hrr_chi(model, line_class(-1))
-    assert moment_counts == [1, 6 + 2 + 1]
-    calls.clear()
+    assert walks == [tangent_class(model)] and moment_counts == [1, 6 + 2 + 1]
+    walks.clear()
     moment_counts.clear()
     assert verify_weyl(10, 32).all_pass
-    assert calls == [{(1, (1,)): 1, (1, (-1,)): 1, (0, ()): -1}]  # one Todd class for the table
+    assert walks == [{(1, (1,)): 1, (1, (-1,)): 1, (0, ()): -1}]  # one Todd walk for the table
     assert moment_counts == [32 + 1 + 1]  # and one set of moments
 
 

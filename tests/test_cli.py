@@ -485,6 +485,46 @@ def test_negative_truncation_exits_2(capsys, monkeypatch, argv, source):
     assert captured.err == "equitau: error: truncation must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["chi", "--weights", "1,0,0;0,1,0;0,0,1;1,1,1", "--twist", "1", "--trunc", "40"], None,
+         "P^3 over a rank-3 torus at truncation 40 is too large: 72219532 units of work "
+         "(limit 8000000)"),
+        (["chi", "--weights", ",".join(map(str, range(54))), "--twist", "1", "--trunc", "0"], None,
+         "P^53 over a rank-1 torus at truncation 0 is too large: 8503110 units of work "
+         "(limit 8000000)"),
+        (["weyl", "--nmax", "2"], "129", "truncation 129 is above the limit 128"),
+        (["pushforward", "--weights", "1,2,3", "--poly", "0,0,0,1", "--trunc", str(10**20)], None,
+         f"truncation {10**20} is above the limit 128"),
+    ],
+    ids=["chi", "chi-dim", "weyl-env", "pushforward"],
+)
+def test_a_model_too_large_for_the_series_pipeline_exits_2_in_one_line(
+    capsys, monkeypatch, argv, env, message
+):
+    def refuse(*args):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(equitau.cli, "torus_model", refuse)
+    monkeypatch.setattr(equitau.cli, "verify_weyl", refuse)
+    if env is not None:
+        monkeypatch.setenv("EQUITAU_TRUNC", env)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"equitau: error: {message}\n")
+
+
+def test_the_largest_pinned_runs_pass_the_series_size_check():
+    from equitau.charclass import check_series_size
+
+    check_series_size(1, 1, 64)  # weyl --trunc 64
+    check_series_size(3, 3, 16)  # P^3 over a rank-3 torus, twist 81
+    check_series_size(4, 4, 10)  # P^4 over a rank-4 torus
+    check_series_size(3, 3, 24)  # the largest accepted P^3 over a rank-3 torus
+    with pytest.raises(ValueError, match="truncation 25 is too large"):
+        check_series_size(3, 3, 25)
+
+
 def test_selftest_reports_every_criterion_time(capsys, monkeypatch):
     criteria = [("first", lambda: (True, "one")), ("second", lambda: (False, "two"))]
     monkeypatch.setattr(equitau.selftest, "CRITERIA", criteria)

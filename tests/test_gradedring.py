@@ -12,10 +12,12 @@ from equitau.gradedring import (
     apply_power_series,
     bernoulli_number,
     exp,
+    _reduce_slots,
+    newton_moments,
     odd_part_quotient,
     pushforward,
-    pushforward_moments,
     reduce,
+    segre_series,
     times_exp_linear_form,
     todd_coefficient,
 )
@@ -784,6 +786,23 @@ def test_power_series_kernel_matches_the_per_step_reference():
     assert len(seen) == 2 * 4 * 3  # both rings, every function, every kind of x
 
 
+def pushforward_moments(element, count):
+    """The numerators {series key: int} of pushforward(h^j * element), j < count, over its den.
+
+    The reference for ``newton_moments``: each moment from the last by one
+    shift and one fold of the top slot by the relation.
+    """
+    ring = element.ctx
+    slots = [dict(s) for s in ring._sorted_slots(element)[0]]
+    relation, limit, moments = ring._relation_items(), ring.ctx.limit, []
+    for j in range(count):
+        if j:
+            slots.insert(0, {})
+            _reduce_slots(slots, relation, limit)
+        moments.append({k: c for k, c in slots[-1].items() if c})
+    return moments
+
+
 def test_pushforward_moments_are_the_pushforwards_of_h_powers_times_the_element():
     rng = random.Random(4321)
     for case in range(60):
@@ -807,6 +826,61 @@ def test_pushforward_moments_are_the_pushforwards_of_h_powers_times_the_element(
             assert all(mu.values())
         assert moments[-2:] == [{}, {}]
         assert pushforward_moments(e, 2) == moments[:2]
+
+
+def random_ring(rng, case):
+    """A seeded bundle ring: ranks 1-3, dimensions 1-4, repeated and zero weights, N = 0..12."""
+    rank, dim, n = 1 + case % 3, 1 + case // 3 % 4, case % 13
+    pool = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+    weights = [rng.choice(pool + [(0,) * rank]) for _ in range(dim + 1)]
+    return BundleRing(weights, rank, n)
+
+
+def test_newton_moments_match_the_shift_and_fold_moments():
+    rng = random.Random(2424)
+    seen = set()
+    for case in range(156):
+        ring = random_ring(rng, case)
+        ctx, dim = ring.ctx, len(ring.weights) - 1
+        coords = []
+        for _ in ring.weights:
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                e = tuple(rng.randint(0, 3) for _ in range(ctx.rank))
+                terms[e] = rng.randint(-9, 9)
+            coords.append(dict(GradedSeries(ctx.rank, ctx.truncation, terms).num))
+        den = rng.choice((1, 6, 35))
+        # y = sum_m c_m N_m / den, multiplied out in the ring: no Newton basis, no conversion
+        y, newton, h = ring.embed(0), ring.one(), ring.hyperplane()
+        for c, w in zip(coords, ring.weights):
+            y = y + newton * GradedSeries._trusted(ctx, c, den)
+            newton = newton * (h + GradedSeries.linear_form(ctx.rank, ctx.truncation, w))
+        last = ctx.truncation + dim + 1
+        want = [GradedSeries._trusted(ctx, mu, y.den) for mu in pushforward_moments(y, last)]
+        for count in range(1, last + 1):
+            got = newton_moments(ring, coords, count)
+            assert len(got) == count and all(all(mu.values()) for mu in got)
+            assert [GradedSeries._trusted(ctx, mu, den) for mu in got] == want[:count], (
+                case, ring, count)
+        assert newton_moments(ring, coords, 1) == [{k: v for k, v in coords[-1].items() if v}]
+        seen.add((ctx.rank, dim, len(set(ring.weights)) < dim + 1, (0,) * ctx.rank in ring.weights))
+    assert {(r, d) for r, d, _, _ in seen} == {(r, d) for r in (1, 2, 3) for d in (1, 2, 3, 4)}
+    assert {(repeated, zero) for *_, repeated, zero in seen} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_segre_series_parts_are_the_pushforwards_of_h_powers():
+    rng = random.Random(77)
+    for case in range(78):
+        ring = random_ring(rng, case)
+        ctx, dim = ring.ctx, len(ring.weights) - 1
+        s = segre_series(ring, ctx.truncation)
+        assert s.den == 1 and s == segre_series(ring, ctx.truncation + 3)
+        for i in range(ctx.truncation + 1):
+            h_power = reduce([0] * (dim + i) + [1], ring)
+            assert s.component(i) == pushforward(h_power), (case, ring, i)
+            low = segre_series(ring, i)  # stops at degree i
+            zero = GradedSeries.zero(ctx.rank, ctx.truncation)
+            assert low == sum((s.component(d) for d in range(i + 1)), zero)
 
 
 def test_power_series_on_bundle_elements_make_no_bundle_multiply(monkeypatch):

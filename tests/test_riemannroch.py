@@ -281,6 +281,34 @@ def random_twist(rng, rank, dim):
     return line_class(twist, tuple(rng.randint(-3, 3) for _ in range(rank)))
 
 
+@pytest.mark.parametrize("argv", [
+    ["chi", "--weights=1,-1", "--twist=-1", "--trunc=8"],
+    ["chi", "--weights", "1,0;1,0;0,1;1,1", "--twist", "2", "--char", "1,-1", "--trunc", "10"],
+    ["chi", "--weights", "1,0,0;0,1,0;0,0,1;1,1,1", "--twist", "0", "--char", "1,-2,3",
+     "--trunc", "8"],
+])
+def test_chi_reads_its_moments_without_the_h_basis(monkeypatch, capsys, argv):
+    """No Newton basis and no h-basis conversion; the Segre tails are series products."""
+    from equitau import gradedring
+    from equitau.cli import main
+
+    def refuse(*args):
+        raise AssertionError("chi took the h-basis route")
+
+    products, mul = [], GradedSeries.__mul__
+
+    def counting(a, b):
+        products.append(type(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(gradedring, "newton_basis", refuse)
+    monkeypatch.setattr(gradedring.BundleRing, "newton_element", refuse)
+    monkeypatch.setattr(GradedSeries, "__mul__", counting)
+    assert main(argv) == 0
+    assert GradedSeries in products
+    capsys.readouterr()
+
+
 def test_chi_from_todd_moments_matches_the_pushforward_of_ch_times_td():
     rng = random.Random(1313)
     seen = set()
