@@ -24,7 +24,6 @@ from .gradedring import (
     newton_moments,
     reduce,
     root_series_coordinates,
-    root_series_product,
     todd_coefficient,
     todd_inverse_coefficient,
 )
@@ -106,11 +105,6 @@ class ProjSpaceModel:
     def tangent_todd_coordinates(self):
         """(c, den): td(tangent) = sum_m c[m].N_m / den, built once per model for ``hrr_chi``."""
         return todd_coordinates(self, tangent_class(self))
-
-    @cached_property
-    def tangent_todd(self) -> BundleRingElement:
-        """td of the tangent class in the h-basis, from its Newton coordinates."""
-        return self.ring.newton_element(*self.tangent_todd_coordinates)
 
     def todd_moments(self, count):
         """The numerators of mu_p = pushforward(h^p.td(tangent)), p < count, over its den.
@@ -214,9 +208,9 @@ def todd_coordinates(model: ProjSpaceModel, bundle):
 def todd_class_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
     """Product of td(x)^m over the roots, td(x) = x/(1-e^(-x)), in the h-basis.
 
-    Always a unit with constant term 1, built by one ``root_series_product``
-    call (Newton coordinates, no dense product) of |m| factors per root, each
+    Always a unit with constant term 1, converted from ``todd_coordinates``
+    (Newton coordinates, no dense product) of |m| factors per root, each
     (1-e^(-x))/x when m < 0.  A zero root, such as the tangent's trivial one,
     contributes the factor 1; ch still needs it (it subtracts the class of O).
     """
-    return root_series_product(model.ring, _todd_factors(model, bundle))
+    return model.ring.newton_element(*todd_coordinates(model, bundle))

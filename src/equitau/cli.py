@@ -37,7 +37,7 @@ from .finitestab import (
     support_subgroup,
     vistoli_kernel_dimension,
 )
-from .gradedring import GradedSeries, odd_part_quotient, pushforward
+from .gradedring import GradedSeries, pushforward, segre_pushforward
 from .lattice import GroupDescriptor, TorsionCharacterPoint
 from .reprring import CertificateError, RepRingElement, segal_certificate
 from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
@@ -100,7 +100,7 @@ def series_to_json(s: GradedSeries) -> JSONText:
 
 
 def rep_to_json(a: RepRingElement, keys=None) -> JSONText:
-    """[{"coeff", "exponents"}, ...] in the print order of ``sorted_terms``.
+    """[{"coeff", "exponents"}, ...] in the print order of ``a.print_keys()``.
 
     ``keys``, when given, is ``a.print_keys()``, sorted once by the caller.
     """
@@ -283,7 +283,7 @@ def cmd_pushforward(args) -> int:
     series = pushforward(reduced)
     checks = []
     if model.rank == 1 and model.weight_vectors() == ((1,), (-1,)):
-        closed = odd_part_quotient(coeffs, trunc)
+        closed = segre_pushforward(model.ring, coeffs)
         checks.append(("odd-part closed form agreement up to truncation", closed == series))
     results = {
         "reduced_text": str(reduced),

@@ -35,9 +35,9 @@ kept reduced below h-degree n+1.  The relation is homogeneous, so total
 degree (t-degree + h-degree) is preserved by reduction.  It is a
 ``SparseElement`` whose ``ctx`` is its BundleRing, with h^k.t^e keyed by
 k.limit + key(t^e), so slot 0 holds the series keys themselves.  The ring
-holds the weights, the series ring and, built on first use, the Newton basis
-below, whose top element gives the relation's coefficients e_1..e_{n+1} as
-sorted key lists.  A product of two elements is one fused kernel,
+holds the weights, the series ring, their linear forms l_i = w_i.t (below)
+and, built on first use, the relation's coefficients e_1..e_{n+1} as sorted
+key lists.  A product of two elements is one fused kernel,
 ``_slot_product``: both operands are split into h-slots by one sorted pass,
 every slot pair is convolved into 2n+1 dicts, and ``_reduce_slots`` folds
 slots 2n..n+1 back from the top down with h^(n+1) = -(e_1 h^n + ... +
@@ -45,7 +45,9 @@ e_{n+1}).  The public ``reduce`` multiplies by 1, and
 ``apply_power_series`` (``exp``) runs on the same kernel, on integers.
 
 Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
-h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  A
+h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  One
+integer Horner step, y <- (h + l_m).y + c_m (``_newton_slots``), multiplies
+the relation out and converts coordinates (``BundleRing.newton_element``).  A
 degree-1 x = a.h + L acts bidiagonally, x.N_m = a.N_(m+1) + (L - a.l_m).N_m,
 so ``root_series_coordinates`` (the Todd class) multiplies by a Chern root
 with a shift and a product by one linear form per coordinate, in one fused
@@ -62,9 +64,9 @@ pushforward(N_m.h^k) is the degree-(k - n + m) part of its tail
 S_m = S_0.prod_(i<m)(1 + l_i).  ``newton_moments`` gives every
 mu_p = pushforward(h^p.y) of y = sum_m c_m.N_m from n + 1 products c_m.S_m,
 bucketed by p, with no h-basis and no relation fold; ``riemannroch.hrr_chi``
-reads chi off the moments of the tangent Todd class.  Only
-``root_series_product`` and the tangent Todd class of the library convert
-coordinates to the h-basis (``BundleRing.newton_element``), by N_1..N_n.
+reads chi off the moments of the tangent Todd class.  ``segre_pushforward``
+pushes an h-polynomial forward by the same Gysin map, the closed-form check
+of the reduction-based ``pushforward``.
 """
 
 from __future__ import annotations
@@ -466,21 +468,23 @@ def todd_inverse_coefficient(k: int) -> Fraction:
 # The projective-bundle quotient ring
 
 
-def newton_basis(weights, rank, truncation):
-    """The h-coefficients (low degree first) of N_m = prod_(i<m)(h + w_i.t), m = 1..n+1.
+def _newton_slots(forms, coords, ctx):
+    """The h-coefficient dicts, low degree first, of sum_m coords[m].N_m, zeros kept.
 
-    weights are integer vectors; N_(n+1) = h^(n+1) + e_1 h^n + ... + e_(n+1).
+    forms[i] is l_i as (series key, coefficient) items, coords[m] a dict
+    {series key: numerator}; Horner's rule from the top coordinate down.
     """
-    poly, basis = [GradedSeries.one(rank, truncation)], []
-    for w in weights:
-        l = GradedSeries.linear_form(rank, truncation, w)
-        new = [GradedSeries.zero(rank, truncation) for _ in range(len(poly) + 1)]
-        for k, c in enumerate(poly):
-            new[k + 1] = new[k + 1] + c
-            new[k] = new[k] + c * l
-        poly = new
-        basis.append(poly)
-    return basis
+    bound, y = ctx.limit - ctx.top, [dict(coords[-1])]  # degree N times a form leaves the ring
+    for m in range(len(coords) - 2, -1, -1):
+        # h.y moves every slot up one, and l_m times slot k + 1 of y lands in slot k
+        y = [dict(coords[m]), *y]
+        for out, here in zip(y, y[1:]):
+            get = out.get
+            for k, c in here.items():
+                if k < bound:
+                    for p, e in forms[m]:
+                        out[k + p] = get(k + p, 0) + c * e
+    return y
 
 
 def root_series_coordinates(ring, factors):
@@ -544,11 +548,6 @@ def root_series_coordinates(ring, factors):
     return [{k: c // g for k, c in u.items() if c} for u in coords], den // g
 
 
-def root_series_product(ring, factors):
-    """``root_series_coordinates`` converted to the h-basis: prod_r f_r(x_r) as an element."""
-    return ring.newton_element(*root_series_coordinates(ring, factors))
-
-
 def segre_series(ring, degree) -> GradedSeries:
     """S_0 = prod_i 1/(1 + l_i) through degree min(degree, N), on integer numerators.
 
@@ -558,14 +557,24 @@ def segre_series(ring, degree) -> GradedSeries:
     """
     ctx = ring.ctx
     parts = [{0: 1}] + [{} for _ in range(min(degree, ctx.truncation))]  # by degree
-    for w in ring.weights:
-        form = [(p, e) for p, e in zip(ctx.places, w) if e]
+    for form in ring.forms:
         for below, out in zip(parts, parts[1:]):
             get = out.get
             for k, c in below.items():
                 for p, e in form:
                     out[k + p] = get(k + p, 0) - e * c
     return GradedSeries._trusted(ctx, {k: c for part in parts for k, c in part.items() if c}, 1)
+
+
+def segre_pushforward(ring, coeffs) -> GradedSeries:
+    """pushforward(sum_k coeffs[k].h^k) = sum_(k >= n) coeffs[k].[S_0]_(k - n), any degree.
+
+    coeffs are integers, Fractions or series of the ring.  On P^1 with weights
+    (1, -1), S_0 = 1/(1 - t^2), so this is the odd part (p(t) - p(-t))/(2t).
+    """
+    n, zero = len(ring.weights) - 1, GradedSeries.zero(ring.rank, ring.truncation)
+    s = segre_series(ring, len(coeffs) - 1 - n)
+    return sum((s.component(i) * c for i, c in enumerate(coeffs[n:])), zero)
 
 
 def newton_moments(ring, coords, count) -> list:
@@ -587,9 +596,7 @@ def newton_moments(ring, coords, count) -> list:
         if m:
             # GradedSeries products on purpose: perfbench/test_perfbench.py expects
             # an hrr job to trace one
-            w = ring.weights[m - 1] if ctx.truncation else ()
-            head = {p: e for p, e in zip(ctx.places, w) if e}
-            tail = tail * GradedSeries._trusted(ctx, {0: 1, **head}, 1)
+            tail = tail * GradedSeries._trusted(ctx, {0: 1, **dict(ring.forms[m - 1])}, 1)
         if not c:
             continue
         items = sorted(c.items())
@@ -604,19 +611,21 @@ class BundleRing:
     """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
     The context of its elements: the weights, the ``SeriesRing`` of their
-    coefficients and the Newton basis N_1..N_(n+1) as sorted (key, numerator)
-    lists, built on first use, whose last element is the relation; elements
-    derived from one ring share it, so products never rebuild the relation.
+    coefficients, the linear forms l_i = w_i.t as (series key, coefficient)
+    items and the relation as sorted (key, numerator) lists, built on first
+    use; elements derived from one ring share it, so products never rebuild it.
     """
 
-    __slots__ = ("weights", "ctx", "_basis")
+    __slots__ = ("weights", "ctx", "forms", "_relation")
 
     def __init__(self, weights, rank, truncation):
         self.weights = tuple(tuple(int(c) for c in w) for w in weights)
         if not self.weights:
             raise ValueError("relation needs at least one weight")
         self.ctx = series_ring(rank, truncation)
-        self._basis = None
+        places = self.ctx.places if truncation else ()  # a linear form is 0 at truncation 0
+        self.forms = tuple(tuple((p, e) for p, e in zip(places, w) if e) for w in self.weights)
+        self._relation = None
 
     @property
     def rank(self):
@@ -678,22 +687,14 @@ class BundleRing:
 
     def newton_element(self, coords, den) -> BundleRingElement:
         """The element sum_m coords[m].N_m / den, coords[m] a dict {series key: numerator}."""
-        slots = [dict(u) for u in coords]  # the leading 1 of each N_m
-        for u, poly in zip(coords[1:], self._basis_items()):
-            for k, c in enumerate(poly[:-1]):
-                _convolve(u.items(), c, self.ctx.limit, slots[k])
-        return self._element(slots, den)
-
-    def _basis_items(self):
-        """``newton_basis`` as sorted item lists, built once."""
-        if self._basis is None:
-            basis = newton_basis(self.weights, self.rank, self.truncation)
-            self._basis = [[sorted(c.num.items()) for c in poly] for poly in basis]
-        return self._basis
+        return self._element(_newton_slots(self.forms, coords, self.ctx), den)
 
     def _relation_items(self):
         """[e_1, ..., e_(n+1)]: the h-coefficients of N_(n+1) below its leading 1, top first."""
-        return self._basis_items()[-1][-2::-1]
+        if self._relation is None:
+            *low, _ = _newton_slots(self.forms, [{}] * len(self.forms) + [{0: 1}], self.ctx)
+            self._relation = [sorted((k, c) for k, c in s.items() if c) for s in reversed(low)]
+        return self._relation
 
     def _element(self, slots, den) -> BundleRingElement:
         """The element of at most n+1 reduced h-coefficient dicts {key: numerator} over den."""
@@ -807,22 +808,3 @@ def pushforward(p: BundleRingElement) -> GradedSeries:
     if not isinstance(p, BundleRingElement):
         raise ValueError("pushforward expects a reduced bundle ring element")
     return p.coeffs[-1]
-
-
-def odd_part_quotient(coeffs, truncation) -> GradedSeries:
-    """(p(t) - p(-t)) / (2t) for an h-polynomial given by its coefficient list.
-
-    This is the closed-form pushforward on P^1 with weights (1, -1);
-    coefficients may be integers, Fractions, or rank-1 series.  The
-    difference is formed at truncation N + 1, so its degree-(N+1) part
-    survives the division by t.
-    """
-    top = truncation + 1
-    t = GradedSeries.variable(1, top)
-    diff = GradedSeries.zero(1, top)
-    for k, c in enumerate(coeffs):
-        if isinstance(c, GradedSeries):
-            c = GradedSeries(1, top, c.terms)
-        diff = diff + (t**k - (-t) ** k) * c
-    # every term of t^k - (-t)^k has degree k >= 1
-    return GradedSeries(1, truncation, {(e - 1,): c / 2 for (e,), c in diff.terms.items()})

@@ -35,8 +35,8 @@ coordinates i+1.. are contiguous, and once the exponent of t_i is fixed,
 each run is summed into one value (sliced sums, skipped where no run has
 two weights) before the walk descends; the last coordinate's exponents
 are looped in place.  No exp series is built; ``riemannroch.hrr_chi``
-still takes the e^L of a character twist through ``gradedring.exp``, and
-``riemannroch.weyl_closed_form`` sums k^e in its own code, so the
+twists by the e^L of a character through ``gradedring.times_exp_linear_form``,
+and ``riemannroch.weyl_closed_form`` sums k^e in its own code, so the
 section-oracle checks compare independent routes.
 
 The certificate search keys its linear system by monomials packed into one
@@ -162,12 +162,8 @@ class RepRingElement(SparseElement):
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_terms(self):
-        """Canonical order: total coordinate height, then descending lex."""
-        return sorted(self.terms.items(), key=lambda item: _print_order(item[0]))
-
     def print_keys(self):
-        """The keys of the terms in the order ``sorted_terms`` lists them."""
+        """The keys of the terms in print order: total coordinate height, then descending lex."""
         return sorted(self.num, key=_print_order)
 
     def __str__(self):

@@ -18,8 +18,8 @@ from .charclass import line_class, mu_model, tangent_class, todd_class_bundle, t
 from .gradedring import (
     GradedSeries,
     apply_power_series,
-    odd_part_quotient,
     pushforward,
+    segre_pushforward,
     todd_coefficient,
 )
 from .finitestab import (
@@ -52,18 +52,21 @@ def check_weyl_three_way():
 
 
 def check_pushforward_lemma(cases=100, seed=20260809):
-    """Reduction-based pushforward vs exact odd-part division, 100 random polys."""
-    rng = random.Random(seed)
-    truncation = 16
-    model = torus_model([1, -1], truncation)
+    """Reduction-based pushforward vs the closed-form Gysin map, on P^1 (1,-1) and P^1-P^3."""
+    rng, shapes = random.Random(seed), random.Random(seed + 1)
+    models = [torus_model([1, -1], 16)] * cases  # the closed form is the odd part here
+    for case in range(cases):  # ranks 1-2, P^1-P^3, repeated and zero weights
+        rank, dim = 1 + case % 2, 1 + case // 2 % 3
+        pool = [tuple(shapes.choices(range(-2, 3), k=rank)) for _ in range(dim + 1)] + [(0,) * rank]
+        models.append(torus_model([shapes.choice(pool) for _ in range(dim + 1)], 8, rank=rank))
     bad = 0
-    for _ in range(cases):
-        deg = rng.randint(0, 10)
-        coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
-        reduced = model.reduce_poly(coeffs)
-        if pushforward(reduced) != odd_part_quotient(coeffs, truncation):
-            bad += 1
-    return bad == 0, f"{cases} random h-polynomials of degree <= 10, {bad} mismatches"
+    for model in models:
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 10) + 1)]
+        bad += pushforward(model.reduce_poly(coeffs)) != segre_pushforward(model.ring, coeffs)
+    return bad == 0, (
+        f"{cases} random h-polynomials of degree <= 10 on P^1 (1,-1) and {cases} on seeded "
+        f"models, {bad} mismatches"
+    )
 
 
 def check_todd_consistency():

@@ -21,13 +21,18 @@ from equitau.gradedring import (
     apply_power_series,
     exp,
     exp_coefficient,
-    root_series_product,
+    root_series_coordinates,
     todd_coefficient,
     todd_inverse_coefficient,
 )
 from equitau.lattice import GroupDescriptor, Weight
 
 P1 = torus_model([1, -1], 8)
+
+
+def root_series_product(ring, factors):
+    """prod_r f_r(x_r) in the h-basis: ``root_series_coordinates`` converted by the ring."""
+    return ring.newton_element(*root_series_coordinates(ring, factors))
 
 
 def test_model_validation():
@@ -156,10 +161,13 @@ def test_tangent_todd_is_built_once_per_model(monkeypatch):
     first = hrr_chi(model, line_class(1))
     assert hrr_chi(model, line_class(1)) == first and hrr_chi(model, line_class(2)) != first
     assert walks == [tangent_class(model)] and moment_counts == [6 + 2 + 1]  # mu_0 .. mu_(N+n)
-    # the h-basis Todd class converts the coordinates the model keeps: no second walk
-    assert model.tangent_todd == todd_class_bundle(model, tangent_class(model))
+    # the coordinates the model keeps are the h-basis Todd class's, which walks on its own
+    kept = model.ring.newton_element(*model.tangent_todd_coordinates)
     assert walks == [tangent_class(model)]
-    assert torus_model([(1, 0), (0, 1), (1, 1)], 6).tangent_todd is not model.tangent_todd
+    assert kept == todd_class_bundle(model, tangent_class(model))
+    assert walks == [tangent_class(model)] * 2
+    other = torus_model([(1, 0), (0, 1), (1, 1)], 6)
+    assert other.tangent_todd_coordinates is not model.tangent_todd_coordinates
     # a twist with no h-part reads mu_0 alone; a later one extends the moments once
     model, walks[:], moment_counts[:] = torus_model([(1, 0), (0, 1), (1, 1)], 6), [], []
     hrr_chi(model, line_class(0, (1, 2)))

@@ -139,8 +139,8 @@ def reference_series_to_json(s):
 
 
 def reference_rep_to_json(a):
-    """The dict route ``cli.rep_to_json`` replaced: one dict per term, in ``sorted_terms`` order."""
-    return [{"exponents": list(k), "coeff": str(Fraction(c))} for k, c in a.sorted_terms()]
+    """The dict route ``cli.rep_to_json`` replaced: one dict per term, in ``print_keys`` order."""
+    return [{"exponents": list(k), "coeff": str(Fraction(a.num[k], a.den))} for k in a.print_keys()]
 
 
 def random_json_coefficient(rng):

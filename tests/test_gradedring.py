@@ -14,9 +14,9 @@ from equitau.gradedring import (
     exp,
     _reduce_slots,
     newton_moments,
-    odd_part_quotient,
     pushforward,
     reduce,
+    segre_pushforward,
     segre_series,
     times_exp_linear_form,
     todd_coefficient,
@@ -300,6 +300,19 @@ def test_pushforward_rejects_raw_polynomials():
         pushforward([GradedSeries.one(1, 8)])
 
 
+def odd_part(coeffs, truncation):
+    """(p(t) - p(-t)) / (2t) of an h-polynomial with rank-1 series coefficients, term by term.
+
+    The pushforward on P^1 with weights (1, -1): c.t^a.h^k gives c.t^(a+k-1) for odd k.
+    """
+    terms = {}
+    for k, c in enumerate(coeffs):
+        for (a,), v in c.terms.items():
+            if k % 2:
+                terms[(a + k - 1,)] = terms.get((a + k - 1,), 0) + v
+    return GradedSeries(1, truncation, terms)  # drops the degrees above the truncation
+
+
 def test_pushforward_agrees_with_odd_part_closed_form():
     rng = random.Random(17)
     trunc = 16
@@ -311,7 +324,15 @@ def test_pushforward_agrees_with_odd_part_closed_form():
             GradedSeries(1, trunc, {(rng.randint(0, 3),): rng.randint(-5, 5)})
             for _ in range(deg + 1)
         ]
-        assert pushforward(reduce(coeffs, ring)) == odd_part_quotient(coeffs, trunc)
+        want = pushforward(reduce(coeffs, ring))
+        assert want == segre_pushforward(ring, coeffs) == odd_part(coeffs, trunc)
+    # and on seeded P^n models, whose closed form is the Segre series'
+    for case in range(60):
+        ring = random_ring(rng, case)
+        ctx, dim = ring.ctx, len(ring.weights) - 1
+        coeffs = [random_series(rng, ctx.rank, ctx.truncation) for _ in range(2 * dim + 4)]
+        del coeffs[rng.randint(1, len(coeffs)):]  # degrees 0 .. 2n + 3
+        assert pushforward(reduce(coeffs, ring)) == segre_pushforward(ring, coeffs), (case, ring)
 
 
 def test_pushforward_degree_shift():
@@ -503,13 +524,13 @@ def test_hrr_chi_builds_the_relation_at_most_once(monkeypatch):
     from equitau.riemannroch import hrr_chi
 
     calls = []
-    original = gradedring.newton_basis
+    original = gradedring._newton_slots
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(gradedring, "newton_basis", counting)
+    monkeypatch.setattr(gradedring, "_newton_slots", counting)
     model = torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 6)
     chi = hrr_chi(model, line_class(1, (1, -2, 3)))
     assert chi.constant_term() == 4
@@ -674,7 +695,7 @@ def test_named_constructors_are_canonical():
 
 
 # ---------------------------------------------------------------------------
-# odd_part_quotient keeps its top degree
+# the closed-form pushforward keeps its top degree
 
 
 def test_odd_part_quotient_keeps_the_top_degree():
@@ -685,8 +706,16 @@ def test_odd_part_quotient_keeps_the_top_degree():
             for coeffs in ([0] * degree + [1], [rng.randint(-4, 4) for _ in range(degree + 1)]):
                 # p(h) pushes forward to sum over odd k of c_k t^(k-1)
                 expected = GradedSeries(1, n, {(k - 1,): c for k, c in enumerate(coeffs) if k % 2})
-                assert odd_part_quotient(coeffs, n) == expected, (n, coeffs)
+                assert segre_pushforward(ring, coeffs) == expected, (n, coeffs)
                 assert pushforward(reduce(coeffs, ring)) == expected
+    # on seeded P^n models the degree-N part comes from h^(n+N), past the reduced h-degrees
+    for case in range(78):
+        ring = random_ring(rng, case)
+        ctx, dim = ring.ctx, len(ring.weights) - 1
+        top = [0] * (dim + ctx.truncation) + [1]
+        want = segre_series(ring, ctx.truncation).component(ctx.truncation)
+        assert segre_pushforward(ring, top) == want == pushforward(reduce(top, ring)), (case, ring)
+        assert segre_pushforward(ring, top + [0, 3]) == want  # degree N + 2 is cut
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +863,93 @@ def random_ring(rng, case):
     pool = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
     weights = [rng.choice(pool + [(0,) * rank]) for _ in range(dim + 1)]
     return BundleRing(weights, rank, n)
+
+
+def random_series(rng, rank, n, dens=(1, 2, 3)):
+    """A seeded series of up to five terms, each exponent at most 3."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 3) for _ in range(rank))
+        terms[e] = Fraction(rng.randint(-9, 9), rng.choice(dens))
+    return GradedSeries(rank, n, terms)
+
+
+def random_coords(rng, ring):
+    """n + 1 seeded Newton coordinates {series key: integer numerator} of a ring."""
+    rank, n = ring.rank, ring.truncation
+    return [dict(random_series(rng, rank, n, (1,)).num) for _ in ring.weights]
+
+
+def ring_shape(ring):
+    """(rank, dimension, repeated weight?, zero weight?, truncation 0?) of a ring."""
+    rank, dim = ring.rank, len(ring.weights) - 1
+    zero = (0,) * rank in ring.weights
+    return rank, dim, len(set(ring.weights)) < dim + 1, zero, ring.truncation == 0
+
+
+def test_relation_items_are_the_reference_relation():
+    rng = random.Random(2525)
+    seen = set()
+    for case in range(156):
+        ring = random_ring(rng, case)
+        ctx = ring.ctx
+        relation = ring._relation_items()
+        want = reference_relation(ring.weights, ctx.rank, ctx.truncation)
+        assert [GradedSeries._trusted(ctx, dict(e), 1).terms for e in relation] == want, ring
+        assert all(e == sorted(e) and all(c for _, c in e) for e in relation)
+        assert ring._relation_items() is relation  # built once per ring
+        seen.add(ring_shape(ring))
+    assert {s[:2] for s in seen} == {(r, d) for r in (1, 2, 3) for d in (1, 2, 3, 4)}
+    assert {s[2:] for s in seen} == {(r, z, t) for r in (0, 1) for z in (0, 1) for t in (0, 1)}
+
+
+def newton_sum(ring, coords, den):
+    """sum_m coords[m].N_m / den multiplied out by bundle products: h-degree <= n, nothing folds."""
+    ctx, h = ring.ctx, ring.hyperplane()
+    y, newton = ring.embed(0), ring.one()
+    for m, c in enumerate(coords):
+        if m:
+            form = GradedSeries.linear_form(ctx.rank, ctx.truncation, ring.weights[m - 1])
+            newton = newton * (h + form)
+        y = y + newton * GradedSeries._trusted(ctx, dict(c), den)
+    return y
+
+
+def test_newton_element_is_the_sum_of_coordinates_times_newton_products():
+    rng = random.Random(2627)
+    seen = set()
+    for case in range(156):
+        ring = random_ring(rng, case)
+        ctx = ring.ctx
+        coords = random_coords(rng, ring)
+        den = rng.choice((1, 6, 35))
+        got = ring.newton_element(coords, den)
+        assert got == newton_sum(ring, coords, den), (case, ring)
+        assert_bundle_canonical(got)
+        seen.add(ring_shape(ring))
+    assert {s[:2] for s in seen} == {(r, d) for r in (1, 2, 3) for d in (1, 2, 3, 4)}
+    assert {s[2:] for s in seen} == {(r, z, t) for r in (0, 1) for z in (0, 1) for t in (0, 1)}
+
+
+def test_relation_and_newton_element_make_no_series_arithmetic(monkeypatch):
+    rng = random.Random(2727)
+    cases = []
+    for case in range(39):
+        ring = random_ring(rng, case)
+        ctx = ring.ctx
+        coords = random_coords(rng, ring)
+        cases.append((ring.weights, ctx.rank, ctx.truncation, coords, newton_sum(ring, coords, 7)))
+
+    def refuse(*args):
+        raise AssertionError("GradedSeries arithmetic")
+
+    for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__pow__", "__truediv__"):
+        monkeypatch.setattr(GradedSeries, name, refuse)
+    for weights, rank, n, coords, want in cases:
+        ring = BundleRing(weights, rank, n)  # a fresh ring builds its relation anew
+        assert ring._relation_items() == want.ring._relation_items()
+        assert ring.newton_element(coords, 7) == want
 
 
 def test_newton_moments_match_the_shift_and_fold_moments():
