@@ -920,7 +920,6 @@ def test_newton_element_is_the_sum_of_coordinates_times_newton_products():
     seen = set()
     for case in range(156):
         ring = random_ring(rng, case)
-        ctx = ring.ctx
         coords = random_coords(rng, ring)
         den = rng.choice((1, 6, 35))
         got = ring.newton_element(coords, den)
