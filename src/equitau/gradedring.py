@@ -19,15 +19,16 @@ of degree <= N is below B, so adding two keys adds the exponents without a
 carry as long as the product stays in degree <= N, which is exactly
 ``k1 + k2 < limit`` = B^(r+1); sorted keys run by total degree, then by
 exponent, which is also the print order.  The public constructor and
-``truncate`` encode keys; ``terms``, ``coefficient``, ``sorted_num`` and
-``__str__`` decode them; the closed forms ``reprring.chern_character`` and
+``truncate`` encode keys; ``terms``, ``coefficient`` and ``__str__`` decode
+them (``__str__`` through the ring's table of the monomial texts it has
+printed); the closed forms ``reprring.chern_character`` and
 ``riemannroch.weyl_closed_forms`` build their keys from the ring's ``places``
 (t^e has key sum_i e_i places[i]) and hand them to ``_trusted``, and
 ``times_exp_linear_form`` multiplies a series by e^(c.t) by adding multiples
 of one place at a time to its keys.  ``terms`` is a view {exponent tuple:
-Fraction}; ``coefficient`` is 0 for an exponent vector outside the ring.  A product sorts the right operand's items and
-``_convolve`` adds the products into a dict, scanning the right operand only
-up to the bound.
+Fraction}; ``coefficient`` is 0 for an exponent vector outside the ring.  A
+product sorts the right operand's items and ``_convolve`` adds the products
+into a dict, scanning the right operand only up to the bound.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
@@ -72,22 +73,24 @@ of the reduction-based ``pushforward``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import NamedTuple
 
-from ._format import terms_string, variable_names
+from ._format import monomial_texts, terms_string, terms_text, variable_names
 from ._sparse import SparseElement
 
 
-class SeriesRing(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class SeriesRing:
     """The series ring in `rank` variables cut above total degree `truncation`.
 
     Holds its monomials' key layout (module docstring): ``base`` B = N + 1,
     ``top`` B^r, ``digits`` (B^(r-1-i), the place of exponent i below the
     degree digit), ``places`` (top + digits[i], the key of t_i) and
-    ``limit`` B^(r+1).  Build it with ``series_ring``.
+    ``limit`` B^(r+1); ``texts`` {key: monomial text} holds the keys printed
+    so far and takes no part in equality.  Build it with ``series_ring``.
     """
 
     rank: int
@@ -97,6 +100,7 @@ class SeriesRing(NamedTuple):
     digits: tuple
     places: tuple
     limit: int
+    texts: dict = field(default_factory=dict, compare=False, repr=False)
 
     # Both conversions work a column (one variable) at a time over all the
     # monomials, which is about twice as fast as one monomial at a time.
@@ -117,6 +121,14 @@ class SeriesRing(NamedTuple):
     def exponents(self, keys):
         """The exponent tuples of a list of keys, in the same order."""
         return list(zip(*self.columns(keys))) if self.rank else [()] * len(keys)
+
+    def monomials(self, keys):
+        """The monomial texts of a list of keys, each built the first time it is printed."""
+        new = [k for k in keys if k not in self.texts]
+        if new:
+            names = variable_names("t", self.rank)
+            self.texts.update(zip(new, monomial_texts(names, self.columns(new), len(new))))
+        return list(map(self.texts.__getitem__, keys))
 
 
 @lru_cache(maxsize=None)
@@ -185,12 +197,6 @@ class GradedSeries(SparseElement):
     @staticmethod
     def one(rank, truncation):
         return GradedSeries._trusted(series_ring(rank, truncation), {0: 1}, 1)
-
-    @staticmethod
-    def variable(rank, truncation, index=0):
-        ctx = series_ring(rank, truncation)
-        num = {ctx.places[index]: 1} if truncation else {}
-        return GradedSeries._trusted(ctx, num, 1)
 
     @staticmethod
     def linear_form(rank, truncation, coeffs):
@@ -268,19 +274,9 @@ class GradedSeries(SparseElement):
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_num(self):
-        """The (exponents, numerator) items by total degree, then exponents."""
-        keys = sorted(self.num)
-        return list(zip(self.ctx.exponents(keys), map(self.num.__getitem__, keys)))
-
     def __str__(self):
         keys = sorted(self.num)
-        return terms_string(
-            variable_names("t", self.rank),
-            self.ctx.columns(keys),
-            list(map(self.num.__getitem__, keys)),
-            self.den,
-        )
+        return terms_text(self.ctx.monomials(keys), list(map(self.num.__getitem__, keys)), self.den)
 
     __repr__ = __str__
 

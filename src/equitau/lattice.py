@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mod
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,13 @@ class GroupDescriptor:
         return math.prod(self.torsion_orders)
 
     def reduce_coords(self, coords) -> tuple[int, ...]:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.ngens:
             raise ValueError(f"expected {self.ngens} coordinates, got {len(coords)}")
+        if not self.torsion_orders:
+            return coords
         r = self.free_rank
-        return coords[:r] + tuple(
-            c % d for c, d in zip(coords[r:], self.torsion_orders)
-        )
+        return coords[:r] + tuple(map(mod, coords[r:], self.torsion_orders))
 
     def elements(self):
         """Iterate over all elements of a finite group as Weight values."""

@@ -22,9 +22,9 @@ canonical form.  Add, negate, scalar multiply, powers, equality and hashing
 are the core's; this module adds the product kernel, which adds coordinate
 tuples with ``map(add, ...)`` and reduces them only over a group with
 torsion, the public constructor, which reduces coordinates and merges what
-coincides, and the rendering.  ``terms``, ``coefficient`` and
-``augmentation`` are views that give an int where the value is integral and
-a ``Fraction`` otherwise.
+coincides, and the rendering (``print_keys`` sums heights by columns).
+``terms``, ``coefficient`` and ``augmentation`` are views that give an int
+where the value is integral and a ``Fraction`` otherwise.
 
 The Chern character is built without any ``Fraction``: for a = sum_w n_w
 chi_w / D as stored, the numerator of t^e is (sum_w n_w w^e) * (N! / e!)
@@ -34,10 +34,14 @@ weights are sorted by their reversed coordinates, so those that share
 coordinates i+1.. are contiguous, and once the exponent of t_i is fixed,
 each run is summed into one value (sliced sums, skipped where no run has
 two weights) before the walk descends; the last coordinate's exponents
-are looped in place.  No exp series is built; ``riemannroch.hrr_chi``
-twists by the e^L of a character through ``gradedring.times_exp_linear_form``,
-and ``riemannroch.weyl_closed_form`` sums k^e in its own code, so the
-section-oracle checks compare independent routes.
+are looped in place.  ``augmentation_order`` walks the same runs, with no
+key, factorial or series, for the least |e| with a nonzero moment
+sum_w n_w w^e (t^e's coefficient times D e!), only below the least found
+so far.  No exp series is built;
+``riemannroch.hrr_chi`` twists by the e^L of a character through
+``gradedring.times_exp_linear_form``, and ``riemannroch.weyl_closed_form``
+sums powers k^e in its own code, so the section-oracle checks compare
+independent routes.
 
 The certificate search keys its linear system by monomials packed into one
 int each, solves it modulo the prime 2^61 - 1 in one forward elimination
@@ -60,7 +64,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, compress, product
-from operator import add, itemgetter, mul, ne, neg
+from operator import add, itemgetter, mul, ne, sub
 
 from ._format import terms_string, variable_names
 from ._sparse import SparseElement
@@ -71,11 +75,6 @@ from .lattice import GroupDescriptor, Weight
 def _value(p, den):
     """p / den as an int when it is integral, else as a Fraction."""
     return p // den if p % den == 0 else Fraction(p, den)
-
-
-def _print_order(coords):
-    """The sort key (sum_i |c_i|, -c_1, ..., -c_r): total height, then descending lex."""
-    return (sum(map(abs, coords)), *map(neg, coords))
 
 
 class RepRingElement(SparseElement):
@@ -164,7 +163,10 @@ class RepRingElement(SparseElement):
 
     def print_keys(self):
         """The keys of the terms in print order: total coordinate height, then descending lex."""
-        return sorted(self.num, key=_print_order)
+        heights = [0] * len(self.num)  # minus each key's height, a coordinate column at a time
+        for column in zip(*self.num):
+            heights = list(map(sub, heights, map(abs, column)))
+        return list(map(itemgetter(1), sorted(zip(heights, self.num), reverse=True)))
 
     def __str__(self):
         return self.text(self.print_keys())
@@ -185,12 +187,42 @@ def lambda_minus_one(group: GroupDescriptor, weights) -> RepRingElement:
     """The class sum_k (-1)^k Lambda^k V = prod_i (1 - chi_{w_i}).
 
     Augmentation 0 whenever the weight list is nonempty; the empty product
-    is 1.
+    is 1.  Built on one integer dict, num <- num - chi_w.num per weight.
     """
-    result = RepRingElement.one(group)
+    reduce_coords, num = group.reduce_coords, {RepRingElement._unit_key(group): 1}
     for w in weights:
-        result = result * (RepRingElement.one(group) - RepRingElement.character(group, w))
-    return result
+        w = reduce_coords(w.coords if isinstance(w, Weight) else w)
+        out = dict(num)
+        for k, c in num.items():
+            k = reduce_coords(map(add, k, w))
+            out[k] = out.get(k, 0) - c
+        num = {k: c for k, c in out.items() if c}
+    return RepRingElement._trusted(group, num, 1)
+
+
+def _weight_runs(a: RepRingElement, truncation: int):
+    """(values, columns, runs) of a over a torus: its numerators on the weights sorted by
+    reversed coordinates; columns[i], coordinate i of the distinct tails (w_i, ..);
+    runs[i], the slices of them sharing w_(i+1).., or None where all of those differ."""
+    group = a.group
+    if not group.is_free:
+        raise ValueError("Chern character requires a torus (free character lattice)")
+    if truncation < 0:
+        raise ValueError("rank and truncation must be nonnegative")
+    rank = group.ngens
+    tails = sorted(a.num, key=lambda w: w[::-1]) if rank > 1 else list(a.num)
+    values = list(map(a.num.__getitem__, tails))
+    columns, runs = [], []
+    for _ in range(rank - 1):
+        columns.append(list(map(itemgetter(0), tails)))
+        tails = list(map(itemgetter(slice(1, None)), tails))
+        starts = list(compress(range(len(tails)), map(ne, tails, chain((None,), tails))))
+        ends = starts[1:] + [len(tails)]
+        runs.append(None if len(starts) == len(tails) else list(map(slice, starts, ends)))
+        tails = list(map(tails.__getitem__, starts))
+    if rank:
+        columns.append(list(map(itemgetter(0), tails)))
+    return values, columns, runs
 
 
 def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
@@ -202,30 +234,12 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
     of ``gradedring.SeriesRing``; the numerator of t^e is
     (sum_w n_w w^e) * (N! / e!).
     """
-    group = a.group
-    if not group.is_free:
-        raise ValueError("Chern character requires a torus (free character lattice)")
-    if truncation < 0:
-        raise ValueError("rank and truncation must be nonnegative")
-    rank = group.ngens
-    ctx = series_ring(rank, truncation)
-    if not rank:  # the constant 1 is the only monomial
-        total = sum(a.num.values())
+    values, columns, runs = _weight_runs(a, truncation)
+    ctx = series_ring(len(columns), truncation)
+    if not columns:  # rank 0: the constant 1 is the only monomial
+        total = sum(values)
         return GradedSeries._trusted(ctx, {0: total} if total else {}, a.den)
-    places, top, last = ctx.places, math.factorial(truncation), rank - 1
-    tails = sorted(a.num, key=lambda w: w[::-1]) if rank > 1 else list(a.num)
-    values = list(map(a.num.__getitem__, tails))
-    # columns[i]: coordinate i of the distinct tails (w_i, ..); runs[i]: the
-    # slices of them that share w_(i+1).., or None where all of those differ
-    columns, runs = [], []
-    for _ in range(last):
-        columns.append(list(map(itemgetter(0), tails)))
-        tails = list(map(itemgetter(slice(1, None)), tails))
-        starts = list(compress(range(len(tails)), map(ne, tails, chain((None,), tails))))
-        ends = starts[1:] + [len(tails)]
-        runs.append(None if len(starts) == len(tails) else list(map(slice, starts, ends)))
-        tails = list(map(tails.__getitem__, starts))
-    columns.append(list(map(itemgetter(0), tails)))
+    places, top, last = ctx.places, math.factorial(truncation), len(columns) - 1
     num = {}
 
     def walk(i, key, values, scale, room):
@@ -254,8 +268,32 @@ def augmentation_order(a: RepRingElement, truncation: int):
 
     Returns the smallest degree k <= truncation with a nonzero component, or
     None when every component up to the truncation vanishes (order >= N+1).
+    Errors as ``chern_character``; by moments alone (module docstring).
     """
-    return chern_character(a, truncation).low_degree()
+    values, columns, runs = _weight_runs(a, truncation)
+    if not columns:  # rank 0
+        return 0 if sum(values) else None
+    last, best = len(columns) - 1, truncation + 1
+
+    def walk(i, values, degree):
+        nonlocal best  # as in chern_character, with degree the fixed exponents' total
+        column, merge = columns[i], i < last and runs[i]
+        for e in range(best - degree):
+            if e:
+                if degree + e >= best:  # a branch below found a lower order
+                    return
+                values = list(map(mul, values, column))
+            if i == last and sum(values):
+                best = degree + e
+                return
+            elif not any(values):  # so is every later moment of this branch
+                return
+            elif i < last:
+                merged = list(map(sum, map(values.__getitem__, merge))) if merge else values
+                walk(i + 1, merged, degree + e)
+
+    walk(0, values, 0)
+    return best if best <= truncation else None
 
 
 # ---------------------------------------------------------------------------

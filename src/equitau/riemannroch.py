@@ -5,8 +5,8 @@ of the base.  Three independent routes are compared on P^1 with weights
 (1, -1):
 
 * the pushforward pipeline above, with the model's tangent Todd class,
-* the closed form (e^{(n+1)t} - e^{-(n+1)t}) / (e^t - e^{-t}), one table of
-  running sums of e^{kt} + e^{-kt} over every row, on integers over N!, and
+* the closed form (e^{(n+1)t} - e^{-(n+1)t}) / (e^t - e^{-t}) on integers
+  over N!, a table of running sums of e^{kt} + e^{-kt} or one row by power sums, and
 * a brute-force count of section monomials (the actual character of the
   cohomology).
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections import Counter, deque
+from collections import Counter
 from itertools import accumulate, combinations, repeat
 from operator import add, mul, sub
 
@@ -59,25 +59,8 @@ def hrr_chi(model: ProjSpaceModel, bundle) -> GradedSeries:
     return total
 
 
-def _weyl_rows(n_max: int, truncation: int):
-    """The numerators of W(-1), W(0), ..., W(n_max) over N!, one row at a time.
-
-    Row i holds the coefficient of t^(2i); only the last two rows are kept.
-    """
-    den = math.factorial(truncation)
-    scales = [den // math.factorial(e) for e in range(0, truncation + 1, 2)]  # N!/e!, e even
-    rows = [[0] * len(scales), [den] + [0] * (len(scales) - 1)]  # W(-1), W(0)
-    yield from rows[: n_max + 2]
-    for n in range(1, n_max + 1):
-        square, power, gain = n * n, 2, []  # power = 2 n^e
-        for s in scales:
-            gain.append(power * s)
-            power *= square
-        rows = [rows[1], list(map(add, rows[0], gain))]
-        yield rows[1]
-
-
 def _weyl_series(row, truncation) -> GradedSeries:
+    """The series of a row of numerators over N!, entry i on t^(2i)."""
     ctx = series_ring(1, truncation)
     place = ctx.places[0]
     num = {2 * i * place: v for i, v in enumerate(row) if v}
@@ -90,21 +73,38 @@ def weyl_closed_forms(n_max: int, truncation: int) -> list:
     W(n) = sum_{k = -n, step 2}^{n} e^{kt} for n >= 0, so the rows are running
     sums: W(-1) = 0, W(0) = 1 and W(n) = W(n - 2) + e^{nt} + e^{-nt}, whose t^e
     numerator over N! gains 2 n^e N!/e! for even e (the odd powers cancel).  No
-    series is multiplied or exponentiated.
+    series is multiplied or exponentiated, and only the last two rows of
+    numerators are kept.
     """
-    return [_weyl_series(row, truncation) for row in _weyl_rows(n_max, truncation)]
+    den = math.factorial(truncation)
+    scales = [den // math.factorial(e) for e in range(0, truncation + 1, 2)]  # N!/e!, e even
+    rows = [[0] * len(scales), [den] + [0] * (len(scales) - 1)]  # W(-1), W(0)
+    forms = [_weyl_series(row, truncation) for row in rows[: n_max + 2]]
+    for n in range(1, n_max + 1):
+        square, power, gain = n * n, 2, []  # power = 2 n^e
+        for s in scales:
+            gain.append(power * s)
+            power *= square
+        rows = [rows[1], list(map(add, rows[0], gain))]
+        forms.append(_weyl_series(rows[1], truncation))
+    return forms
 
 
 def weyl_closed_form(n: int, truncation: int) -> GradedSeries:
     """W(n) = (e^{(n+1)t} - e^{-(n+1)t}) / (e^t - e^{-t}) as a truncated series.
 
-    The last of the running sums of ``weyl_closed_forms`` for n >= -1 (it
-    vanishes at n = -1), with only two rows kept on the way; for n <= -2 it is
-    minus the reflected row, as the numerator is odd under n -> -n - 2.
+    For n >= -1 the numerator of t^e over N! is S_e N!/e!, S_e = sum_{k = -n, step 2}^{n} k^e
+    (0 for odd e), by (n + 1)^(e+1) = sum_{j even <= e} C(e + 1, j) S_j, the telescoped
+    sum of (k + 1)^(e+1) - (k - 1)^(e+1): O(N^2) steps for any n.  For n <= -2
+    it is minus the reflected row, as the numerator is odd under n -> -n - 2.
     """
     if n < -1:
         return -weyl_closed_form(-n - 2, truncation)
-    [row] = deque(_weyl_rows(n, truncation), maxlen=1)
+    den, sums = math.factorial(truncation), []
+    for e in range(0, truncation + 1, 2):
+        rest = sum(math.comb(e + 1, 2 * j) * s for j, s in enumerate(sums))
+        sums.append(((n + 1) ** (e + 1) - rest) // (e + 1))
+    row = [s * (den // math.factorial(2 * i)) for i, s in enumerate(sums)]  # S_e N!/e!
     return _weyl_series(row, truncation)
 
 

@@ -131,10 +131,8 @@ def test_render_json_writes_the_bytes_of_json_dumps():
 def reference_series_to_json(s):
     """The dict route ``cli.series_to_json`` replaced: one dict per degree and per monomial."""
     by_degree = {}
-    for exps, p in s.sorted_num():
-        by_degree.setdefault(sum(exps), []).append(
-            {"exponents": list(exps), "coeff": str(Fraction(p, s.den))}
-        )
+    for exps, c in sorted(s.terms.items(), key=lambda item: (sum(item[0]), item[0])):
+        by_degree.setdefault(sum(exps), []).append({"exponents": list(exps), "coeff": str(c)})
     return [{"degree": d, "monomials": monos} for d, monos in sorted(by_degree.items())]
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from equitau import gradedring
 from equitau._format import rational_str, terms_string, variable_names
-from equitau.gradedring import GradedSeries
+from equitau.gradedring import GradedSeries, series_ring
 from equitau.reprring import RepRingElement, torus_group
 
 
@@ -158,3 +159,21 @@ def test_series_and_representation_text_match_the_term_by_term_renderer(seed):
     assert {shape[1:] for shape in shapes} >= {
         (True, False, False), (False, True, True), (False, False, True), (False, True, False)
     }
+
+
+def test_series_text_keeps_only_the_printed_monomials_in_its_ring(monkeypatch):
+    rng = random.Random("ring-texts")
+    seen = []
+    for rank, truncation in ((0, 2), (1, 9), (2, 5), (3, 4)):
+        ctx = series_ring(rank, truncation)
+        printed = set(ctx.texts)  # what other tests printed in this ring
+        for _ in range(8):
+            terms = {tuple(rng.randint(0, 3) for _ in range(rank)): random_coefficient(rng)
+                     for _ in range(rng.randint(0, 6))}
+            s = GradedSeries(rank, truncation, terms)
+            assert str(s) == str(s) == reference_series_str(s)
+            printed |= s.num.keys()
+            assert ctx.texts.keys() == printed
+            seen.append(s)
+    monkeypatch.setattr(gradedring, "monomial_texts", None)  # a printed monomial is not rebuilt
+    assert [str(s) for s in seen] == [reference_series_str(s) for s in seen]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -324,3 +325,16 @@ def test_quotient_by_kernel_has_image_order_exhaustive_up_to_24():
             kernel = kernel_of_character_point(desc, point)
             q = quotient_group(desc, kernel)
             assert q.order() == point.order()
+
+
+def test_reduce_coords_reduces_torsion_and_refuses_the_wrong_length():
+    assert GroupDescriptor(1, (2, 6)).reduce_coords((-3, 5, -1)) == (-3, 1, 5)
+    free = GroupDescriptor(2).reduce_coords([1.0, -2])
+    assert free == (1, -2) and all(type(c) is int for c in free)
+    for group in (GroupDescriptor(0), GroupDescriptor(2), GroupDescriptor(0, (4,)),
+                  GroupDescriptor(1, (2, 6))):
+        for length in range(group.ngens + 3):
+            if length != group.ngens:
+                message = f"expected {group.ngens} coordinates, got {length}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    group.reduce_coords((1,) * length)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,7 @@ import pytest
 from equitau import reprring
 from equitau.charclass import mu_model
 from equitau.gradedring import GradedSeries, SeriesRing, exp
-from equitau.lattice import GroupDescriptor
+from equitau.lattice import GroupDescriptor, Weight
 from equitau.reprring import (
     CertificateError,
     RepRingElement,
@@ -273,6 +274,89 @@ def test_augmentation_order_filtration():
             prod = prod * a
         order = augmentation_order(prod, 12)
         assert order is None or order >= k
+
+
+# Ranks 0-3 and groups with torsion, for the equivalence tests of the rewritten routes.
+GROUPS = [torus_group(rank) for rank in range(4)] + [
+    GroupDescriptor(0, (6,)),
+    GroupDescriptor(1, (2, 4)),
+    GroupDescriptor(2, (3,)),
+]
+
+
+def random_element(rng, group, size, spread=4):
+    """Up to `size` terms with coordinates in [-spread, spread], a Fraction now and then."""
+    terms = {}
+    for _ in range(rng.randint(0, size)):
+        coords = tuple(rng.randint(-spread, spread) for _ in range(group.ngens))
+        c = rng.randint(-5, 5)
+        if rng.random() < 0.2:
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        terms[coords] = terms.get(coords, 0) + c
+    return RepRingElement(group, terms)
+
+
+def rank_zero_product(rng, group, k):
+    """A product of k nonzero rank-zero elements (none over rank 0): adic order >= k."""
+    prod = RepRingElement.one(group)
+    for _ in range(k):
+        a = random_element(rng, group, 3, spread=2)
+        a = a - a.augmentation()
+        if not a.is_zero():
+            prod = prod * a
+    return prod
+
+
+def test_augmentation_order_is_the_low_degree_of_the_chern_character():
+    rng = random.Random(202610)
+    tori = GROUPS[:4]
+    cases = [(RepRingElement.zero(group), rng.randint(0, 6)) for group in tori]
+    for case in range(200):
+        group = tori[case % 4]
+        a = random_element(rng, group, 12) if case % 5 == 0 else rank_zero_product(
+            rng, group, rng.randint(1, 6))
+        cases.append((a, rng.randint(0, 9)))
+    cases.extend(run_merge_cases(random.Random(2026)))
+    nones = 0
+    for a, truncation in cases:
+        expected = chern_character(a, truncation).low_degree()
+        assert augmentation_order(a, truncation) == expected, (a, truncation)
+        nones += expected is None and not a.is_zero()
+    assert nones >= 20  # nonzero elements whose moments all vanish through N
+    assert augmentation_order((char(T1, 1) - 1) ** 4, 3) is None
+    assert augmentation_order((char(T2, 1, 0) - 1) ** 4 * (char(T2, 0, 1) - 1), 5) == 5
+    for a, truncation in ((RepRingElement.one(GroupDescriptor(1, (3,))), 4),
+                          (RepRingElement.one(T2), -1)):
+        with pytest.raises(ValueError) as raised:
+            chern_character(a, truncation)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+            augmentation_order(a, truncation)
+
+
+def reference_print_order(coords):
+    """The print key (sum_i |c_i|, -c_1, ..., -c_r): total height, then descending lex."""
+    return (sum(map(abs, coords)), *(-c for c in coords))
+
+
+def test_print_keys_sort_by_height_then_descending_lex():
+    rng = random.Random(1129)
+    for case in range(140):
+        a = random_element(rng, GROUPS[case % len(GROUPS)], 40)
+        assert a.print_keys() == sorted(a.num, key=reference_print_order)
+
+
+def test_lambda_minus_one_is_the_product_of_one_minus_characters():
+    rng = random.Random(4471)
+    for case in range(140):
+        group = GROUPS[case % len(GROUPS)]
+        weights = [tuple(rng.randint(-8, 8) for _ in range(group.ngens))
+                   for _ in range(rng.randint(0, 5))]
+        expected = RepRingElement.one(group)
+        for w in weights:
+            expected = expected * (RepRingElement.one(group) - RepRingElement.character(group, w))
+        assert lambda_minus_one(group, weights) == expected, (group, weights)
+        assert lambda_minus_one(group, [Weight(group, w) for w in weights]) == expected
+        assert lambda_minus_one(group, []) == RepRingElement.one(group)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1148,7 @@ def test_integer_chern_character_is_canonical_and_matches_fractions():
         assert (got.rank, got.truncation) == (rank, truncation)
         assert got.den > 0 and math.gcd(got.den, *got.num.values()) == 1
         assert got.num or got.den == 1
-        for e, c in got.sorted_num():
+        for e, c in zip(got.ctx.exponents(list(got.num)), got.num.values()):
             assert type(c) is int and c != 0
             assert len(e) == rank and min(e, default=0) >= 0 and sum(e) <= truncation
     merged = 0

@@ -36,7 +36,8 @@ def test_chi_structure_sheaf():
 
 
 def test_chi_o1_is_cosh_like():
-    expected = exp(GradedSeries.variable(1, TRUNC)) + exp(-GradedSeries.variable(1, TRUNC))
+    t = GradedSeries.linear_form(1, TRUNC, [1])
+    expected = exp(t) + exp(-t)
     assert hrr_chi(P1, line_class(1)) == expected
 
 
@@ -76,6 +77,14 @@ def test_closed_form_examples():
     for n_max in (0, 1):
         report = verify_weyl(n_max, 0)
         assert report.all_pass and [r.twist for r in report.rows] == list(range(-1, n_max + 1))
+
+
+def test_closed_form_by_power_sums_matches_the_running_sums():
+    for truncation in (0, 1, 8, 33):
+        table = weyl_closed_forms(1000, truncation)  # W(-1), W(0), ..., W(1000)
+        for n in range(-12, 1001):
+            expected = table[n + 1] if n >= -1 else -table[-n - 1]
+            assert weyl_closed_form(n, truncation) == expected, (n, truncation)
 
 
 def test_closed_form_serre_symmetry():

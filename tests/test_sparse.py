@@ -192,16 +192,16 @@ def test_component_and_low_degree_read_the_degree_digit(rank):
 
 
 def test_mixing_types_or_rings_raises():
-    series = GradedSeries.variable(1, 5)
+    series = GradedSeries.linear_form(1, 5, [1])
     rep = RepRingElement.character(torus_group(1), (1,))
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
         for x, y in ((series, rep), (rep, series)):
             with pytest.raises(TypeError):
                 op(x, y)
         with pytest.raises(ValueError):
-            op(series, GradedSeries.variable(1, 6))
+            op(series, GradedSeries.linear_form(1, 6, [1]))
         with pytest.raises(ValueError):
-            op(series, GradedSeries.variable(2, 5))
+            op(series, GradedSeries.linear_form(2, 5, [1, 0]))
         with pytest.raises(ValueError):
             op(rep, RepRingElement.one(GroupDescriptor(1, (2,))))
     assert series != rep and rep != series
