@@ -7,7 +7,8 @@ O(n) for n >= 0 carry the character of Sym^n V^* (negated sums of n of the
 w_i).  A bundle is a K-class: a dict {(k, c): m} standing for the signed sum
 of m . O(k) tensor chi_c, c a coordinate tuple (() the trivial character).
 The tangent class is the Euler-sequence virtual difference
-[sum_i O(1) tensor chi_{w_i}] - [O], which gives closed-form Chern roots.
+[sum_i O(1) tensor chi_{w_i}] - [O].  A key's Chern root is k.h + c.t, and
+ch and td pass it to ``root_series_coordinates`` as the key's integers.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from functools import cached_property
 from .gradedring import (
     BundleRing,
     BundleRingElement,
-    GradedSeries,
-    exp,
+    exp_coefficient,
     newton_moments,
     reduce,
     root_series_coordinates,
@@ -175,34 +175,23 @@ def tangent_class(model: ProjSpaceModel) -> dict:
     return bundle
 
 
-def chern_roots(model: ProjSpaceModel, bundle) -> list:
-    """[(m, x)]: the root x = k.h + c.t of each key (k, c), with its multiplicity m."""
-    ring = model.ring
-    roots = []
-    for (k, c), m in bundle.items():
-        num = dict(GradedSeries.linear_form(ring.rank, ring.truncation, c).num) if c else {}
-        if k:
-            num[ring.ctx.limit] = k  # the key of h
-        roots.append((m, BundleRingElement._trusted(ring, num, 1)))
-    return roots
-
-
 def chern_character_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
-    """sum m . exp(x) over the roots."""
-    return sum((exp(x) * m for m, x in chern_roots(model, bundle)), model.embed(0))
-
-
-def _todd_factors(model: ProjSpaceModel, bundle) -> list:
-    """|m| pairs (coefficient function, x) per root: x/(1-e^(-x)), or (1-e^(-x))/x when m < 0."""
-    factors = []
-    for m, x in chern_roots(model, bundle):
-        factors += [(todd_coefficient if m > 0 else todd_inverse_coefficient, x)] * abs(m)
-    return factors
+    """sum m . exp(k.h + c.t) over the keys (k, c), each a one-root Newton walk."""
+    ring, total = model.ring, model.embed(0)
+    for key, m in bundle.items():
+        total += ring.newton_element(*root_series_coordinates(ring, [(exp_coefficient, key)])) * m
+    return total
 
 
 def todd_coordinates(model: ProjSpaceModel, bundle):
-    """(c, den) of td(bundle) = sum_m c[m].N_m / den: ``root_series_coordinates`` of the roots."""
-    return root_series_coordinates(model.ring, _todd_factors(model, bundle))
+    """(c, den) of td(bundle) = sum_m c[m].N_m / den: ``root_series_coordinates`` of the roots.
+
+    |m| factors per key (k, c), at its root k.h + c.t: x/(1-e^(-x)), or (1-e^(-x))/x when m < 0.
+    """
+    factors = []
+    for key, m in bundle.items():
+        factors += [(todd_coefficient if m > 0 else todd_inverse_coefficient, key)] * abs(m)
+    return root_series_coordinates(model.ring, factors)
 
 
 def todd_class_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:

@@ -81,7 +81,6 @@ class Sector:
 @dataclass(frozen=True)
 class SectorDecomposition:
     group: GroupDescriptor
-    model: ProjSpaceModel
     sectors: tuple[Sector, ...]
 
     @property
@@ -193,7 +192,7 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
         comps, width = components(tuple(map(tuple, groups.values())))
         point = TorsionCharacterPoint._trusted(group, tuple(map(values, residues, orders)))
         sectors.append(Sector(point, e, size, supports(e), comps, width * size))
-    return SectorDecomposition(group, model, tuple(sectors))
+    return SectorDecomposition(group, tuple(sectors))
 
 
 def vistoli_kernel_dimension(decomp: SectorDecomposition) -> int:

@@ -49,9 +49,10 @@ Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
 h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  One
 integer Horner step, y <- (h + l_m).y + c_m (``_newton_slots``), multiplies
 the relation out and converts coordinates (``BundleRing.newton_element``).  A
-degree-1 x = a.h + L acts bidiagonally, x.N_m = a.N_(m+1) + (L - a.l_m).N_m,
-so ``root_series_coordinates`` (the Todd class) multiplies by a Chern root
-with a shift and a product by one linear form per coordinate, in one fused
+Chern root x = a.h + c.t, read off a K-class key (a, c) as integers, acts
+bidiagonally, x.N_m = a.N_(m+1) + (c.t - a.l_m).N_m, so
+``root_series_coordinates`` (the Todd class and ch) multiplies by it with a
+shift and a product by one linear form per coordinate, in one fused
 loop that also adds each power into the running sum: no relation fold, no
 dense product.  It skips a zero root whose series starts at 1, coordinates
 that are empty and the inner loop of a one-term form.  The coefficient
@@ -484,31 +485,32 @@ def _newton_slots(forms, coords, ctx):
 
 
 def root_series_coordinates(ring, factors):
-    """(c, den): prod_r f_r(x_r) = sum_m c[m].N_m / den, for pairs (coeff_fn, x_r).
+    """(c, den): prod_r f_r(x_r) = sum_m c[m].N_m / den, for pairs (coeff_fn, (k, chi)).
 
-    f_r = sum_k coeff_fn(k) x^k, and each x_r = a.h + L is of degree 1 or zero
-    (else ValueError); c[m] is a dict {series key: numerator}, zeros dropped,
-    over the least common den.  The product is built in Newton coordinates
-    (module docstring).  Each root's series is summed in one loop: a step
-    takes the power y to x.y coordinate by coordinate, from the top down, so
-    that N_(m-1)'s old value is still there to shift, and adds multiplier *
-    power into the running total as it goes.  A zero root whose series
-    starts at 1 (the Euler sequence's -O) is the factor 1 and is skipped; a
-    coordinate that is empty, with nothing to shift into it, stays empty
-    untouched; a one-term form is applied without an inner loop.
+    f_r = sum_j coeff_fn(j) x^j at the Chern root x_r = k.h + chi.t of a K-class
+    key: integers, chi of the ring's rank or () (else ValueError).  c[m] is a
+    dict {series key: numerator}, zeros dropped, over the least common den.
+    Built in Newton coordinates (module docstring); each root's series is
+    summed in one loop: a step takes the power y to x.y coordinate by
+    coordinate, from the top down, so that N_(m-1)'s old value is still there
+    to shift, and adds multiplier * power into the running total.  A zero
+    root whose series starts at 1 (the Euler sequence's -O) is the factor 1
+    and is skipped; an empty coordinate with nothing to shift into it stays
+    empty untouched; a one-term form is applied without an inner loop.
     """
     ctx, weights = ring.ctx, ring.weights
     count, bound, top = ctx.truncation + len(weights), ctx.limit - ctx.top, len(weights) - 1
     coords, den = [{0: 1}, *({} for _ in weights[1:])], 1
-    for coeff_fn, x in factors:
-        a, form, dx = ring.linear_parts(x)
-        multipliers, d = _scaled_coefficients(coeff_fn, dx, count)
-        if not (a or form) and multipliers[0] == d:
+    for coeff_fn, (a, chi) in factors:
+        chi = chi or (0,) * ctx.rank
+        if len(chi) != ctx.rank:
+            raise ValueError(f"expected {ctx.rank} coefficients")
+        multipliers, d = _scaled_coefficients(coeff_fn, 1, count)
+        if not (a or any(chi)) and multipliers[0] == d:
             continue  # the factor 1 of a zero root, such as the Euler sequence's -O
-        linear = dict(form)  # dx.x = a.(h + l_m) + (L - a.l_m): the second part keeps N_m
+        # x = a.(h + l_m) + (chi - a.w_m).t: the second part keeps N_m
         forms = [
-            [(p, e) for p, w in zip(ctx.places, wm) if (e := linear.get(p, 0) - a * w)]
-            for wm in weights
+            [(p, e) for p, c, w in zip(ctx.places, chi, wm) if (e := c - a * w)] for wm in weights
         ]
         m = multipliers[0]
         power, total = coords, [{k: m * c for k, c in u.items()} for u in coords]
@@ -670,16 +672,6 @@ class BundleRing:
             k, key = divmod(key, limit)
             slots[k].append((key, c))
         return slots, element.den
-
-    def linear_parts(self, x):
-        """(a, L as sorted items, dx) of a root x = (a.h + L)/dx of degree <= 1, or ValueError."""
-        if x.ring != self:
-            raise ValueError("bundle elements over different models")
-        (form, *high), dx = self._sorted_slots(x)
-        a = dict(high[0]).get(0, 0) if high else 0
-        if any(k // self.ctx.top != 1 for k, _ in form) or sum(map(len, high)) != (a != 0):
-            raise ValueError("expected a Chern root of degree 1")
-        return a, form, dx
 
     def newton_element(self, coords, den) -> BundleRingElement:
         """The element sum_m coords[m].N_m / den, coords[m] a dict {series key: numerator}."""

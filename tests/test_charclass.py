@@ -7,7 +7,6 @@ import pytest
 from equitau.charclass import (
     ProjSpaceModel,
     chern_character_bundle,
-    chern_roots,
     line_class,
     mu_model,
     tangent_class,
@@ -50,27 +49,38 @@ def test_chow_side_requires_torus():
         model.hyperplane()
 
 
-def test_line_twist_roots():
-    h = P1.hyperplane()
-    assert line_class(3) == {(3, ()): 1}
-    assert chern_roots(P1, line_class(3)) == [(1, h * 3)]
-    [(m, x)] = chern_roots(P1, line_class(0))
-    assert m == 1 and x.is_zero()
-    # character twist shifts by the base linear form
-    t_form = P1.embed(GradedSeries.linear_form(1, 8, (5,)))
-    assert chern_roots(P1, line_class(2, [5])) == [(1, h * 2 + t_form)]
-
-
 def test_tangent_class_merges_repeated_weights():
     model = torus_model([(1, 0), (0, 1), (1, 0)], 4)
     assert tangent_class(model) == {(1, (1, 0)): 2, (1, (0, 1)): 1, (0, ()): -1}
 
 
-def test_tangent_roots_give_first_chern_class_2h():
-    total = P1.embed(0)
-    for m, x in chern_roots(P1, tangent_class(P1)):
-        total = total + x * m
-    assert total == P1.hyperplane() * 2
+def root(model, key):
+    """The Chern root k.h + c.t of a K-class key (k, c), built from public operations."""
+    k, c = key
+    x = model.hyperplane() * k
+    return x + model.embed(GradedSeries.linear_form(model.rank, model.truncation, c)) if c else x
+
+
+def degree_one(x):
+    """The degree-1 part a.h + L of a bundle element of a model of dimension at least 1."""
+    ring = x.ring
+    return ring.embed(x.coeffs[0].component(1)) + ring.hyperplane() * x.coeffs[1].constant_term()
+
+
+def test_chern_character_starts_at_the_first_chern_class():
+    assert line_class(3) == {(3, ()): 1}
+    assert degree_one(chern_character_bundle(P1, tangent_class(P1))) == P1.hyperplane() * 2
+    p3 = [(1, 0, 2), (0, 1, -1), (2, 0, 0), (1, 1, 1)]
+    for weights, n in (([1, -1], 8), ([0, 0, 0], 4), ([(1, 0), (0, 1), (1, 0)], 4), (p3, 3)):
+        model = torus_model(weights, n)
+        # the tangent's c_1 = (n + 1)h + (sum_i w_i).t, its trivial root adding nothing
+        total = [sum(column) for column in zip(*model.weight_vectors())]
+        c1 = root(model, (model.dim + 1, tuple(total)))
+        assert degree_one(chern_character_bundle(model, tangent_class(model))) == c1, weights
+        # a line's c_1 is its root, a character twist shifting it by the character's form
+        for k, c in ((3, ()), (0, ()), (0, (5,) * model.rank), (-2, tuple(range(model.rank)))):
+            ch = chern_character_bundle(model, line_class(k, c))
+            assert ch.constant_term() == 1 and degree_one(ch) == root(model, (k, c))
 
 
 def test_chern_character_of_twists():
@@ -199,7 +209,8 @@ def inverse(x):
 def reference_todd_class_bundle(model, bundle):
     """|m| todd_factors per root, inverses for nonzero roots with m < 0, dense products."""
     total = model.embed(1)
-    for m, x in chern_roots(model, bundle):
+    for key, m in bundle.items():
+        x = root(model, key)
         factor = todd_factor(x) if m > 0 or x.is_zero() else inverse(todd_factor(x))
         for _ in range(abs(m)):
             total = total * factor
@@ -214,7 +225,7 @@ def random_line_twist(rng, rank):
 
 
 def test_todd_class_matches_the_dense_product_route():
-    rng, scales = random.Random(1010), random.Random(1011)
+    rng = random.Random(1010)
     seen = set()
     for case in range(200):
         rank, dim, n = 1 + case % 3, 1 + case // 3 % 4, rng.randint(0, 12)
@@ -233,36 +244,8 @@ def test_todd_class_matches_the_dense_product_route():
         want = reference_todd_class_bundle(model, bundle)
         assert got == want, (case, weights, n, bundle)
         assert [(c.den, c.num) for c in got.coeffs] == [(c.den, c.num) for c in want.coeffs]
-        if case % 4 == 0:  # one coeff_fn on roots over different denominators
-            factors = [
-                (todd_coefficient, x * Fraction(1, scales.randint(1, 3)))
-                for _, x in chern_roots(model, bundle)
-            ]
-            want = model.embed(1)
-            for _, x in factors:
-                want = want * todd_factor(x)
-            assert root_series_product(model.ring, factors) == want, (case, weights, n, bundle)
         seen.add((rank, dim, kind))
     assert len(seen) == 3 * 4 * 3
-    # a zero root first, in the middle and last, next to a root with a = 0 and a nonzero form
-    p3 = [(1, 0, 2), (0, 1, -1), (2, 0, 0), (1, 1, 1)]
-    for weights, n in (([1, -1], 9), ([(1, 0), (0, 1), (1, 1)], 6), (p3, 5)):
-        model = torus_model(weights, n)
-        ring, h, rank = model.ring, model.hyperplane(), model.rank
-        form = [rng.choice((1, -2, 3)) for _ in range(rank)]
-        flat = ring.embed(GradedSeries.linear_form(rank, n, form))  # a = 0
-        roots = [(todd_coefficient, h * 2 - flat), (todd_inverse_coefficient, flat)]
-        roots.append((todd_coefficient, h))
-        for place in range(len(roots) + 1):
-            for fn in (todd_coefficient, todd_inverse_coefficient, shifted_coefficient):
-                factors = roots[:place] + [(fn, model.embed(0))] + roots[place:]
-                want = model.embed(1)
-                for f, x in factors:
-                    want = want * apply_power_series(f, x)
-                got = root_series_product(ring, factors)
-                assert got == want, (weights, place, fn)
-                scale = 2 if fn is shifted_coefficient else 1
-                assert got == root_series_product(ring, roots) * scale
 
 
 def shifted_coefficient(k):
@@ -270,21 +253,70 @@ def shifted_coefficient(k):
     return Fraction(k + 2)
 
 
-def test_root_series_product_takes_negative_and_fraction_roots():
+def test_root_series_product_takes_integer_key_roots():
     model = torus_model([(1, 0), (0, 1), (1, 1), (2, -1)], 7)
-    ring, h = model.ring, model.hyperplane()
-    t = ring.embed(GradedSeries.linear_form(2, 7, (Fraction(1, 3), Fraction(-5, 2))))
-    x, y = h * Fraction(3, 4) + t, h * -2 + ring.embed(GradedSeries.linear_form(2, 7, (1, -1)))
-    assert root_series_product(ring, [(todd_coefficient, x)]) == todd_factor(x)
-    assert root_series_product(ring, [(todd_inverse_coefficient, y)]) == inverse(todd_factor(y))
-    both = [(todd_coefficient, x), (todd_inverse_coefficient, y), (todd_coefficient, t)]
-    assert root_series_product(ring, both) == todd_factor(x) * inverse(todd_factor(y)) * todd_factor(t)
+    ring = model.ring
+    x, y, flat = (3, (1, -5)), (-2, (1, -1)), (0, (2, -3))  # k < 0 in y; k = 0 with a form in flat
+    assert root_series_product(ring, [(todd_coefficient, x)]) == todd_factor(root(model, x))
+    y_inverse = inverse(todd_factor(root(model, y)))  # the factor of a key of multiplicity m < 0
+    assert root_series_product(ring, [(todd_inverse_coefficient, y)]) == y_inverse
+    both = [(todd_coefficient, x), (todd_inverse_coefficient, y), (todd_coefficient, flat)]
+    want = todd_factor(root(model, x)) * y_inverse * todd_factor(root(model, flat))
+    assert root_series_product(ring, both) == want
     assert root_series_product(ring, []) == ring.one()
-    for bad in (h * h, h + 1, ring.embed(GradedSeries.linear_form(2, 7, [1, 0]) ** 2), h * h * h + h):
-        with pytest.raises(ValueError):
-            root_series_product(ring, [(todd_coefficient, bad)])
-    with pytest.raises(ValueError):
-        root_series_product(ring, [(todd_coefficient, P1.hyperplane())])
+    # a character of the wrong length is refused, even on a zero root
+    for bad in ((1, (1,)), (0, (0, 0, 0)), (-1, (1, 2, 3))):
+        with pytest.raises(ValueError, match="expected 2 coefficients"):
+            root_series_product(ring, [(todd_coefficient, x), (todd_coefficient, bad)])
+        with pytest.raises(ValueError, match="expected 2 coefficients"):
+            chern_character_bundle(model, {bad: 1})
+        with pytest.raises(ValueError, match="expected 2 coefficients"):
+            todd_class_bundle(model, {bad: -1})
+    # a zero root first, in the middle and last, next to a root with k = 0 and a nonzero form
+    p2, p3 = [(1, 0), (0, 1), (1, 1)], [(1, 0, 2), (0, 1, -1), (2, 0, 0), (1, 1, 1)]
+    for weights, n, form in (([1, -1], 9, (3,)), (p2, 6, (-2, 1)), (p3, 5, (1, 3, -2))):
+        model = torus_model(weights, n)
+        ring = model.ring
+        neg = tuple(-c for c in form)
+        roots = [(todd_coefficient, (2, neg)), (todd_inverse_coefficient, (0, form))]
+        roots.append((todd_coefficient, (1, ())))
+        for place in range(len(roots) + 1):
+            for fn in (todd_coefficient, todd_inverse_coefficient, shifted_coefficient):
+                for zero in ((0, ()), (0, (0,) * model.rank)):
+                    factors = roots[:place] + [(fn, zero)] + roots[place:]
+                    want = model.embed(1)
+                    for f, key in factors:
+                        want = want * apply_power_series(f, root(model, key))
+                    got = root_series_product(ring, factors)
+                    assert got == want, (weights, place, fn, zero)
+                    scale = 2 if fn is shifted_coefficient else 1
+                    assert got == root_series_product(ring, roots) * scale
+
+
+def test_chern_character_matches_the_exp_route():
+    """ch by one-root Newton walks against sum m . exp(k.h + c.t) by the relation fold."""
+    rng = random.Random(2710)
+    seen = set()
+    for case in range(176):  # every (rank, dim, truncation) in 0-3 x 1-4 x 0-10
+        rank, dim, n = case % 4, 1 + case // 4 % 4, case % 11
+        weights = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(dim + 1)]
+        if case % 5 == 0:
+            weights[-1] = weights[0]  # a repeated weight
+        elif case % 5 == 1:
+            weights[0] = (0,) * rank  # a zero weight
+        model = torus_model(weights, n, rank=rank)
+        if case % 3 == 0:
+            bundle = tangent_class(model)
+        else:  # a virtual class with signed multiplicities
+            bundle = Counter()
+            for _ in range(rng.randint(1, 3)):
+                key = random_line_twist(rng, rank)
+                bundle.update({k: rng.choice((1, -1, 2, -3)) for k in key})
+        got = chern_character_bundle(model, bundle)
+        want = sum((exp(root(model, key)) * m for key, m in bundle.items()), model.embed(0))
+        assert (got.num, got.den) == (want.num, want.den), (case, weights, n, bundle)
+        seen.add((rank, dim, n))
+    assert len(seen) == 4 * 4 * 11
 
 
 def test_coefficient_tables_are_built_once_per_function_dx_and_count():
