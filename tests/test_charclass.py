@@ -67,20 +67,38 @@ def degree_one(x):
     return ring.embed(x.coeffs[0].component(1)) + ring.hyperplane() * x.coeffs[1].constant_term()
 
 
-def test_chern_character_starts_at_the_first_chern_class():
+MODELS = (
+    ([1, -1], 8),
+    ([0, 0, 0], 4),
+    ([(1, 0), (0, 1), (1, 0)], 4),
+    ([(1, 0, 2), (0, 1, -1), (2, 0, 0), (1, 1, 1)], 3),
+)
+
+
+def test_line_twist_roots():
+    # a line's c_1 is its root, read off as the degree-1 part of ch
+    h = P1.hyperplane()
     assert line_class(3) == {(3, ()): 1}
+    assert degree_one(chern_character_bundle(P1, line_class(3))) == h * 3
+    assert degree_one(chern_character_bundle(P1, line_class(0))).is_zero()
+    # character twist shifts by the base linear form
+    t_form = P1.embed(GradedSeries.linear_form(1, 8, (5,)))
+    assert degree_one(chern_character_bundle(P1, line_class(2, [5]))) == h * 2 + t_form
+    for weights, n in MODELS:
+        model = torus_model(weights, n)
+        for k, c in ((3, ()), (0, ()), (0, (5,) * model.rank), (-2, tuple(range(model.rank)))):
+            ch = chern_character_bundle(model, line_class(k, c))
+            assert ch.constant_term() == 1 and degree_one(ch) == root(model, (k, c)), weights
+
+
+def test_tangent_roots_give_first_chern_class_2h():
     assert degree_one(chern_character_bundle(P1, tangent_class(P1))) == P1.hyperplane() * 2
-    p3 = [(1, 0, 2), (0, 1, -1), (2, 0, 0), (1, 1, 1)]
-    for weights, n in (([1, -1], 8), ([0, 0, 0], 4), ([(1, 0), (0, 1), (1, 0)], 4), (p3, 3)):
+    for weights, n in MODELS:
         model = torus_model(weights, n)
         # the tangent's c_1 = (n + 1)h + (sum_i w_i).t, its trivial root adding nothing
         total = [sum(column) for column in zip(*model.weight_vectors())]
         c1 = root(model, (model.dim + 1, tuple(total)))
         assert degree_one(chern_character_bundle(model, tangent_class(model))) == c1, weights
-        # a line's c_1 is its root, a character twist shifting it by the character's form
-        for k, c in ((3, ()), (0, ()), (0, (5,) * model.rank), (-2, tuple(range(model.rank)))):
-            ch = chern_character_bundle(model, line_class(k, c))
-            assert ch.constant_term() == 1 and degree_one(ch) == root(model, (k, c))
 
 
 def test_chern_character_of_twists():
