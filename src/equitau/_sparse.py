@@ -6,12 +6,13 @@ The form is canonical: gcd(den, *num.values()) == 1, and den == 1 for zero,
 so equality and hashing compare (ctx, den, num) directly.
 
 What a key is belongs to the subclass: a packed monomial of a ``SeriesRing``
-for ``GradedSeries``; k.limit + (that packed key) for h^k times a monomial in
-a ``BundleRingElement``, whose ctx is its ``BundleRing``; a reduced coordinate
-tuple for ``RepRingElement``.  The core only adds, negates and scales
-numerators under equal keys.  Its one hook is ``_unit_key(ctx)``, the key of
-the constant 1.  Each subclass adds its public constructor, its product
-kernel (in ``__mul__``, deferring scalars to the core) and its rendering.
+for ``GradedSeries``; m.limit + (that packed key) for a monomial times the
+Newton class N_m in a ``BundleRingElement``, whose ctx is its ``BundleRing``;
+a reduced coordinate tuple for ``RepRingElement``.  The core only adds,
+negates and scales numerators under equal keys.  Its one hook is
+``_unit_key(ctx)``, the key of the constant 1.  Each subclass adds its public
+constructor, its product kernel (in ``__mul__``, deferring scalars to the
+core) and its rendering.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ class ProjSpaceModel:
 
     @cached_property
     def ring(self) -> BundleRing:
-        """The bundle ring of the model, built once: its elements share one relation."""
+        """The bundle ring of the model, built once: its elements share its forms."""
         self._require_torus()
         return BundleRing(self.weight_vectors(), self.rank, self.truncation)
 
@@ -176,7 +176,7 @@ def tangent_class(model: ProjSpaceModel) -> dict:
 
 
 def chern_character_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
-    """sum m . exp(k.h + c.t) over the keys (k, c), each a one-root Newton walk."""
+    """sum m . exp(k.h + c.t) over the keys (k, c): one-root Newton walks, summed as coordinates."""
     ring, total = model.ring, model.embed(0)
     for key, m in bundle.items():
         total += ring.newton_element(*root_series_coordinates(ring, [(exp_coefficient, key)])) * m
@@ -195,11 +195,9 @@ def todd_coordinates(model: ProjSpaceModel, bundle):
 
 
 def todd_class_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
-    """Product of td(x)^m over the roots, td(x) = x/(1-e^(-x)), in the h-basis.
+    """Product of td(x)^m over the roots, td(x) = x/(1-e^(-x)): ``todd_coordinates`` packed.
 
-    Always a unit with constant term 1, converted from ``todd_coordinates``
-    (Newton coordinates, no dense product) of |m| factors per root, each
-    (1-e^(-x))/x when m < 0.  A zero root, such as the tangent's trivial one,
-    contributes the factor 1; ch still needs it (it subtracts the class of O).
+    Always a unit with constant term 1.  A zero root, such as the tangent's trivial
+    one, contributes the factor 1; ch still needs it (it subtracts the class of O).
     """
     return model.ring.newton_element(*todd_coordinates(model, bundle))

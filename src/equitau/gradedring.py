@@ -31,41 +31,37 @@ product sorts the right operand's items and ``_convolve`` adds the products
 into a dict, scanning the right operand only up to the bound.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
-for a list of base weights w_i: polynomials in one extra degree-1 symbol h,
-kept reduced below h-degree n+1.  The relation is homogeneous, so total
-degree (t-degree + h-degree) is preserved by reduction.  It is a
-``SparseElement`` whose ``ctx`` is its BundleRing, with h^k.t^e keyed by
-k.limit + key(t^e), so slot 0 holds the series keys themselves.  The ring
-holds the weights, the series ring, their linear forms l_i = w_i.t (below)
-and, built on first use, the relation's coefficients e_1..e_{n+1} as sorted
-key lists.  A product of two elements is one fused kernel,
-``_slot_product``: both operands are split into h-slots by one sorted pass,
-every slot pair is convolved into 2n+1 dicts, and ``_reduce_slots`` folds
-slots 2n..n+1 back from the top down with h^(n+1) = -(e_1 h^n + ... +
-e_{n+1}).  The public ``reduce`` multiplies by 1, and
-``apply_power_series`` (``exp``) runs on the same kernel, on integers.
+for base weights w_i.  With l_i = w_i.t, the classes N_m = prod_(i<m)(h + l_i)
+of the invariant linear subspaces are monic of h-degree m, so N_0..N_n is a
+basis, and N_(n+1) = 0 is the relation (Fulton, *Intersection Theory*,
+Section 3.1).  An element is a ``SparseElement`` in these Newton
+coordinates, whose ``ctx`` is its BundleRing, with t^e.N_m keyed by
+m.limit + key(t^e); the ring keeps the weights, the series ring and the
+forms l_i as (series key, coefficient) items, and no relation.  One kernel,
+``_horner``, multiplies an h-polynomial into coordinates by Horner's rule,
+with h.N_m = N_(m+1) - l_m.N_m, whose top shift drops as N_(n+1) = 0: it
+serves ``reduce`` (so the public constructor), the bundle product and
+``apply_power_series``, on integers.  The h-basis is a view for ``coeffs``
+and ``__str__``, by the Horner step y <- (h + l_m).y + c_m (``_newton_slots``).
 
-Newton coordinates: with l_i = w_i.t, N_m = prod_(i<m)(h + l_i) is monic of
-h-degree m, so N_0..N_n is a basis, and N_(n+1) = 0 is the relation.  One
-integer Horner step, y <- (h + l_m).y + c_m (``_newton_slots``), multiplies
-the relation out and converts coordinates (``BundleRing.newton_element``).  A
-Chern root x = a.h + c.t, read off a K-class key (a, c) as integers, acts
+A Chern root x = a.h + c.t, read off a K-class key (a, c) as integers, acts
 bidiagonally, x.N_m = a.N_(m+1) + (c.t - a.l_m).N_m, so
 ``root_series_coordinates`` (the Todd class and ch) multiplies by it with a
-shift and a product by one linear form per coordinate, in one fused
-loop that also adds each power into the running sum: no relation fold, no
-dense product.  It skips a zero root whose series starts at 1, coordinates
-that are empty and the inner loop of a one-term form.  The coefficient
-tables c_j / dx^j of a power series (``_scaled_coefficients``) are built
-once per process for each (coefficient function, dx, count).
+shift and a product by one linear form per coordinate, in one fused loop
+that also adds each power into the running sum: no dense product.  It skips
+a zero root whose series starts at 1, coordinates that are empty and the
+inner loop of a one-term form.  The coefficient tables c_j / dx^j of a
+power series (``_scaled_coefficients``) are built once per process for each
+(coefficient function, dx, count).
 
-The pushforward reads Newton coordinates directly, by the closed-form Gysin
-map: pushforward(h^(n+i)) is the degree-i part of the Segre series
+The pushforward reads the N_n coordinate, since N_n is the class of a
+point and N_m, m < n, pushes to 0.  The closed-form Gysin map gives the same
+on the h-basis: pushforward(h^(n+i)) is the degree-i part of the Segre series
 S_0 = prod_i 1/(1 + l_i) (Fulton, *Intersection Theory*, Section 3.1), and
 pushforward(N_m.h^k) is the degree-(k - n + m) part of its tail
 S_m = S_0.prod_(i<m)(1 + l_i).  ``newton_moments`` gives every
 mu_p = pushforward(h^p.y) of y = sum_m c_m.N_m from n + 1 products c_m.S_m,
-bucketed by p, with no h-basis and no relation fold; ``riemannroch.hrr_chi``
+bucketed by p, with no h-basis; ``riemannroch.hrr_chi``
 reads chi off the moments of the tangent Todd class.  ``segre_pushforward``
 pushes an h-polynomial forward by the same Gysin map, the closed-form check
 of the reduction-based ``pushforward``.
@@ -302,35 +298,30 @@ def _convolve(a, b, limit, out):
             out[k] = get(k, 0) + ca * cb
 
 
-def _reduce_slots(slots, relation, limit):
-    """Reduce h-coefficient dicts (low h-degree first) in place, down to n+1 slots.
+def _horner(ctx, forms, hcoeffs, coords):
+    """Newton coordinates of (sum_k hcoeffs[k].h^k).y, y = sum_m coords[m].N_m, zeros kept.
 
-    ``relation`` is [e_1, ..., e_{n+1}] as sorted (key, numerator) lists;
-    each slot k above n is folded into slots k-1 .. k-n-1 by
-    h^k = -(e_1 h^(k-1) + ... + e_{n+1} h^(k-n-1)), from the top down.
+    hcoeffs[k] is a sorted (series key, numerator) list and coords[m] a
+    (series key, numerator) iterable; absent coordinates are 0.  Horner's
+    rule from the top h-degree down, z <- h.z + hcoeffs[k].y, with
+    h.N_m = N_(m+1) - l_m.N_m: the top shift lands on N_(n+1) = 0 and drops.
     """
-    n1 = len(relation)
-    for k in range(len(slots) - 1, n1 - 1, -1):
-        top = [(key, -c) for key, c in slots[k].items() if c]
-        if top:
-            for j, e in enumerate(relation, 1):
-                _convolve(top, e, limit, slots[k - j])
-    del slots[n1:]
-
-
-def _slot_product(a, b, limit, relation):
-    """The reduced product of two h-polynomials as n+1 dicts {key: numerator} (zeros kept).
-
-    a and b hold one (key, numerator) iterable per h-degree, b's sorted.
-    """
-    prod = [{} for _ in range(len(a) + len(b) - 1)]
-    for i, pa in enumerate(a):
-        if pa:
-            for j, pb in enumerate(b):
-                if pb:
-                    _convolve(pa, pb, limit, prod[i + j])
-    _reduce_slots(prod, relation, limit)
-    return prod
+    limit, bound = ctx.limit, ctx.limit - ctx.top
+    z = [{} for _ in forms]
+    for a in reversed(hcoeffs):
+        if any(z):
+            for m in range(len(z) - 1, -1, -1):  # from the top down: z[m - 1] is still old
+                out = dict(z[m - 1]) if m else {}
+                get = out.get
+                for k, c in z[m].items():
+                    if k < bound:  # a key of degree N times a linear form leaves the ring
+                        for p, e in forms[m]:
+                            out[k + p] = get(k + p, 0) - c * e
+                z[m] = out
+        if a:
+            for out, c in zip(z, coords):
+                _convolve(c, a, limit, out)
+    return z
 
 
 @lru_cache(maxsize=128)
@@ -371,27 +362,28 @@ def apply_power_series(coeff_fn, x):
     """Evaluate sum_k coeff_fn(k) * x^k for nilpotent x (zero constant term).
 
     Works for GradedSeries and BundleRingElement alike, on integers
-    (``_power_series_sum``), X^(j-1) times X by ``_slot_product``; x^(N+n+1)
-    = 0, as x has no term below degree 1.
+    (``_power_series_sum``) in Newton coordinates: X^(j-1) times X is one
+    ``_horner`` pass of X's h-coefficients, and a series is the
+    one-coordinate case, with the single form ().  x^(N+n+1) = 0, as x has
+    no term below degree 1.
     """
     if x.constant_term() != 0:
         raise ValueError("substitution requires a zero constant term")
     if isinstance(x, GradedSeries):
-        # one slot under the relation h = 0: a bundle ring with the single weight 0
-        ctx, xs, dx, relation = x.ctx, [sorted(x.num.items())], x.den, [[]]
+        ctx, forms, xs = x.ctx, ((),), [sorted(x.num.items())]
     else:
         ring = x.ctx
-        ctx, relation, (xs, dx) = ring.ctx, ring._relation_items(), ring._sorted_slots(x)
+        ctx, forms, xs = ring.ctx, ring.forms, x._h_items()
 
     def times_x(power):
-        return _slot_product([p.items() for p in power], xs, ctx.limit, relation)
+        return _horner(ctx, forms, xs, [p.items() for p in power])
 
-    multipliers, den = _scaled_coefficients(coeff_fn, dx, ctx.truncation + len(xs))
-    unit = [{0: 1}, *({} for _ in xs[1:])]
+    multipliers, den = _scaled_coefficients(coeff_fn, x.den, ctx.truncation + len(forms))
+    unit = [{0: 1}, *({} for _ in forms[1:])]
     total = _power_series_sum(multipliers, unit, times_x)
     if isinstance(x, GradedSeries):
         return GradedSeries._trusted(ctx, {k: c for k, c in total[0].items() if c}, den)
-    return ring._element(total, den)
+    return ring.newton_element(total, den)
 
 
 def exp_coefficient(k: int) -> Fraction:
@@ -466,10 +458,11 @@ def todd_inverse_coefficient(k: int) -> Fraction:
 
 
 def _newton_slots(forms, coords, ctx):
-    """The h-coefficient dicts, low degree first, of sum_m coords[m].N_m, zeros kept.
+    """The h-basis view: the h-coefficient dicts, low degree first, of sum_m coords[m].N_m.
 
     forms[i] is l_i as (series key, coefficient) items, coords[m] a dict
-    {series key: numerator}; Horner's rule from the top coordinate down.
+    {series key: numerator}; zeros are kept.  Horner's rule from the top
+    coordinate down.
     """
     bound, y = ctx.limit - ctx.top, [dict(coords[-1])]  # degree N times a form leaves the ring
     for m in range(len(coords) - 2, -1, -1):
@@ -609,21 +602,19 @@ class BundleRing:
     """The quotient (truncated series ring)[h] / prod_i(h + w_i.t) for fixed weights.
 
     The context of its elements: the weights, the ``SeriesRing`` of their
-    coefficients, the linear forms l_i = w_i.t as (series key, coefficient)
-    items and the relation as sorted (key, numerator) lists, built on first
-    use; elements derived from one ring share it, so products never rebuild it.
+    coefficients and the linear forms l_i = w_i.t as (series key, coefficient)
+    items, all that Newton coordinates need; the relation is never stored.
     """
 
-    __slots__ = ("weights", "ctx", "forms", "_relation")
+    __slots__ = ("weights", "ctx", "forms")
 
     def __init__(self, weights, rank, truncation):
         self.weights = tuple(tuple(int(c) for c in w) for w in weights)
         if not self.weights:
-            raise ValueError("relation needs at least one weight")
+            raise ValueError("a bundle ring needs at least one weight")
         self.ctx = series_ring(rank, truncation)
         places = self.ctx.places if truncation else ()  # a linear form is 0 at truncation 0
         self.forms = tuple(tuple((p, e) for p, e in zip(places, w) if e) for w in self.weights)
-        self._relation = None
 
     @property
     def rank(self):
@@ -649,54 +640,35 @@ class BundleRing:
         return BundleRingElement._trusted(self, {0: 1}, 1)
 
     def embed(self, value) -> BundleRingElement:
-        """Lift a scalar or base series into this ring (slot 0 keys are series keys)."""
+        """Lift a scalar or base series into this ring (N_0 = 1 keys are series keys)."""
         if isinstance(value, (int, Fraction)):
             value = GradedSeries.const(self.rank, self.truncation, value)
         self._check_series(value)
         return BundleRingElement._trusted(self, dict(value.num), value.den)
 
     def hyperplane(self) -> BundleRingElement:
-        """The class h."""
+        """The class h = N_1 - l_0."""
         if len(self.weights) < 2:
             raise ValueError("need at least two weights for a positive-dimensional model")
-        return BundleRingElement._trusted(self, {self.ctx.limit: 1}, 1)
+        num = {p: -e for p, e in self.forms[0]}
+        num[self.ctx.limit] = 1
+        return BundleRingElement._trusted(self, num, 1)
 
     def _check_series(self, c):
         if not isinstance(c, GradedSeries) or c.ctx != self.ctx:
             raise ValueError("coefficients must be series of matching rank/truncation")
 
-    def _sorted_slots(self, element):
-        """([sorted (series key, numerator) items per h-degree], den) of an element."""
-        limit, slots = self.ctx.limit, [[] for _ in self.weights]
-        for key, c in sorted(element.num.items()):
-            k, key = divmod(key, limit)
-            slots[k].append((key, c))
-        return slots, element.den
-
     def newton_element(self, coords, den) -> BundleRingElement:
         """The element sum_m coords[m].N_m / den, coords[m] a dict {series key: numerator}."""
-        return self._element(_newton_slots(self.forms, coords, self.ctx), den)
-
-    def _relation_items(self):
-        """[e_1, ..., e_(n+1)]: the h-coefficients of N_(n+1) below its leading 1, top first."""
-        if self._relation is None:
-            *low, _ = _newton_slots(self.forms, [{}] * len(self.forms) + [{0: 1}], self.ctx)
-            self._relation = [sorted((k, c) for k, c in s.items() if c) for s in reversed(low)]
-        return self._relation
-
-    def _element(self, slots, den) -> BundleRingElement:
-        """The element of at most n+1 reduced h-coefficient dicts {key: numerator} over den."""
-        limit, num = self.ctx.limit, {}
-        for k, s in enumerate(slots):
-            shift = k * limit
-            num.update({key + shift: c for key, c in s.items() if c})
+        limit = self.ctx.limit
+        num = {m * limit + k: c for m, u in enumerate(coords) for k, c in u.items() if c}
         return BundleRingElement._trusted(self, num, den)
 
 
 class BundleRingElement(SparseElement):
-    """Element of (truncated series ring)[h] / prod_i(h + w_i.t), kept reduced.
+    """Element of (truncated series ring)[h] / prod_i(h + w_i.t), in Newton coordinates.
 
-    Its ``ctx`` is its ``BundleRing``; h^k.t^e is keyed by k.limit + key(t^e).
+    Its ``ctx`` is its ``BundleRing``; t^e.N_m is keyed by m.limit + key(t^e).
     Add, negate, scalar multiply, powers, equality and hashing are the core's.
     """
 
@@ -709,15 +681,8 @@ class BundleRingElement(SparseElement):
             raise ValueError("coefficients exceed the reduced h-degree bound")
         for c in coeffs:
             ring._check_series(c)
-        # each series is canonical, so over the lcm of their denominators the whole is
-        den, limit = math.lcm(*(c.den for c in coeffs)), ring.ctx.limit
-        self.ctx = ring
-        self.num = {
-            k * limit + key: p * (den // c.den)
-            for k, c in enumerate(coeffs)
-            for key, p in c.num.items()
-        }
-        self.den = den
+        x = reduce(coeffs, ring)
+        self.ctx, self.num, self.den = ring, x.num, x.den
 
     @staticmethod
     def _unit_key(ctx):
@@ -732,14 +697,27 @@ class BundleRingElement(SparseElement):
     def ring(self):
         return self.ctx
 
+    def _coordinates(self):
+        """The Newton coordinates c_0..c_n as dicts {series key: numerator}."""
+        limit, coords = self.ctx.ctx.limit, [{} for _ in self.ctx.weights]
+        for key, c in self.num.items():
+            m, key = divmod(key, limit)
+            coords[m][key] = c
+        return coords
+
+    def _h_items(self):
+        """The h-basis view: sorted (series key, numerator) lists over den, low h-degree first."""
+        ring = self.ctx
+        slots = _newton_slots(ring.forms, self._coordinates(), ring.ctx)
+        return [sorted((k, c) for k, c in s.items() if c) for s in slots]
+
     @property
     def coeffs(self):
         """The h-coefficients, low degree first, as canonical series; built on every access."""
-        ring = self.ctx
-        slots, den = ring._sorted_slots(self)
-        return tuple(GradedSeries._trusted(ring.ctx, dict(s), den) for s in slots)
+        ctx, den = self.ctx.ctx, self.den
+        return tuple(GradedSeries._trusted(ctx, dict(s), den) for s in self._h_items())
 
-    constant_term = GradedSeries.constant_term
+    constant_term = GradedSeries.constant_term  # N_m has no constant term for m > 0
 
     def __mul__(self, other):
         if isinstance(other, GradedSeries):
@@ -748,22 +726,24 @@ class BundleRingElement(SparseElement):
             return super().__mul__(other)
         self._check(other)
         ring = self.ctx
-        (sa, da), (sb, db) = ring._sorted_slots(self), ring._sorted_slots(other)
-        return ring._element(_slot_product(sa, sb, ring.ctx.limit, ring._relation_items()), da * db)
+        coords = [u.items() for u in other._coordinates()]
+        z = _horner(ring.ctx, ring.forms, self._h_items(), coords)
+        return ring.newton_element(z, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __str__(self):
-        """Terms by total degree, then t-exponents, then h-degree."""
+        """Terms of the h-basis view by total degree, then t-exponents, then h-degree."""
         ctx = self.ctx.ctx
         limit, top = ctx.limit, ctx.top
         # h^k.t^e is keyed K = k.limit + |e|.top + digits(e); its t-digits read
         # as a series key's, since limit is a multiple of B.digit
-        keys = sorted(self.num, key=lambda K: (K // limit + K % limit // top, K % top, K // limit))
+        num = {k * limit + key: c for k, s in enumerate(self._h_items()) for key, c in s}
+        keys = sorted(num, key=lambda K: (K // limit + K % limit // top, K % top, K // limit))
         return terms_string(
             variable_names("t", ctx.rank) + ["h"],
             ctx.columns(keys) + [[K // limit for K in keys]],
-            list(map(self.num.__getitem__, keys)),
+            list(map(num.__getitem__, keys)),
             self.den,
         )
 
@@ -773,8 +753,8 @@ class BundleRingElement(SparseElement):
 def reduce(poly_coeffs, ring: BundleRing) -> BundleRingElement:
     """Reduce an h-polynomial (list of series, low degree first) modulo the ring's relation.
 
-    Scalars are lifted to constant series; the ring's relation is reused by
-    ``_slot_product``, whose product by 1 reduces.
+    Scalars are lifted to constant series.  The result's Newton coordinates
+    are ``_horner``'s product of the polynomial by N_0 = 1, any h-degree.
     """
     coeffs = [
         c if isinstance(c, GradedSeries) else GradedSeries.const(ring.rank, ring.truncation, c)
@@ -782,17 +762,17 @@ def reduce(poly_coeffs, ring: BundleRing) -> BundleRingElement:
     ]
     for c in coeffs:
         ring._check_series(c)
-    den, one = math.lcm(*(c.den for c in coeffs)), [[(0, 1)]]
-    slots = [[(k, p * (den // c.den)) for k, p in c.num.items()] for c in coeffs]
-    return ring._element(_slot_product(slots, one, ring.ctx.limit, ring._relation_items()), den)
+    den = math.lcm(*(c.den for c in coeffs))
+    hs = [sorted((k, p * (den // c.den)) for k, p in c.num.items()) for c in coeffs]
+    return ring.newton_element(_horner(ring.ctx, ring.forms, hs, [[(0, 1)]]), den)
 
 
 def pushforward(p: BundleRingElement) -> GradedSeries:
-    """Proper pushforward to the base: picks off the h^n coefficient.
+    """Proper pushforward to the base: pi_*(sum_m c_m.N_m) = c_n, the h^n coefficient.
 
-    The class of a point pushes to 1 and lower h-powers push to 0; a class of
-    pure total degree d maps to a class of pure degree d - n.
+    N_n is the class of a point and pushes to 1; N_m for m < n pushes to 0.
+    A class of pure total degree d maps to a class of pure degree d - n.
     """
     if not isinstance(p, BundleRingElement):
         raise ValueError("pushforward expects a reduced bundle ring element")
-    return p.coeffs[-1]
+    return GradedSeries._trusted(p.ctx.ctx, p._coordinates()[-1], p.den)

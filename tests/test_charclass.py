@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -30,7 +31,7 @@ P1 = torus_model([1, -1], 8)
 
 
 def root_series_product(ring, factors):
-    """prod_r f_r(x_r) in the h-basis: ``root_series_coordinates`` converted by the ring."""
+    """prod_r f_r(x_r) as an element: ``root_series_coordinates`` packed by the ring."""
     return ring.newton_element(*root_series_coordinates(ring, factors))
 
 
@@ -242,6 +243,23 @@ def random_line_twist(rng, rank):
     return line_class(power, tuple(rng.randint(-2, 2) for _ in range(rank)))
 
 
+def omega_class(model, p):
+    """[Omega^p] = sum_(j <= p) (-1)^(p-j) [wedge^j(V^* (x) O(-1))] by the Euler sequence.
+
+    The signed sum of O(-j) (x) chi_(-w_S) over the j-subsets S of the weights.
+    """
+    bundle = Counter()
+    for j in range(p + 1):
+        for subset in combinations(model.weight_vectors(), j):
+            bundle[-j, tuple(-sum(c) for c in zip(*subset))] += (-1) ** (p - j)
+    return bundle
+
+
+# P^3 over a rank-3 torus at truncation 10, and its Omega^2-shaped class of 11 keys
+OMEGA_MODEL = torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 10)
+OMEGA_2 = omega_class(OMEGA_MODEL, 2)
+
+
 def test_todd_class_matches_the_dense_product_route():
     rng = random.Random(1010)
     seen = set()
@@ -264,6 +282,9 @@ def test_todd_class_matches_the_dense_product_route():
         assert [(c.den, c.num) for c in got.coeffs] == [(c.den, c.num) for c in want.coeffs]
         seen.add((rank, dim, kind))
     assert len(seen) == 3 * 4 * 3
+    assert len(OMEGA_2) == 11
+    want = reference_todd_class_bundle(OMEGA_MODEL, OMEGA_2)
+    assert todd_class_bundle(OMEGA_MODEL, OMEGA_2) == want
 
 
 def shifted_coefficient(k):
@@ -312,7 +333,7 @@ def test_root_series_product_takes_integer_key_roots():
 
 
 def test_chern_character_matches_the_exp_route():
-    """ch by one-root Newton walks against sum m . exp(k.h + c.t) by the relation fold."""
+    """ch by one-root Newton walks against sum m . exp(k.h + c.t) by the power-series kernel."""
     rng = random.Random(2710)
     seen = set()
     for case in range(176):  # every (rank, dim, truncation) in 0-3 x 1-4 x 0-10
@@ -335,6 +356,12 @@ def test_chern_character_matches_the_exp_route():
         assert (got.num, got.den) == (want.num, want.den), (case, weights, n, bundle)
         seen.add((rank, dim, n))
     assert len(seen) == 4 * 4 * 11
+    got = chern_character_bundle(OMEGA_MODEL, OMEGA_2)
+    want = OMEGA_MODEL.embed(0)
+    for key, m in OMEGA_2.items():
+        want += exp(root(OMEGA_MODEL, key)) * m
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.constant_term() == 3  # the rank of Omega^2 on P^3, C(3, 2)
 
 
 def test_coefficient_tables_are_built_once_per_function_dx_and_count():

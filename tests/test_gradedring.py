@@ -12,7 +12,6 @@ from equitau.gradedring import (
     apply_power_series,
     bernoulli_number,
     exp,
-    _reduce_slots,
     newton_moments,
     pushforward,
     reduce,
@@ -529,7 +528,7 @@ def test_equal_series_by_different_routes_hash_equal():
     assert h * h == other and hash(h * h) == hash(other)
 
 
-def test_hrr_chi_builds_the_relation_at_most_once(monkeypatch):
+def test_hrr_chi_builds_no_h_basis_view(monkeypatch):
     from equitau import gradedring
     from equitau.charclass import line_class, torus_model
     from equitau.riemannroch import hrr_chi
@@ -545,9 +544,8 @@ def test_hrr_chi_builds_the_relation_at_most_once(monkeypatch):
     model = torus_model([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 6)
     chi = hrr_chi(model, line_class(1, (1, -2, 3)))
     assert chi.constant_term() == 4
-    assert len(calls) <= 1
     hrr_chi(model, line_class(0))
-    assert len(calls) <= 1  # the model keeps its ring, and the ring its relation
+    assert len(calls) == 0  # chi reads Newton coordinates and moments only
 
 
 def test_exp_of_linear_forms_against_sympy():
@@ -827,19 +825,19 @@ def test_power_series_kernel_matches_the_per_step_reference():
 
 
 def pushforward_moments(element, count):
-    """The numerators {series key: int} of pushforward(h^j * element), j < count, over its den.
+    """The series pushforward(h^j * element), j < count, on the Fraction-dict reference.
 
     The reference for ``newton_moments``: each moment from the last by one
-    shift and one fold of the top slot by the relation.
+    shift and one ``reference_reduce`` fold by ``reference_relation``.
     """
     ring = element.ctx
-    slots = [dict(s) for s in ring._sorted_slots(element)[0]]
-    relation, limit, moments = ring._relation_items(), ring.ctx.limit, []
+    rank, n = ring.rank, ring.truncation
+    relation = reference_relation(ring.weights, rank, n)
+    slots, moments = [c.terms for c in element.coeffs], []
     for j in range(count):
         if j:
-            slots.insert(0, {})
-            _reduce_slots(slots, relation, limit)
-        moments.append({k: c for k, c in slots[-1].items() if c})
+            slots = reference_reduce([{}] + slots, relation, n)
+        moments.append(GradedSeries(rank, n, slots[-1]))
     return moments
 
 
@@ -861,10 +859,8 @@ def test_pushforward_moments_are_the_pushforwards_of_h_powers_times_the_element(
         moments = pushforward_moments(e, count)
         assert len(moments) == count
         for j, mu in enumerate(moments):
-            want = pushforward(h**j * e)
-            assert GradedSeries._trusted(ring.ctx, mu, e.den) == want, (case, weights, n, j)
-            assert all(mu.values())
-        assert moments[-2:] == [{}, {}]
+            assert mu == pushforward(h**j * e), (case, weights, n, j)
+        assert all(mu.is_zero() for mu in moments[-2:])
         assert pushforward_moments(e, 2) == moments[:2]
 
 
@@ -898,22 +894,6 @@ def ring_shape(ring):
     return rank, dim, len(set(ring.weights)) < dim + 1, zero, ring.truncation == 0
 
 
-def test_relation_items_are_the_reference_relation():
-    rng = random.Random(2525)
-    seen = set()
-    for case in range(156):
-        ring = random_ring(rng, case)
-        ctx = ring.ctx
-        relation = ring._relation_items()
-        want = reference_relation(ring.weights, ctx.rank, ctx.truncation)
-        assert [GradedSeries._trusted(ctx, dict(e), 1).terms for e in relation] == want, ring
-        assert all(e == sorted(e) and all(c for _, c in e) for e in relation)
-        assert ring._relation_items() is relation  # built once per ring
-        seen.add(ring_shape(ring))
-    assert {s[:2] for s in seen} == {(r, d) for r in (1, 2, 3) for d in (1, 2, 3, 4)}
-    assert {s[2:] for s in seen} == {(r, z, t) for r in (0, 1) for z in (0, 1) for t in (0, 1)}
-
-
 def newton_sum(ring, coords, den):
     """sum_m coords[m].N_m / den multiplied out by bundle products: h-degree <= n, nothing folds."""
     ctx, h = ring.ctx, ring.hyperplane()
@@ -941,14 +921,39 @@ def test_newton_element_is_the_sum_of_coordinates_times_newton_products():
     assert {s[2:] for s in seen} == {(r, z, t) for r in (0, 1) for z in (0, 1) for t in (0, 1)}
 
 
-def test_relation_and_newton_element_make_no_series_arithmetic(monkeypatch):
+def test_newton_storage_agrees_with_its_h_basis_view():
+    rng = random.Random(2627)
+    seen = set()
+    for case in range(156):
+        ring = random_ring(rng, case)
+        ctx, dim = ring.ctx, len(ring.weights) - 1
+        x = ring.newton_element(random_coords(rng, ring), rng.choice((1, 6, 35)))
+        view = x.coeffs
+        assert len(view) == dim + 1 and BundleRingElement(ring, view) == x, (case, ring)
+        assert pushforward(x) == view[-1]
+        assert x.constant_term() == view[0].constant_term()
+        degree = rng.randint(-1, 2 * dim + 3)  # -1: the empty polynomial
+        poly = [random_series(rng, ctx.rank, ctx.truncation) for _ in range(degree + 1)]
+        relation = reference_relation(ring.weights, ctx.rank, ctx.truncation)
+        want = reference_reduce([c.terms for c in poly], relation, ctx.truncation)
+        assert [c.terms for c in reduce(poly, ring).coeffs] == want, (case, ring)
+        seen.add(ring_shape(ring))
+    assert {s[:2] for s in seen} == {(r, d) for r in (1, 2, 3) for d in (1, 2, 3, 4)}
+    assert {s[2:] for s in seen} == {(r, z, t) for r in (0, 1) for z in (0, 1) for t in (0, 1)}
+
+
+def test_newton_element_reduce_products_and_pushforward_make_no_series_arithmetic(monkeypatch):
     rng = random.Random(2727)
     cases = []
     for case in range(39):
         ring = random_ring(rng, case)
-        ctx = ring.ctx
+        ctx, dim = ring.ctx, len(ring.weights) - 1
         coords = random_coords(rng, ring)
-        cases.append((ring.weights, ctx.rank, ctx.truncation, coords, newton_sum(ring, coords, 7)))
+        x = newton_sum(ring, coords, 7)
+        y = ring.newton_element(random_coords(rng, ring), 5)
+        poly = [random_series(rng, ctx.rank, ctx.truncation) for _ in range(2 * dim + 2)]
+        wants = (x, reduce(poly, ring), x * y, pushforward(x))
+        cases.append((ring.weights, ctx.rank, ctx.truncation, coords, poly, x, y, wants))
 
     def refuse(*args):
         raise AssertionError("GradedSeries arithmetic")
@@ -956,10 +961,10 @@ def test_relation_and_newton_element_make_no_series_arithmetic(monkeypatch):
     for name in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                  "__rmul__", "__pow__", "__truediv__"):
         monkeypatch.setattr(GradedSeries, name, refuse)
-    for weights, rank, n, coords, want in cases:
-        ring = BundleRing(weights, rank, n)  # a fresh ring builds its relation anew
-        assert ring._relation_items() == want.ring._relation_items()
-        assert ring.newton_element(coords, 7) == want
+    for weights, rank, n, coords, poly, x, y, wants in cases:
+        ring = BundleRing(weights, rank, n)
+        got = (ring.newton_element(coords, 7), reduce(poly, ring), x * y, pushforward(x))
+        assert got == wants
 
 
 def test_newton_moments_match_the_shift_and_fold_moments():
@@ -982,7 +987,7 @@ def test_newton_moments_match_the_shift_and_fold_moments():
             y = y + newton * GradedSeries._trusted(ctx, c, den)
             newton = newton * (h + GradedSeries.linear_form(ctx.rank, ctx.truncation, w))
         last = ctx.truncation + dim + 1
-        want = [GradedSeries._trusted(ctx, mu, y.den) for mu in pushforward_moments(y, last)]
+        want = pushforward_moments(y, last)
         for count in range(1, last + 1):
             got = newton_moments(ring, coords, count)
             assert len(got) == count and all(all(mu.values()) for mu in got)
@@ -1045,7 +1050,8 @@ def assert_bundle_canonical(x):
 def test_bundle_elements_hold_only_the_core_fields():
     h = make_h()
     assert BundleRingElement.__slots__ == () and not hasattr(h, "__dict__")
-    assert h.ctx is h.ring and (h.num, h.den) == ({h.ring.ctx.limit: 1}, 1)
+    ctx = h.ring.ctx  # h = N_1 - l_0, with l_0 = t on P^1 (1, -1)
+    assert h.ctx is h.ring and (h.num, h.den) == ({ctx.limit: 1, ctx.places[0]: -1}, 1)
 
 
 def test_bundle_arithmetic_is_slotwise_and_canonical():
