@@ -4,11 +4,13 @@ Convention (validated against the brute-force section-character oracle):
 V = direct sum of one-dimensional eigenspaces k_{w_i}, P(V) = lines in V,
 defining relation prod_i(h + w_i.t), c_1(O(1)) = h, and global sections of
 O(n) for n >= 0 carry the character of Sym^n V^* (negated sums of n of the
-w_i).  A bundle is a K-class: a dict {(k, c): m} standing for the signed sum
-of m . O(k) tensor chi_c, c a coordinate tuple (() the trivial character).
-The tangent class is the Euler-sequence virtual difference
-[sum_i O(1) tensor chi_{w_i}] - [O].  A key's Chern root is k.h + c.t, and
-ch and td pass it to ``root_series_coordinates`` as the key's integers.
+w_i).  A model holds its group once; its weights w_i are coordinate tuples
+reduced by that group.  A bundle is a K-class: a dict {(k, c): m} standing
+for the signed sum of m . O(k) tensor chi_c, c a coordinate tuple (() the
+trivial character).  The tangent class is the Euler-sequence virtual
+difference [sum_i O(1) tensor chi_{w_i}] - [O].  A key's Chern root is
+k.h + c.t, and ch and td pass it to ``root_series_coordinates`` as the key's
+integers.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from .gradedring import (
     BundleRingElement,
     exp_coefficient,
     newton_moments,
-    reduce,
     root_series_coordinates,
     todd_coefficient,
     todd_inverse_coefficient,
 )
-from .lattice import GroupDescriptor, Weight
+from .lattice import GroupDescriptor
 
 DEFAULT_TRUNCATION = 16
 
@@ -63,22 +64,17 @@ def check_series_size(rank: int, dim: int, truncation: int) -> None:
 
 @dataclass(frozen=True)
 class ProjSpaceModel:
-    """P(V) for V a sum of weight lines over a fixed diagonalizable group."""
+    """P(V) for V a sum of weight lines: coordinate tuples reduced by the model's group."""
 
     group: GroupDescriptor
-    weights: tuple[Weight, ...]
+    weights: tuple[tuple[int, ...], ...]
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        weights = tuple(
-            w if isinstance(w, Weight) else Weight(self.group, w) for w in self.weights
-        )
+        weights = tuple(map(self.group.reduce_coords, self.weights))
         object.__setattr__(self, "weights", weights)
         if len(weights) < 2:
             raise ValueError("a projective-space model needs at least two weights")
-        for w in weights:
-            if w.group != self.group:
-                raise ValueError("all weights must live over the model's group")
 
     @property
     def dim(self) -> int:
@@ -90,16 +86,13 @@ class ProjSpaceModel:
 
     @property
     def rank(self) -> int:
-        return self.group.ngens if self.group.is_free else self.group.free_rank
-
-    def weight_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(w.coords for w in self.weights)
+        return self.group.free_rank
 
     @cached_property
     def ring(self) -> BundleRing:
         """The bundle ring of the model, built once: its elements share its forms."""
         self._require_torus()
-        return BundleRing(self.weight_vectors(), self.rank, self.truncation)
+        return BundleRing(self.weights, self.rank, self.truncation)
 
     @cached_property
     def tangent_todd_coordinates(self):
@@ -121,20 +114,13 @@ class ProjSpaceModel:
     def hyperplane(self) -> BundleRingElement:
         return self.ring.hyperplane()
 
-    def embed(self, value) -> BundleRingElement:
-        return self.ring.embed(value)
-
-    def reduce_poly(self, coeffs) -> BundleRingElement:
-        return reduce(coeffs, self.ring)
-
 
 def torus_model(weights, truncation=DEFAULT_TRUNCATION, rank=None) -> ProjSpaceModel:
     """Model for a torus action; weights are ints (rank 1) or coordinate tuples."""
     weights = [(w,) if isinstance(w, int) else tuple(w) for w in weights]
     if rank is None:
         rank = len(weights[0]) if weights else 1
-    group = GroupDescriptor(rank, ())
-    return ProjSpaceModel(group, tuple(Weight(group, w) for w in weights), truncation)
+    return ProjSpaceModel(GroupDescriptor(rank, ()), weights, truncation)
 
 
 def mu_model(orders, weights, truncation=DEFAULT_TRUNCATION) -> ProjSpaceModel:
@@ -154,7 +140,7 @@ def mu_model(orders, weights, truncation=DEFAULT_TRUNCATION) -> ProjSpaceModel:
         if len(coords) != len(orders):
             raise ValueError(f"weight {coords} does not match {len(orders)} cyclic factors")
         normalized.append(tuple(coords[i] for i in keep))
-    return ProjSpaceModel(group, tuple(Weight(group, w) for w in normalized), truncation)
+    return ProjSpaceModel(group, normalized, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +156,14 @@ def tangent_class(model: ProjSpaceModel) -> dict:
     """The tangent class sum_i O(1) (x) chi_(w_i) - O of the Euler sequence."""
     bundle = {}
     for w in model.weights:
-        bundle[1, w.coords] = bundle.get((1, w.coords), 0) + 1
+        bundle[1, w] = bundle.get((1, w), 0) + 1
     bundle[0, ()] = -1
     return bundle
 
 
 def chern_character_bundle(model: ProjSpaceModel, bundle) -> BundleRingElement:
     """sum m . exp(k.h + c.t) over the keys (k, c): one-root Newton walks, summed as coordinates."""
-    ring, total = model.ring, model.embed(0)
+    ring, total = model.ring, model.ring.embed(0)
     for key, m in bundle.items():
         total += ring.newton_element(*root_series_coordinates(ring, [(exp_coefficient, key)])) * m
     return total

@@ -37,7 +37,7 @@ from .finitestab import (
     support_subgroup,
     vistoli_kernel_dimension,
 )
-from .gradedring import GradedSeries, pushforward, segre_pushforward
+from .gradedring import GradedSeries, pushforward, reduce, segre_pushforward
 from .lattice import GroupDescriptor, TorsionCharacterPoint
 from .reprring import CertificateError, RepRingElement, segal_certificate
 from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
@@ -224,7 +224,7 @@ def cmd_chi(args) -> int:
     character = tuple(int(x) for x in args.char.split(",")) if args.char else ()
     result = chi_with_oracle(model, line_class(args.twist, character))
     checks = [("section-oracle agreement up to truncation", result.matches_oracle)]
-    is_weyl_model = model.rank == 1 and model.weight_vectors() == ((1,), (-1,)) and not character
+    is_weyl_model = model.weights == ((1,), (-1,)) and not character
     if is_weyl_model:
         closed = weyl_closed_form(args.twist, trunc)
         checks.append(("closed-form agreement up to truncation", closed == result.series))
@@ -279,10 +279,10 @@ def cmd_pushforward(args) -> int:
     weights = parse_weights(args.weights)
     model = checked_torus_model(weights, trunc)
     coeffs = [int(x) for x in args.poly.split(",")]
-    reduced = model.reduce_poly(coeffs)
+    reduced = reduce(coeffs, model.ring)
     series = pushforward(reduced)
     checks = []
-    if model.rank == 1 and model.weight_vectors() == ((1,), (-1,)):
+    if model.weights == ((1,), (-1,)):
         closed = segre_pushforward(model.ring, coeffs)
         checks.append(("odd-part closed form agreement up to truncation", closed == series))
     results = {

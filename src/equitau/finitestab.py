@@ -27,7 +27,6 @@ from .charclass import ProjSpaceModel
 from .lattice import (
     GroupDescriptor,
     TorsionCharacterPoint,
-    Weight,
     kernel_of_character_point,
     quotient_group,
 )
@@ -57,7 +56,7 @@ class FixedComponent:
     """A sub-projective-space of coordinates sharing one weight mod the kernel."""
 
     indices: tuple[int, ...]
-    weights: tuple[Weight, ...]
+    weights: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -172,7 +171,7 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     orders = group.torsion_orders
     lcm = math.lcm(*orders)
     weights = model.weights
-    scaled = [[c * (lcm // d) for c, d in zip(w.coords, orders)] for w in weights]
+    scaled = [[c * (lcm // d) for c, d in zip(w, orders)] for w in weights]
     # each distinct support, value and component tuple is built once per call
     supports = cache(lambda e: GroupDescriptor(0, (e,) if e > 1 else ()))
     # 0 <= r < d: each value r/d is already a valid reduced value

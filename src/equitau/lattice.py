@@ -1,9 +1,11 @@
 """Finitely generated abelian groups and their duality with diagonalizable groups.
 
 A diagonalizable group is encoded by its character group N, a finitely
-generated abelian group in invariant-factor form.  Everything here is exact
-integer (or rational) arithmetic: Smith normal form with transforms,
-quotients, and kernels of rational character points.
+generated abelian group in invariant-factor form.  An element of N, a weight,
+is a plain coordinate tuple with its torsion coordinates reduced to [0, d)
+(``GroupDescriptor.reduce_coords``); the group is held beside it, never in it.
+Everything here is exact integer (or rational) arithmetic: Smith normal form
+with transforms, quotients, and kernels of rational character points.
 
 Generator convention: free generators first, then torsion generators in
 divisibility-chain order.
@@ -64,11 +66,10 @@ class GroupDescriptor:
         return coords[:r] + tuple(map(mod, coords[r:], self.torsion_orders))
 
     def elements(self):
-        """Iterate over all elements of a finite group as Weight values."""
+        """Iterate over all elements of a finite group as reduced coordinate tuples."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
-        for coords in product(*(range(d) for d in self.torsion_orders)):
-            yield Weight(self, coords)
+        return product(*(range(d) for d in self.torsion_orders))
 
     def __str__(self) -> str:
         parts = []
@@ -78,40 +79,6 @@ class GroupDescriptor:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion_orders)
         return " x ".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
-class Weight:
-    """An element of a GroupDescriptor, with torsion coordinates reduced to [0, d)."""
-
-    group: GroupDescriptor
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.group.reduce_coords(self.coords))
-
-    def __add__(self, other: Weight) -> Weight:
-        if self.group != other.group:
-            raise ValueError("weights over different groups")
-        return Weight(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> Weight:
-        return Weight(self.group, tuple(-a for a in self.coords))
-
-    def __sub__(self, other: Weight) -> Weight:
-        return self + (-other)
-
-    def __mul__(self, k: int) -> Weight:
-        return Weight(self.group, tuple(k * a for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    @staticmethod
-    def zero(group: GroupDescriptor) -> Weight:
-        return Weight(group, (0,) * group.ngens)
 
 
 @dataclass(frozen=True)
@@ -144,10 +111,9 @@ class TorsionCharacterPoint:
         object.__setattr__(point, "values", values)
         return point
 
-    def __call__(self, w: Weight) -> Fraction:
-        if w.group != self.group:
-            raise ValueError("weight over a different group")
-        return sum((c * v for c, v in zip(w.coords, self.values)), Fraction(0)) % 1
+    def __call__(self, w) -> Fraction:
+        coords = self.group.reduce_coords(w)
+        return sum((c * v for c, v in zip(coords, self.values)), Fraction(0)) % 1
 
     def order(self) -> int:
         """Order of the point in the character group (= order of its image in Q/Z)."""
@@ -289,12 +255,7 @@ def _relation_matrix(group: GroupDescriptor, generators) -> list[list[int]]:
         col[r + i] = d
         cols.append(col)
     for g in generators:
-        if isinstance(g, Weight):
-            if g.group != group:
-                raise ValueError("generator over a different group")
-            cols.append(list(g.coords))
-        else:
-            cols.append(list(group.reduce_coords(g)))
+        cols.append(list(group.reduce_coords(g)))
     if not cols:
         return [[0] for _ in range(k)] if k else []
     return [[col[i] for col in cols] for i in range(k)]
@@ -303,13 +264,12 @@ def _relation_matrix(group: GroupDescriptor, generators) -> list[list[int]]:
 def quotient_with_projection(group: GroupDescriptor, generators):
     """Invariant-factor form of N/<generators> plus the projection map N -> N/K.
 
-    Returns (descriptor, project) where project maps a Weight of N (or a raw
-    coordinate tuple) to the corresponding Weight of the quotient.
+    Returns (descriptor, project) where project maps a coordinate tuple of N
+    to the reduced coordinate tuple of its image in the quotient.
     """
     k = group.ngens
     if k == 0:
-        trivial = GroupDescriptor(0, ())
-        return trivial, lambda w: Weight(trivial, ())
+        return GroupDescriptor(0, ()), lambda w: ()
     b = _relation_matrix(group, generators)
     factors, u, _ = smith_normal_form(b)
     ncols = len(b[0])
@@ -318,9 +278,9 @@ def quotient_with_projection(group: GroupDescriptor, generators):
     quotient = GroupDescriptor(len(free_idx), tuple(factors[i] for i in torsion_idx))
 
     def project(w):
-        coords = w.coords if isinstance(w, Weight) else group.reduce_coords(w)
+        coords = group.reduce_coords(w)
         y = [sum(u[i][j] * coords[j] for j in range(k)) for i in range(k)]
-        return Weight(quotient, tuple(y[i] for i in free_idx) + tuple(y[i] for i in torsion_idx))
+        return quotient.reduce_coords([y[i] for i in free_idx] + [y[i] for i in torsion_idx])
 
     return quotient, project
 
@@ -335,7 +295,7 @@ def quotient_group(group: GroupDescriptor, generators) -> GroupDescriptor:
 
 
 def kernel_of_character_point(group: GroupDescriptor, point: TorsionCharacterPoint):
-    """Generating weights of {n in N : point(n) = 0 in Q/Z}."""
+    """Generating weights of {n in N : point(n) = 0 in Q/Z}, as reduced coordinate tuples."""
     if point.group != group:
         raise ValueError("character point over a different group")
     k = group.ngens
@@ -344,4 +304,4 @@ def kernel_of_character_point(group: GroupDescriptor, point: TorsionCharacterPoi
     lcm = point.order()
     row = [int(v * lcm) for v in point.values] + [lcm]
     basis = integer_kernel_basis([row])
-    return [Weight(group, tuple(vec[:k])) for vec in basis]
+    return [group.reduce_coords(vec[:k]) for vec in basis]

@@ -69,7 +69,7 @@ from operator import add, itemgetter, mul, ne, sub
 from ._format import terms_string, variable_names
 from ._sparse import SparseElement
 from .gradedring import GradedSeries, series_ring
-from .lattice import GroupDescriptor, Weight
+from .lattice import GroupDescriptor
 
 
 def _value(p, den):
@@ -127,8 +127,7 @@ class RepRingElement(SparseElement):
 
     @staticmethod
     def character(group, weight):
-        coords = weight.coords if isinstance(weight, Weight) else weight
-        return RepRingElement(group, {tuple(coords): 1})
+        return RepRingElement(group, {tuple(weight): 1})
 
     # -- ring structure -----------------------------------------------------
 
@@ -191,7 +190,7 @@ def lambda_minus_one(group: GroupDescriptor, weights) -> RepRingElement:
     """
     reduce_coords, num = group.reduce_coords, {RepRingElement._unit_key(group): 1}
     for w in weights:
-        w = reduce_coords(w.coords if isinstance(w, Weight) else w)
+        w = reduce_coords(w)
         out = dict(num)
         for k, c in num.items():
             k = reduce_coords(map(add, k, w))

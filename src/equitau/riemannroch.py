@@ -26,7 +26,6 @@ from operator import add, mul, sub
 from .charclass import ProjSpaceModel, line_class, torus_model
 # exp is unused here; perfbench/test_perfbench.py checks that its tracer restores riemannroch.exp
 from .gradedring import GradedSeries, exp, series_ring, times_exp_linear_form
-from .lattice import Weight
 from .reprring import RepRingElement, chern_character
 
 
@@ -136,9 +135,7 @@ def sections_character_oracle(model: ProjSpaceModel, twist: int) -> RepRingEleme
     if degree >= 0:
         _check_oracle_size(math.comb(degree + n, n))
     if twist < -n:
-        det = Weight.zero(group)
-        for w in model.weights:
-            det = det + w
+        det = tuple(map(sum, zip(*model.weights)))
         dual = _monomial_characters(model, -twist - n - 1, sign=1)
         return dual * RepRingElement.character(group, det) * (-1) ** n
     if twist < 0:
@@ -159,7 +156,7 @@ def _monomial_characters(model: ProjSpaceModel, degree: int, sign: int) -> RepRi
     coordinate at a time.  Over a group with torsion the constructor reduces
     the coordinates and merges what coincides.
     """
-    v = [tuple(sign * c for c in w) for w in model.weight_vectors()]
+    v = [tuple(sign * c for c in w) for w in model.weights]
     n, places = model.dim, degree + model.dim
     columns = list(zip(*v))  # one tuple per coordinate
     lows = [degree * min(c) for c in columns]

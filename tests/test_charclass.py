@@ -25,7 +25,7 @@ from equitau.gradedring import (
     todd_coefficient,
     todd_inverse_coefficient,
 )
-from equitau.lattice import GroupDescriptor, Weight
+from equitau.lattice import GroupDescriptor
 
 P1 = torus_model([1, -1], 8)
 
@@ -38,10 +38,15 @@ def root_series_product(ring, factors):
 def test_model_validation():
     g = GroupDescriptor(1)
     with pytest.raises(ValueError):
-        ProjSpaceModel(g, (Weight(g, (1,)),))  # needs n >= 1
-    g2 = GroupDescriptor(2)
-    with pytest.raises(ValueError):
-        ProjSpaceModel(g, (Weight(g, (1,)), Weight(g2, (1, 0))))
+        ProjSpaceModel(g, ((1,),))  # needs n >= 1
+    with pytest.raises(ValueError, match="^expected 1 coordinates, got 2$"):
+        ProjSpaceModel(g, ((1,), (1, 0)))
+
+
+def test_model_weights_are_tuples_reduced_by_the_group():
+    assert mu_model(6, [7, -1]).weights == ((1,), (5,))
+    assert mu_model((2, 1, 4), [(3, 9, -1), (0, 0, 6)]).weights == ((1, 3), (0, 2))
+    assert torus_model([(1, -2), [0, 3]]).weights == ((1, -2), (0, 3))
 
 
 def test_chow_side_requires_torus():
@@ -59,7 +64,7 @@ def root(model, key):
     """The Chern root k.h + c.t of a K-class key (k, c), built from public operations."""
     k, c = key
     x = model.hyperplane() * k
-    return x + model.embed(GradedSeries.linear_form(model.rank, model.truncation, c)) if c else x
+    return x + model.ring.embed(GradedSeries.linear_form(model.rank, model.truncation, c)) if c else x
 
 
 def degree_one(x):
@@ -83,7 +88,7 @@ def test_line_twist_roots():
     assert degree_one(chern_character_bundle(P1, line_class(3))) == h * 3
     assert degree_one(chern_character_bundle(P1, line_class(0))).is_zero()
     # character twist shifts by the base linear form
-    t_form = P1.embed(GradedSeries.linear_form(1, 8, (5,)))
+    t_form = P1.ring.embed(GradedSeries.linear_form(1, 8, (5,)))
     assert degree_one(chern_character_bundle(P1, line_class(2, [5]))) == h * 2 + t_form
     for weights, n in MODELS:
         model = torus_model(weights, n)
@@ -97,19 +102,19 @@ def test_tangent_roots_give_first_chern_class_2h():
     for weights, n in MODELS:
         model = torus_model(weights, n)
         # the tangent's c_1 = (n + 1)h + (sum_i w_i).t, its trivial root adding nothing
-        total = [sum(column) for column in zip(*model.weight_vectors())]
+        total = [sum(column) for column in zip(*model.weights)]
         c1 = root(model, (model.dim + 1, tuple(total)))
         assert degree_one(chern_character_bundle(model, tangent_class(model))) == c1, weights
 
 
 def test_chern_character_of_twists():
     h = P1.hyperplane()
-    assert chern_character_bundle(P1, line_class(0)) == P1.embed(1)
+    assert chern_character_bundle(P1, line_class(0)) == P1.ring.embed(1)
     assert chern_character_bundle(P1, line_class(4)) == exp(h * 4)
 
 
 def test_chern_character_of_tangent():
-    t_form = P1.embed(GradedSeries.linear_form(1, 8, (1,)))
+    t_form = P1.ring.embed(GradedSeries.linear_form(1, 8, (1,)))
     h = P1.hyperplane()
     expected = exp(h + t_form) + exp(h - t_form) - 1
     got = chern_character_bundle(P1, tangent_class(P1))
@@ -118,7 +123,7 @@ def test_chern_character_of_tangent():
 
 
 def test_todd_of_trivial_bundle_is_one():
-    assert todd_class_bundle(P1, line_class(0)) == P1.embed(1)
+    assert todd_class_bundle(P1, line_class(0)) == P1.ring.embed(1)
 
 
 def test_todd_tangent_two_ways():
@@ -149,8 +154,8 @@ def test_ch_additive_and_td_multiplicative_over_sums():
             sum_bundle.update(tw)
         ch_sum = chern_character_bundle(P1, sum_bundle)
         td_sum = todd_class_bundle(P1, sum_bundle)
-        ch_parts = P1.embed(0)
-        td_parts = P1.embed(1)
+        ch_parts = P1.ring.embed(0)
+        td_parts = P1.ring.embed(1)
         for tw in twists:
             ch_parts = ch_parts + chern_character_bundle(P1, tw)
             td_parts = td_parts * todd_class_bundle(P1, tw)
@@ -227,7 +232,7 @@ def inverse(x):
 
 def reference_todd_class_bundle(model, bundle):
     """|m| todd_factors per root, inverses for nonzero roots with m < 0, dense products."""
-    total = model.embed(1)
+    total = model.ring.embed(1)
     for key, m in bundle.items():
         x = root(model, key)
         factor = todd_factor(x) if m > 0 or x.is_zero() else inverse(todd_factor(x))
@@ -250,7 +255,7 @@ def omega_class(model, p):
     """
     bundle = Counter()
     for j in range(p + 1):
-        for subset in combinations(model.weight_vectors(), j):
+        for subset in combinations(model.weights, j):
             bundle[-j, tuple(-sum(c) for c in zip(*subset))] += (-1) ** (p - j)
     return bundle
 
@@ -323,7 +328,7 @@ def test_root_series_product_takes_integer_key_roots():
             for fn in (todd_coefficient, todd_inverse_coefficient, shifted_coefficient):
                 for zero in ((0, ()), (0, (0,) * model.rank)):
                     factors = roots[:place] + [(fn, zero)] + roots[place:]
-                    want = model.embed(1)
+                    want = model.ring.embed(1)
                     for f, key in factors:
                         want = want * apply_power_series(f, root(model, key))
                     got = root_series_product(ring, factors)
@@ -352,12 +357,12 @@ def test_chern_character_matches_the_exp_route():
                 key = random_line_twist(rng, rank)
                 bundle.update({k: rng.choice((1, -1, 2, -3)) for k in key})
         got = chern_character_bundle(model, bundle)
-        want = sum((exp(root(model, key)) * m for key, m in bundle.items()), model.embed(0))
+        want = sum((exp(root(model, key)) * m for key, m in bundle.items()), model.ring.embed(0))
         assert (got.num, got.den) == (want.num, want.den), (case, weights, n, bundle)
         seen.add((rank, dim, n))
     assert len(seen) == 4 * 4 * 11
     got = chern_character_bundle(OMEGA_MODEL, OMEGA_2)
-    want = OMEGA_MODEL.embed(0)
+    want = OMEGA_MODEL.ring.embed(0)
     for key, m in OMEGA_2.items():
         want += exp(root(OMEGA_MODEL, key)) * m
     assert (got.num, got.den) == (want.num, want.den)

@@ -70,9 +70,15 @@ def test_chi_with_character_twist(capsys):
 
 
 def test_a_character_of_the_wrong_length_exits_2_in_one_line(capsys):
-    assert main(["chi", "--weights", "1,-1", "--twist", "1", "--char", "1,2"]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "equitau: error: expected 1 coordinates, got 2\n")
+    for argv, message in (
+        (["chi", "--weights", "1,-1", "--twist", "1", "--char", "1,2"], "expected 1 coordinates, got 2"),
+        # ragged weights: the model's group refuses the short one
+        (["chi", "--weights", "1,0;1", "--twist", "1"], "expected 2 coordinates, got 1"),
+        (["pushforward", "--weights", "1,0;0,1;1", "--poly", "1,2"], "expected 2 coordinates, got 1"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"equitau: error: {message}\n"), argv
 
 
 def test_json_round_trips_byte_identically(capsys):

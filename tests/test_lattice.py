@@ -3,13 +3,13 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add
 
 import pytest
 
 from equitau.lattice import (
     GroupDescriptor,
     TorsionCharacterPoint,
-    Weight,
     integer_kernel_basis,
     kernel_of_character_point,
     quotient_group,
@@ -179,15 +179,20 @@ def test_descriptor_rendering():
     assert str(GroupDescriptor(2, (2, 4))) == "Z^2 x Z/2 x Z/4"
 
 
+def plus(group, a, b):
+    """a + b in the group: coordinates added, then reduced."""
+    return group.reduce_coords(map(add, a, b))
+
+
 def test_weight_reduction_and_arithmetic():
     g = GroupDescriptor(1, (3,))
-    w = Weight(g, (5, 7))
-    assert w.coords == (5, 1)
-    assert (w + w).coords == (10, 2)
-    assert (-w).coords == (-5, 2)
-    assert (2 * w).coords == (10, 2)
+    w = g.reduce_coords((5, 7))
+    assert w == (5, 1)
+    assert plus(g, w, w) == (10, 2)
+    assert g.reduce_coords(-c for c in w) == (-5, 2)
+    assert g.reduce_coords(2 * c for c in w) == (10, 2)
     with pytest.raises(ValueError):
-        Weight(g, (1,))
+        g.reduce_coords((1,))
 
 
 def test_character_point_validation():
@@ -202,13 +207,14 @@ def test_character_point_validation():
 
 
 def subgroup_closure(group, generators):
-    elems = {Weight.zero(group)}
-    frontier = [Weight.zero(group)]
-    gens = [Weight(group, g) for g in generators]
+    zero = (0,) * group.ngens
+    elems = {zero}
+    frontier = [zero]
+    gens = [group.reduce_coords(g) for g in generators]
     while frontier:
         w = frontier.pop()
         for g in gens:
-            nxt = w + g
+            nxt = plus(group, w, g)
             if nxt not in elems:
                 elems.add(nxt)
                 frontier.append(nxt)
@@ -221,14 +227,14 @@ def quotient_element_orders(group, generators):
     elems = list(group.elements())
     reps = {}
     for w in elems:
-        key = min((w + s).coords for s in sub)
+        key = min(plus(group, w, s) for s in sub)
         reps.setdefault(key, w)
     orders = []
     for w in reps.values():
         k = 1
         acc = w
         while acc not in sub:
-            acc = acc + w
+            acc = plus(group, acc, w)
             k += 1
         orders.append(k)
     return sorted(orders)
@@ -274,8 +280,8 @@ def test_quotient_projection_is_a_homomorphism():
     q, project = quotient_with_projection(desc, [(1, 2)])
     for a in desc.elements():
         for b in desc.elements():
-            assert project(a + b) == project(a) + project(b)
-    assert all(project(Weight(desc, (1, 2)) * k).is_zero() for k in range(5))
+            assert project(plus(desc, a, b)) == plus(q, project(a), project(b))
+    assert all(project((k, 2 * k)) == (0,) * q.ngens for k in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +296,16 @@ def test_kernel_examples_on_z6():
     g = GroupDescriptor(0, (6,))
     phi = TorsionCharacterPoint(g, (Fraction(1, 3),))
     gens = kernel_of_character_point(g, phi)
-    assert subgroup_closure(g, [w.coords for w in gens]) == brute_force_kernel(g, phi)
-    assert brute_force_kernel(g, phi) == {Weight(g, (0,)), Weight(g, (3,))}
+    assert subgroup_closure(g, gens) == brute_force_kernel(g, phi)
+    assert brute_force_kernel(g, phi) == {(0,), (3,)}
 
     zero = TorsionCharacterPoint.zero(g)
     gens = kernel_of_character_point(g, zero)
-    assert subgroup_closure(g, [w.coords for w in gens]) == set(g.elements())
+    assert subgroup_closure(g, gens) == set(g.elements())
 
     phi6 = TorsionCharacterPoint(g, (Fraction(1, 6),))
     gens = kernel_of_character_point(g, phi6)
-    assert subgroup_closure(g, [w.coords for w in gens]) == {Weight(g, (0,))}
+    assert subgroup_closure(g, gens) == {(0,)}
 
 
 def all_finite_groups_up_to(limit):
@@ -338,3 +344,20 @@ def test_reduce_coords_reduces_torsion_and_refuses_the_wrong_length():
                 message = f"expected {group.ngens} coordinates, got {length}"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     group.reduce_coords((1,) * length)
+
+
+def test_kernels_and_projections_are_tuples_reduced_by_their_group():
+    group = GroupDescriptor(1, (2, 6))
+    points = [TorsionCharacterPoint(group, values) for values in
+              product([Fraction(0), Fraction(2, 5), Fraction(-1, 3)], [0, Fraction(1, 2)],
+                      [Fraction(1, 6), Fraction(5, 6), Fraction(1, 2)])]
+    for point in points:
+        for w in kernel_of_character_point(group, point):
+            assert type(w) is tuple and w == group.reduce_coords(w)
+            assert point(w) == 0
+    for gens in ([], [(1, 1, 2)], [(3, 0, 4), (0, 1, 3)], [(2, 0, 0)]):
+        q, project = quotient_with_projection(group, gens)
+        for w in product(range(-7, 8, 3), range(-2, 3), range(-7, 8)):
+            image = project(w)
+            assert type(image) is tuple and image == q.reduce_coords(image)
+            assert image == project(group.reduce_coords(w))
