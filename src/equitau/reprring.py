@@ -55,7 +55,9 @@ Hadamard bound, and that answer lifts.
 The search re-expands sum_i c_i g_i before it returns a certificate.
 
 A failed certificate search is only "nothing found within the bound" and is
-never evidence of non-membership.
+never evidence of non-membership.  ``segal_certificate`` therefore decides a
+non-member first: (t_1 - 1)^d with d < n has a nonzero normal form modulo the
+GL_n ideal (``segal_normal_form``), so it is in no box, and no system is built.
 """
 
 from __future__ import annotations
@@ -336,7 +338,9 @@ def segal_certificate(n: int, degree: int, bound: int | None = None):
     """Certificate that (t_1 - 1)^degree lies in the rank-0 GL_n ideal of the torus ring.
 
     Default search bound: exponents in [-(degree - 1), degree - 1].  A degree past
-    ``SEGAL_DEGREE_LIMIT`` raises ValueError before anything is built.
+    ``SEGAL_DEGREE_LIMIT`` raises ValueError before anything is built, as does a box
+    past the size guards.  Past them, a non-member (degree < n) has a nonzero normal
+    form (``segal_normal_form``): its cofactors are None, and no system is built.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -356,8 +360,49 @@ def segal_certificate(n: int, degree: int, bound: int | None = None):
         coeff = -coeff * (degree - k) // (k + 1)
     target = RepRingElement._trusted(torus_group(n), terms, 1)
     generators = gl_augmentation_generators(n)
+    unit = RepRingElement._unit_key(target.group)
+    if degree < n and segal_normal_form(degree, [[m for m in g.num if m != unit] for g in generators]):
+        return target, generators, None, bound  # a nonzero normal form: in no box
     cofactors = ideal_membership_certificate(target, generators, bound)
     return target, generators, cofactors, bound
+
+
+def _segal_remainder(degree: int, monomials):
+    """(-1)^degree e_degree(x_2, .., x_n) on x-monomials, from those of e_degree(x)."""
+    n = len(monomials)
+    e_d = [(0,) * n] if degree == 0 else monomials[degree - 1] if degree <= n else []
+    return {m: (-1) ** degree for m in e_d if not m[0]}
+
+
+def segal_normal_form(degree: int, monomials) -> dict:
+    """The normal form of x_1^degree, x_i = t_i - 1, modulo (e_1(x), .., e_n(x)), checked.
+
+    ``monomials[k - 1]`` lists the x-monomials (0/1 tuples) of e_k(x), k = 1..n;
+    e_k(t) - C(n, k) = sum_(j<=k) C(n-j, k-j) e_j(x), so the e_k(x) generate the
+    GL_n ideal.  As e_k(x) = x_1 e_(k-1)(x') + e_k(x'), x' = (x_2, .., x_n), a sum
+    telescopes:
+
+        x_1^d - (-1)^d e_d(x') = sum_(k=1..min(d,n)) (-1)^(k+1) x_1^(d-k) e_k(x),
+
+    re-expanded here on plain dicts (``CertificateError`` on a mismatch).  The
+    remainder (-1)^d e_d(x') is squarefree and free of x_1, so no leading term
+    x_k^k of the lex Groebner basis {h_k(x_k, .., x_n)} of the ideal (Sturmfels,
+    *Algorithms in Invariant Theory*, 1.1) divides any of its monomials: it is
+    the normal form, nonzero exactly when d < n.  Returns {x-monomial: coefficient}.
+    """
+    n = len(monomials)
+    remainder = _segal_remainder(degree, monomials)
+    total = {m: -c for m, c in remainder.items()}  # x_1^d - remainder - the sum, to be zero
+    power = (degree, *(0,) * (n - 1))
+    total[power] = total.get(power, 0) + 1
+    for k in range(1, min(degree, n) + 1):
+        shift, sign = degree - k, (-1) ** k
+        for m in monomials[k - 1]:
+            m = (m[0] + shift, *m[1:])
+            total[m] = total.get(m, 0) + sign
+    if any(total.values()):
+        raise CertificateError(f"the normal form of (t_1 - 1)^{degree} failed its re-expansion")
+    return remainder
 
 
 # ---------------------------------------------------------------------------

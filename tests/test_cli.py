@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -766,10 +767,63 @@ def test_the_segal_entry_count_admits_n_16_and_refuses_n_17_at_bound_0(monkeypat
 
 @pytest.mark.parametrize("n, bound", [(1, 3), (2, 2), (3, 1), (4, 0)])
 def test_the_segal_entry_count_is_the_systems_nonzero_entries(monkeypatch, n, bound):
+    # a member, degree >= n: a non-member builds no system; the count does not depend on the degree
     systems = []
     monkeypatch.setattr(equitau.reprring, "_solve_sparse_linear", lambda eqs: systems.append(eqs))
-    equitau.reprring.segal_certificate(n, 2, bound)
+    equitau.reprring.segal_certificate(n, max(n, 2), bound)
     assert sum(len(row) for row, _ in systems[0]) == (2**n - 1 + n) * (2 * bound + 1) ** n
+
+
+# sha256 of the JSON and the text stdout, recorded when every non-member still went
+# through the box search and its Farkas vector
+SEGAL_NON_MEMBER_DIGESTS = {
+    "--n 3 --degree 2 --bound 1": ("877378dc71a915c4507027617dd03cc87bc1760e8e6e269e87269edcf529eebe",
+                                   "259a44c25d87a59236e3d05f3683d5acb15b8b0100be4e47b578cdace5db49ce"),
+    "--n 3 --degree 2 --bound 2": ("00b38eedcd2f55e20039529d22f1a49acc03939db51436d5461f6b9a9fb60d1b",
+                                   "a7429fd795d0e41a5535c21656759fe55d9a096888f6cf01ac9e9f536faf3e18"),
+    "--n 3 --degree 2 --bound 3": ("a4ba0de259bad17332bed4a4e1a4550ad1741dd7db09194e0ddc25f2c03ff842",
+                                   "d71575aa33416ec428c3a136348786707c74aee3149f08fcd8c032871c44b3f2"),
+    "--n 4 --degree 2 --bound 2": ("1327527816ad3122cc1cfe7217a2da4413a4c63e615cb6ed86e07d5974580f6f",
+                                   "82e5b59cb319663c0ab820ee62ab538af9d09d6fe3c4f66a662b77d96d06cd92"),
+    "--n 5 --degree 4 --bound 1": ("cae0fcde3461de1fc3718517fc2dea72ba5b179f6739848fc0e3f5b126f17f9b",
+                                   "68c86c293e7e06f9b01ce9a2d714875385482856801a597efbe37a66f281ef47"),
+    "--n 4 --degree 3": ("ab390aaf8a236825bf35ffdca8bac4ef14ec677211499f6d1b3da118a9295570",
+                         "92361936e3d96253015b4b46ec3480341be109de7f60702b5b1d86e26b8dd859"),
+}
+
+
+@pytest.mark.parametrize("args", SEGAL_NON_MEMBER_DIGESTS)
+def test_a_segal_non_member_prints_the_box_searchs_bytes(capsys, args):
+    for argv, digest in zip((args.split() + ["--format", "json"], args.split()),
+                            SEGAL_NON_MEMBER_DIGESTS[args]):
+        code, out = run(capsys, "segal", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, digest), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "17", "--degree", "2", "--bound", "0"],
+     "the certificate search's system would have 131088 nonzero entries (limit 100000)"),
+    (["--n", "10000000", "--degree", "2"],
+     "the certificate search would solve for more than 10^30 unknowns (limit 10000)"),
+], ids=["entries", "unknowns"])
+def test_a_segal_non_member_is_refused_by_the_guards_before_its_normal_form(
+        capsys, monkeypatch, argv, message):
+    def no_normal_form(*args):
+        raise AssertionError("computed a normal form")
+
+    monkeypatch.setattr(equitau.reprring, "segal_normal_form", no_normal_form)
+    assert main(["segal", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"equitau: error: {message}\n")
+
+
+def test_a_segal_remainder_that_fails_its_re_expansion_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(equitau.reprring, "_segal_remainder", lambda degree, monomials: {})
+    assert main(["segal", "--n", "4", "--degree", "3", "--bound", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "equitau: check failed: the normal form of (t_1 - 1)^3 failed its re-expansion\n"
+    ))
 
 
 def test_a_solve_that_fails_both_moduli_exits_1(capsys, monkeypatch):

@@ -432,6 +432,98 @@ def test_gl_generators_have_zero_augmentation():
 
 
 # ---------------------------------------------------------------------------
+# Segal non-members, decided by their normal form
+
+
+def e_monomials(n):
+    """The x-monomials of e_1(x), .., e_n(x), as ``segal_certificate`` passes them."""
+    return [list(elementary_symmetric_character(n, k).num) for k in range(1, n + 1)]
+
+
+def x_elementary(xs, k):
+    """e_k of the ring elements xs, by e_k(x_1..x_j) = e_k(x_1..x_(j-1)) + x_j e_(k-1)(..)."""
+    group = xs[0].group if xs else T1
+    e = [RepRingElement.one(group)] + [RepRingElement.zero(group)] * k
+    for x in xs:
+        for i in range(k, 0, -1):
+            e[i] = e[i] + x * e[i - 1]
+    return e[k]
+
+
+def x_element(xs, monomials):
+    """sum_m c_m prod_i x_i^(m_i) in the torus ring, for {m: c_m}."""
+    total = RepRingElement.zero(xs[0].group)
+    for m, c in monomials.items():
+        term = RepRingElement.one(xs[0].group) * c
+        for x, a in zip(xs, m):
+            term = term * x**a
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_segal_identity_and_remainder_hold_in_the_torus_ring(n):
+    group = torus_group(n)
+    xs = [char(group, *(int(i == j) for j in range(n))) - 1 for i in range(n)]
+    for d in range(n + 2):
+        remainder = reprring.segal_normal_form(d, e_monomials(n))
+        assert bool(remainder) == (d < n), d
+        # squarefree and free of x_1: no leading term x_k^k of {h_k(x_k..x_n)} divides it
+        assert all(m[0] == 0 and max(m) <= 1 for m in remainder)
+        assert x_element(xs, remainder) == (-1) ** d * x_elementary(xs[1:], d)
+        closed_form = sum((x_elementary(xs, k) * xs[0] ** (d - k) * (-1) ** (k + 1)
+                           for k in range(1, min(d, n) + 1)), RepRingElement.zero(group))
+        assert xs[0] ** d - x_element(xs, remainder) == closed_form, d
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_remainder_is_the_normal_form_modulo_the_lex_groebner_basis(n):
+    sympy = pytest.importorskip("sympy")
+    from itertools import combinations, combinations_with_replacement
+
+    xs = sympy.symbols(f"x1:{n + 1}")
+
+    def elementary(k, variables):
+        return sum((sympy.Mul(*c) for c in combinations(variables, k)), sympy.Integer(0))
+
+    basis = sympy.groebner([elementary(k, xs) for k in range(1, n + 1)], *xs, order="lex")
+    complete = [sum(sympy.Mul(*c) for c in combinations_with_replacement(xs[k - 1:], k))
+                for k in range(1, n + 1)]
+    assert set(map(sympy.expand, basis.exprs)) == set(map(sympy.expand, complete))
+    for d in range(n + 2):
+        remainder = reprring.segal_normal_form(d, e_monomials(n))
+        expected = sum((c * sympy.Mul(*(x**a for x, a in zip(xs, m)))
+                        for m, c in remainder.items()), sympy.Integer(0))
+        assert sympy.expand(basis.reduce(xs[0] ** d)[1] - expected) == 0, d
+
+
+def test_the_box_search_finds_no_certificate_for_a_segal_non_member():
+    for n in (1, 2, 3):
+        generators = gl_augmentation_generators(n)
+        for d in range(n):
+            target = (char(torus_group(n), 1, *(0,) * (n - 1)) - 1) ** d
+            for bound in (0, 1, 2):
+                assert ideal_membership_certificate(target, generators, bound) is None, (n, d, bound)
+
+
+def test_a_segal_non_member_builds_no_box_system(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched a box")
+
+    monkeypatch.setattr(reprring, "ideal_membership_certificate", no_search)
+    for n in range(1, 8):
+        for d in range(n):
+            target, generators, cofactors, bound = reprring.segal_certificate(n, d, 0)
+            assert cofactors is None and bound == 0
+            assert target == (char(torus_group(n), 1, *(0,) * (n - 1)) - 1) ** d
+            assert generators == gl_augmentation_generators(n)
+    assert reprring.segal_certificate(3, 2)[2:] == (None, 1)
+    # a member still goes to the box search
+    with pytest.raises(AssertionError, match="searched a box"):
+        reprring.segal_certificate(2, 2)
+
+
+# ---------------------------------------------------------------------------
 # the sparse linear solver: modular solve against the Fraction reference
 
 
