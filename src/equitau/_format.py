@@ -1,11 +1,11 @@
 """Canonical text rendering shared by the ring element types.
 
-An element is rendered from its integer numerators over one positive
-denominator by ``terms_string``: ``monomial_texts`` builds the monomials'
-texts a variable column at a time (a series ring keeps those it has printed
-and calls ``terms_text`` itself), and each sign and reduced coefficient is
-read straight off a numerator with one ``math.gcd``, exactly as
-``str(Fraction(...))`` gives it, but with no ``Fraction`` built.
+An element's ``term_table`` holds its keys in print order, sorted once, and
+each coefficient reduced once, to one magnitude text read off its integer
+numerator over the one positive denominator with one ``math.gcd``, as
+``str(Fraction(...))`` gives it but with no ``Fraction`` built; its text
+(``terms_text``) and its JSON (``cli``) both read that table.
+``monomial_texts`` builds monomial texts a variable column at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ def rational_str(numerator: int, denominator: int = 1) -> str:
     return str(numerator // g)
 
 
+def term_table(num, keys, den=1):
+    """(keys, numerators, the texts of |p| / den in lowest terms) of num[k] / den, k in keys."""
+    numerators = list(map(num.__getitem__, keys))
+    mags = map(abs, numerators)
+    mags = map(str, mags) if den == 1 else map(rational_str, mags, repeat(den))
+    return keys, numerators, list(mags)
+
+
 def monomial_texts(names, columns, count) -> list[str]:
     """The texts " t1^2 t2" of count monomials prod_i names[i]^columns[i][j]; "" for 1."""
     monomials = [""] * count
@@ -48,15 +56,15 @@ def terms_string(names, columns, numerators, den=1) -> str:
     exponents and magnitudes, and variables at exponent 0, are omitted; no
     terms give "0".
     """
-    return terms_text(monomial_texts(names, columns, len(numerators)), numerators, den)
+    table = term_table(numerators, range(len(numerators)), den)
+    return terms_text(monomial_texts(names, columns, len(numerators)), table)
 
 
-def terms_text(monomials, numerators, den=1) -> str:
-    """``terms_string`` from the ``monomial_texts`` of its terms."""
+def terms_text(monomials, table) -> str:
+    """``terms_string`` from the ``monomial_texts`` and the ``term_table`` of its terms."""
+    _, numerators, magnitudes = table
     if not numerators:
         return "0"
-    magnitudes = map(abs, numerators)
-    magnitudes = map(str, magnitudes) if den == 1 else map(rational_str, magnitudes, repeat(den))
     text = "".join([(" - " if p < 0 else " + ") + (mono[1:] if mono and mag == "1" else mag + mono)
                     for p, mag, mono in zip(numerators, magnitudes, monomials)])
     return text[3:] if text[1] == "+" else "-" + text[3:]

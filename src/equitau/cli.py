@@ -9,6 +9,7 @@ re-verification included, reported in one line on stderr), 2 on bad flags or
 input (a negative truncation, a zero denominator, a model too large for the
 series pipeline), also in one line.
 A reader that closes the pipe early (`| head`) ends the run quietly with 1.
+A printed series or character's JSON and text read one ``term_table()``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import functools
 import json
 import os
 import sys
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 
-from ._format import rational_str
 from .charclass import (
     DEFAULT_TRUNCATION,
     check_series_size,
@@ -47,28 +47,22 @@ from .riemannroch import chi_with_oracle, verify_weyl, weyl_closed_form
 # JSON encoding of the exact value types
 
 
-def fraction_str(value) -> str:
-    """An int or Fraction as exact text, the same as ``str(Fraction(value))``."""
-    return rational_str(value.numerator, value.denominator)
-
-
 class JSONText(str):
     """The JSON text of a value at indent "", which ``render_json`` splices in as it is."""
 
     __slots__ = ()
 
 
-def _monomial_texts(columns, numerators, den, indent):
-    """The JSON text of {"coeff": p / den, "exponents": [...]} per numerator, at an indent.
+def _exponent_texts(columns, count, indent):
+    """Per monomial, the JSON text after its coefficient's, '",\n  "exponents": [...]\n}'.
 
-    columns[i] holds the exponents of variable i; the texts are built a
-    column at a time, as ``_format.terms_string`` builds its monomials.
+    At an indent; columns[i] holds the exponents of variable i, and the texts
+    are built a column at a time, as ``_format.monomial_texts`` builds its own.
     """
     inner, item = indent + "  ", indent + "    "
-    coeffs = map(str, numerators) if den == 1 else map(rational_str, numerators, repeat(den))
     if not columns:
-        return [f'{{\n{inner}"coeff": "{c}",\n{inner}"exponents": []\n{indent}}}' for c in coeffs]
-    texts = [f'{{\n{inner}"coeff": "{c}",\n{inner}"exponents": [\n{item}' for c in coeffs]
+        return [f'",\n{inner}"exponents": []\n{indent}}}'] * count
+    texts = [f'",\n{inner}"exponents": [\n{item}'] * count
     last = len(columns) - 1
     for i, column in enumerate(columns):
         tail = f",\n{item}" if i < last else f"\n{inner}]\n{indent}}}"
@@ -77,19 +71,31 @@ def _monomial_texts(columns, numerators, den, indent):
     return texts
 
 
+_SERIES_EXPONENTS = functools.partial(_exponent_texts, indent="      ")  # SeriesRing.json_texts
+
+
+def _monomials_json(table, exponents, indent):
+    """The JSON text of {"coeff", "exponents"} per term of a ``term_table``, at an indent."""
+    head = f'{{\n{indent}  "coeff": "'
+    return [f"{head}{'-' if p < 0 else ''}{m}{e}" for p, m, e in zip(*table[1:], exponents)]
+
+
 def _list_text(items):
     """The JSON text at indent "" of a list whose items are texts at indent "  "."""
     return JSONText("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
 
 
-def series_to_json(s: GradedSeries) -> JSONText:
-    """[{"degree", "monomials": [{"coeff", "exponents"}, ...]}, ...] by degree, then exponents."""
-    ctx, num = s.ctx, s.num
-    keys = sorted(num)
-    monomials = _monomial_texts(ctx.columns(keys), map(num.__getitem__, keys), s.den, "      ")
+def series_to_json(s: GradedSeries, table=None) -> JSONText:
+    """[{"degree", "monomials": [{"coeff", "exponents"}, ...]}, ...] from ``s.term_table()``.
+
+    Terms run by degree, then exponents; ``table``, when given, is that table.
+    """
+    ctx, keys = s.ctx, (table := table or s.term_table())[0]
+    monomials = _monomials_json(table, ctx.fill(ctx.json_texts, keys, _SERIES_EXPONENTS), "      ")
     top, blocks, start = ctx.top, [], 0
-    for degree, run in groupby(k // top for k in keys):
-        end = start + sum(1 for _ in run)
+    while start < len(keys):  # keys run by degree: each degree's run ends at a bisection
+        degree = keys[start] // top
+        end = bisect_left(keys, (degree + 1) * top, start)
         blocks.append(
             f'{{\n    "degree": {degree},\n    "monomials": [\n      '
             + ",\n      ".join(monomials[start:end])
@@ -99,14 +105,11 @@ def series_to_json(s: GradedSeries) -> JSONText:
     return _list_text(blocks)
 
 
-def rep_to_json(a: RepRingElement, keys=None) -> JSONText:
-    """[{"coeff", "exponents"}, ...] in the print order of ``a.print_keys()``.
-
-    ``keys``, when given, is ``a.print_keys()``, sorted once by the caller.
-    """
-    if keys is None:
-        keys = a.print_keys()
-    return _list_text(_monomial_texts(list(zip(*keys)), map(a.num.__getitem__, keys), a.den, "  "))
+def rep_to_json(a: RepRingElement, table=None) -> JSONText:
+    """[{"coeff", "exponents"}, ...] from ``a.term_table()``, or from ``table``, that table."""
+    keys = (table := table or a.term_table())[0]
+    exponents = _exponent_texts(list(zip(*keys)), len(keys), "  ")
+    return _list_text(_monomials_json(table, exponents, "  "))
 
 
 def group_to_json(g: GroupDescriptor):
@@ -228,14 +231,14 @@ def cmd_chi(args) -> int:
     if is_weyl_model:
         closed = weyl_closed_form(args.twist, trunc)
         checks.append(("closed-form agreement up to truncation", closed == result.series))
-    oracle = result.oracle_character
-    keys = oracle.print_keys()  # one sort for the JSON and the text
+    series, oracle = result.series, result.oracle_character
+    series_table, oracle_table = series.term_table(), oracle.term_table()  # for JSON and text
     results = {
-        "series": series_to_json(result.series),
-        "series_text": str(result.series),
-        "degree_zero": fraction_str(result.series.constant_term()),
-        "oracle_character": rep_to_json(oracle, keys),
-        "oracle_character_text": oracle.text(keys),
+        "series": series_to_json(series, series_table),
+        "series_text": series.text(series_table),
+        "degree_zero": str(series.constant_term()),
+        "oracle_character": rep_to_json(oracle, oracle_table),
+        "oracle_character_text": oracle.text(oracle_table),
     }
     inputs = {"weights": args.weights, "twist": args.twist, "char": args.char}
     doc = make_document("chi", inputs, trunc, results, checks)
@@ -254,10 +257,11 @@ def cmd_weyl(args) -> int:
     rows, checks, lines = [], [], []
     for row in report.rows:
         # equal canonical series render alike: each distinct series is rendered once
-        text = str(row.pipeline)
+        table = row.pipeline.term_table()
+        text = row.pipeline.text(table)
         rows.append({
             "twist": row.twist,
-            "series": series_to_json(row.pipeline),
+            "series": series_to_json(row.pipeline, table),
             "series_text": text,
             "closed_form_text": text if row.closed_form == row.pipeline else str(row.closed_form),
             "sections_series_text": (
@@ -285,10 +289,11 @@ def cmd_pushforward(args) -> int:
     if model.weights == ((1,), (-1,)):
         closed = segre_pushforward(model.ring, coeffs)
         checks.append(("odd-part closed form agreement up to truncation", closed == series))
+    table = series.term_table()
     results = {
         "reduced_text": str(reduced),
-        "series": series_to_json(series),
-        "series_text": str(series),
+        "series": series_to_json(series, table),
+        "series_text": series.text(table),
     }
     doc = make_document(
         "pushforward", {"weights": args.weights, "poly": args.poly}, trunc, results, checks
@@ -391,13 +396,14 @@ def cmd_segal(args) -> int:
     trunc = resolve_truncation(args)
     target, generators, cofactors, bound = segal_certificate(args.n, args.degree, args.bound)
     found = cofactors is not None
+    tables = [c.term_table() for c in cofactors] if found else []
     results = {
         "target_text": str(target),
         "generators_text": [str(g) for g in generators],
         "bound": bound,
         "found": found,
-        "cofactors": None if not found else [rep_to_json(c) for c in cofactors],
-        "cofactors_text": None if not found else [str(c) for c in cofactors],
+        "cofactors": None if not found else list(map(rep_to_json, cofactors, tables)),
+        "cofactors_text": None if not found else list(map(RepRingElement.text, cofactors, tables)),
     }
     checks = [
         ("certificate found within the search bound", found),

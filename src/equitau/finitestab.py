@@ -32,8 +32,9 @@ from .lattice import (
 )
 
 
-# Larger groups are refused before they are enumerated, like the section
-# oracle's monomial limit; the largest benchmark job has order 720.
+# Larger groups are refused before their orbits are listed.  No element is
+# visited, so the limit bounds the rows (one per cyclic subgroup, at most the
+# order) and the output; the largest benchmark job has order 720.
 GROUP_ORDER_LIMIT = 10**5
 
 

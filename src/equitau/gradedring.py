@@ -19,8 +19,8 @@ of degree <= N is below B, so adding two keys adds the exponents without a
 carry as long as the product stays in degree <= N, which is exactly
 ``k1 + k2 < limit`` = B^(r+1); sorted keys run by total degree, then by
 exponent, which is also the print order.  The public constructor and
-``truncate`` encode keys; ``terms``, ``coefficient`` and ``__str__`` decode
-them (``__str__`` through the ring's table of the monomial texts it has
+``truncate`` encode keys; ``terms``, ``coefficient`` and ``text`` decode
+them (``text`` through the ring's table of the monomial texts it has
 printed); the closed forms ``reprring.chern_character`` and
 ``riemannroch.weyl_closed_forms`` build their keys from the ring's ``places``
 (t^e has key sum_i e_i places[i]) and hand them to ``_trusted``, and
@@ -75,7 +75,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from ._format import monomial_texts, terms_string, terms_text, variable_names
+from ._format import monomial_texts, term_table, terms_string, terms_text, variable_names
 from ._sparse import SparseElement
 
 
@@ -86,8 +86,9 @@ class SeriesRing:
     Holds its monomials' key layout (module docstring): ``base`` B = N + 1,
     ``top`` B^r, ``digits`` (B^(r-1-i), the place of exponent i below the
     degree digit), ``places`` (top + digits[i], the key of t_i) and
-    ``limit`` B^(r+1); ``texts`` {key: monomial text} holds the keys printed
-    so far and takes no part in equality.  Build it with ``series_ring``.
+    ``limit`` B^(r+1); ``texts`` {key: monomial text} and ``json_texts`` {key:
+    exponents' JSON text} (``cli.series_to_json``) hold the keys rendered so
+    far and take no part in equality.  Build it with ``series_ring``.
     """
 
     rank: int
@@ -98,6 +99,7 @@ class SeriesRing:
     places: tuple
     limit: int
     texts: dict = field(default_factory=dict, compare=False, repr=False)
+    json_texts: dict = field(default_factory=dict, compare=False, repr=False)
 
     # Both conversions work a column (one variable) at a time over all the
     # monomials, which is about twice as fast as one monomial at a time.
@@ -121,11 +123,15 @@ class SeriesRing:
 
     def monomials(self, keys):
         """The monomial texts of a list of keys, each built the first time it is printed."""
-        new = [k for k in keys if k not in self.texts]
+        names = variable_names("t", self.rank)
+        return self.fill(self.texts, keys, lambda columns, n: monomial_texts(names, columns, n))
+
+    def fill(self, table, keys, build):
+        """table's texts of a list of keys; build(columns, count) makes those it lacks, once."""
+        new = [k for k in keys if k not in table]
         if new:
-            names = variable_names("t", self.rank)
-            self.texts.update(zip(new, monomial_texts(names, self.columns(new), len(new))))
-        return list(map(self.texts.__getitem__, keys))
+            table.update(zip(new, build(self.columns(new), len(new))))
+        return list(map(table.__getitem__, keys))
 
 
 @lru_cache(maxsize=None)
@@ -271,11 +277,16 @@ class GradedSeries(SparseElement):
 
     # -- rendering ----------------------------------------------------------
 
-    def __str__(self):
-        keys = sorted(self.num)
-        return terms_text(self.ctx.monomials(keys), list(map(self.num.__getitem__, keys)), self.den)
+    def term_table(self):
+        """``_format.term_table`` of the terms by degree, then exponents: what the CLI renders."""
+        return term_table(self.num, sorted(self.num), self.den)
 
-    __repr__ = __str__
+    def text(self, table=None):
+        """``str(self)``, or from ``table``, its ``term_table()``, which the CLI reads too."""
+        table = table or self.term_table()
+        return terms_text(self.ctx.monomials(table[0]), table)
+
+    __str__ = __repr__ = text
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from fractions import Fraction
 from itertools import chain, combinations, compress, product
 from operator import add, itemgetter, mul, ne, sub
 
-from ._format import terms_string, variable_names
+from ._format import monomial_texts, term_table, terms_text, variable_names
 from ._sparse import SparseElement
 from .gradedring import GradedSeries, series_ring
 from .lattice import GroupDescriptor
@@ -169,19 +169,17 @@ class RepRingElement(SparseElement):
             heights = list(map(sub, heights, map(abs, column)))
         return list(map(itemgetter(1), sorted(zip(heights, self.num), reverse=True)))
 
-    def __str__(self):
-        return self.text(self.print_keys())
+    def term_table(self):
+        """``_format.term_table`` of the terms in ``print_keys`` order: what the CLI renders."""
+        return term_table(self.num, self.print_keys(), self.den)
 
-    def text(self, keys):
-        """``str(self)`` from ``keys = self.print_keys()``, for a caller that sorts once."""
-        return terms_string(
-            variable_names("u", self.ctx.ngens),
-            list(zip(*keys)),
-            list(map(self.num.__getitem__, keys)),
-            self.den,
-        )
+    def text(self, table=None):
+        """``str(self)``, or from ``table``, its ``term_table()``, which the CLI reads too."""
+        keys = (table := table or self.term_table())[0]
+        names = variable_names("u", self.ctx.ngens)
+        return terms_text(monomial_texts(names, list(zip(*keys)), len(keys)), table)
 
-    __repr__ = __str__
+    __str__ = __repr__ = text
 
 
 def lambda_minus_one(group: GroupDescriptor, weights) -> RepRingElement:
@@ -307,14 +305,14 @@ def torus_group(rank: int) -> GroupDescriptor:
 
 def elementary_symmetric_character(n: int, i: int) -> RepRingElement:
     """e_i(t_1..t_n) as an element of the rank-n torus ring."""
-    group = torus_group(n)
     terms = {}
     for subset in combinations(range(n), i):
         coords = [0] * n
         for j in subset:
             coords[j] = 1
         terms[tuple(coords)] = 1
-    return RepRingElement(group, terms)
+    # torus coordinates are reduced as they stand, and the 0/1 tuples are distinct
+    return RepRingElement._trusted(torus_group(n), terms, 1)
 
 
 def gl_augmentation_generators(n: int) -> list[RepRingElement]:

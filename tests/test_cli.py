@@ -159,10 +159,11 @@ def test_json_fragments_match_the_dict_route_at_every_depth():
     shapes = set()
     for case in range(160):
         rank, truncation = case % 4, rng.choice((0, 1, 3, 6))
-        terms = {
-            tuple(rng.randint(0, 3) for _ in range(rank)): random_json_coefficient(rng)
-            for _ in range(rng.choice((0, 1, 4, 12)))
-        }
+        if case % 8 == 5:  # rank 1, one monomial per degree: the shape of a weyl row
+            terms = {(d,): random_json_coefficient(rng) for d in range(0, truncation + 1, 2)}
+        else:
+            terms = {tuple(rng.randint(0, 3) for _ in range(rank)): random_json_coefficient(rng)
+                     for _ in range(rng.choice((0, 1, 4, 12)))}
         series = GradedSeries(rank, truncation, terms)
         group = torus_group(max(rank, 1))
         coords = {
@@ -171,7 +172,10 @@ def test_json_fragments_match_the_dict_route_at_every_depth():
         }
         rep = RepRingElement(group, coords)
         for s, a in ((series, rep), (-series, -rep)):
-            fragments = [series_to_json(s), rep_to_json(a)]
+            # the JSON and the text both read one term table
+            tables = [s.term_table(), a.term_table()]
+            fragments = [series_to_json(s, tables[0]), rep_to_json(a, tables[1])]
+            assert fragments == [series_to_json(s), rep_to_json(a)]
             references = [reference_series_to_json(s), reference_rep_to_json(a)]
             for f, r in zip(fragments, references):
                 assert f == json.dumps(r, indent=2, sort_keys=True)
@@ -188,16 +192,40 @@ def test_json_fragments_match_the_dict_route_at_every_depth():
                 {"doc": place(*references)}, indent=2, sort_keys=True
             )
             assert render_json(fragments[0]) == fragments[0]
-            for x, text in ((s, fragments[0]), (a, fragments[1])):
-                shapes.add((type(x).__name__, x.ctx.ngens if type(x) is RepRingElement else x.rank,
-                            text == "[]", x.den != 1, str(x).startswith("-")))
+            for x, table, text in ((s, tables[0], fragments[0]), (a, tables[1], fragments[1])):
+                keys, numerators, magnitudes = table
+                assert keys == (sorted(x.num) if x is s else x.print_keys())
+                assert magnitudes == [str(abs(Fraction(p, x.den))) for p in numerators]
+                assert x.text(table) == str(x)
+                shapes.add((type(x).__name__, x.ctx.ngens if x is a else x.rank,
+                            text == "[]", x.den != 1, str(x).startswith("-"), "1" in magnitudes))
+            degrees = [k // s.ctx.top for k in s.num]
+            shapes.add(("weyl shape", rank == 1 and len(set(degrees)) == len(degrees) > 2))
             shapes.add(("truncation", truncation, series.is_zero()))
-    # every rank, the zero element, Fraction coefficients and negative leading terms
+    # every rank, the zero element, Fraction coefficients, negative leading terms, unit
+    # magnitudes and the weyl shape
     for kind, ranks in (("GradedSeries", {0, 1, 2, 3}), ("RepRingElement", {1, 2, 3})):
         assert {shape[1] for shape in shapes if shape[0] == kind} == ranks
         for flags in ((True, False, False), (False, True, True), (False, False, True)):
-            assert (kind, *flags) in {(shape[0], *shape[2:]) for shape in shapes}
-    assert ("truncation", 0, False) in shapes
+            assert (kind, *flags) in {(shape[0], *shape[2:5]) for shape in shapes}
+        assert any(shape[0] == kind and shape[5] for shape in shapes)
+    assert ("truncation", 0, False) in shapes and ("weyl shape", True) in shapes
+
+
+def test_a_series_renders_alike_on_a_warm_and_a_cold_ring_table():
+    rng = random.Random(32)
+    for case in range(60):
+        rank, truncation = case % 4, rng.choice((0, 2, 5, 9))
+        terms = {tuple(rng.randint(0, 3) for _ in range(rank)): random_json_coefficient(rng)
+                 for _ in range(rng.choice((0, 1, 4, 12)))}
+        x = GradedSeries(rank, truncation, terms)
+        warm = (series_to_json(x), str(x))  # the second rendering reads the filled tables
+        assert (series_to_json(x), str(x)) == warm
+        cold_ring = dataclasses.replace(x.ctx, texts={}, json_texts={})
+        cold = GradedSeries._trusted(cold_ring, dict(x.num), x.den)
+        assert cold == x and not cold_ring.json_texts
+        assert (series_to_json(cold), str(cold)) == warm
+        assert cold_ring.json_texts.keys() == cold_ring.texts.keys() == x.num.keys()
 
 
 def reference_sector_rows(sectors):
@@ -286,11 +314,15 @@ def test_weyl_renders_each_distinct_series_once(capsys, monkeypatch):
     rows = report.rows[:2] + (odd,) + report.rows[3:]
     monkeypatch.setattr(equitau.cli, "verify_weyl",
                         lambda nmax, trunc: dataclasses.replace(report, rows=rows))
-    to_str, rendered = GradedSeries.__str__, []
-    monkeypatch.setattr(GradedSeries, "__str__", lambda self: rendered.append(self) or to_str(self))
+    # a series is rendered, its JSON and its text alike, from its term table
+    to_str, to_table, rendered = GradedSeries.__str__, GradedSeries.term_table, []
+    monkeypatch.setattr(GradedSeries, "term_table",
+                        lambda self: rendered.append(self) or to_table(self))
     code, doc = run_json(capsys, "weyl", "--nmax", "3", "--trunc", "8")
     assert code == 1
-    assert len(rendered) == len(rows) + 2
+    # one table per row, and the separate ones only for the odd row's differing series
+    assert rendered == ([r.pipeline for r in rows[:3]] + [odd.closed_form, odd.oracle_series]
+                        + [r.pipeline for r in rows[3:]])
     for got, expected in zip(doc["results"]["rows"], rows, strict=True):
         assert got["series_text"] == to_str(expected.pipeline)
         assert got["closed_form_text"] == to_str(expected.closed_form)
