@@ -71,9 +71,6 @@ def _exponent_texts(columns, count, indent):
     return texts
 
 
-_SERIES_EXPONENTS = functools.partial(_exponent_texts, indent="      ")  # SeriesRing.json_texts
-
-
 def _monomials_json(table, exponents, indent):
     """The JSON text of {"coeff", "exponents"} per term of a ``term_table``, at an indent."""
     head = f'{{\n{indent}  "coeff": "'
@@ -85,13 +82,14 @@ def _list_text(items):
     return JSONText("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
 
 
-def series_to_json(s: GradedSeries, table=None) -> JSONText:
-    """[{"degree", "monomials": [{"coeff", "exponents"}, ...]}, ...] from ``s.term_table()``.
+def series_to_json(s: GradedSeries, table) -> JSONText:
+    """[{"degree", "monomials": [{"coeff", "exponents"}, ...]}, ...] by degree, then exponents.
 
-    Terms run by degree, then exponents; ``table``, when given, is that table.
+    ``table`` is ``s.term_table()``, which the caller builds once for the JSON and the text.
     """
-    ctx, keys = s.ctx, (table := table or s.term_table())[0]
-    monomials = _monomials_json(table, ctx.fill(ctx.json_texts, keys, _SERIES_EXPONENTS), "      ")
+    ctx, keys = s.ctx, table[0]
+    exponents = _exponent_texts(ctx.columns(keys), len(keys), "      ")
+    monomials = _monomials_json(table, exponents, "      ")
     top, blocks, start = ctx.top, [], 0
     while start < len(keys):  # keys run by degree: each degree's run ends at a bisection
         degree = keys[start] // top
@@ -105,9 +103,9 @@ def series_to_json(s: GradedSeries, table=None) -> JSONText:
     return _list_text(blocks)
 
 
-def rep_to_json(a: RepRingElement, table=None) -> JSONText:
-    """[{"coeff", "exponents"}, ...] from ``a.term_table()``, or from ``table``, that table."""
-    keys = (table := table or a.term_table())[0]
+def rep_to_json(a: RepRingElement, table) -> JSONText:
+    """[{"coeff", "exponents"}, ...] from ``table = a.term_table()``."""
+    keys = table[0]
     exponents = _exponent_texts(list(zip(*keys)), len(keys), "  ")
     return _list_text(_monomials_json(table, exponents, "  "))
 

@@ -20,15 +20,17 @@ carry as long as the product stays in degree <= N, which is exactly
 ``k1 + k2 < limit`` = B^(r+1); sorted keys run by total degree, then by
 exponent, which is also the print order.  The public constructor and
 ``truncate`` encode keys; ``terms``, ``coefficient`` and ``text`` decode
-them (``text`` through the ring's table of the monomial texts it has
-printed); the closed forms ``reprring.chern_character`` and
-``riemannroch.weyl_closed_forms`` build their keys from the ring's ``places``
-(t^e has key sum_i e_i places[i]) and hand them to ``_trusted``, and
-``times_exp_linear_form`` multiplies a series by e^(c.t) by adding multiples
-of one place at a time to its keys.  ``terms`` is a view {exponent tuple:
-Fraction}; ``coefficient`` is 0 for an exponent vector outside the ring.  A
-product sorts the right operand's items and ``_convolve`` adds the products
-into a dict, scanning the right operand only up to the bound.
+them (``text`` reads the ``term_table``, the sorted keys and reduced
+coefficients that ``cli.series_to_json`` reads too, and the ring's table of
+the monomial texts it has printed); the closed forms
+``reprring.chern_character`` and ``riemannroch.weyl_closed_forms`` build
+their keys from the ring's ``places`` (t^e has key sum_i e_i places[i]) and
+hand them to ``_trusted``, and ``times_exp_linear_form`` multiplies a series
+by e^(c.t) by adding multiples of one place at a time to its keys.
+``terms`` is a view {exponent tuple: Fraction}; ``coefficient`` is 0 for an
+exponent vector outside the ring.  A product sorts the right operand's items
+and ``_convolve`` adds the products into a dict, scanning the right operand
+only up to the bound.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for base weights w_i.  With l_i = w_i.t, the classes N_m = prod_(i<m)(h + l_i)
@@ -86,9 +88,8 @@ class SeriesRing:
     Holds its monomials' key layout (module docstring): ``base`` B = N + 1,
     ``top`` B^r, ``digits`` (B^(r-1-i), the place of exponent i below the
     degree digit), ``places`` (top + digits[i], the key of t_i) and
-    ``limit`` B^(r+1); ``texts`` {key: monomial text} and ``json_texts`` {key:
-    exponents' JSON text} (``cli.series_to_json``) hold the keys rendered so
-    far and take no part in equality.  Build it with ``series_ring``.
+    ``limit`` B^(r+1); ``texts`` {key: monomial text} holds the keys printed
+    so far and takes no part in equality.  Build it with ``series_ring``.
     """
 
     rank: int
@@ -99,7 +100,6 @@ class SeriesRing:
     places: tuple
     limit: int
     texts: dict = field(default_factory=dict, compare=False, repr=False)
-    json_texts: dict = field(default_factory=dict, compare=False, repr=False)
 
     # Both conversions work a column (one variable) at a time over all the
     # monomials, which is about twice as fast as one monomial at a time.
@@ -123,15 +123,11 @@ class SeriesRing:
 
     def monomials(self, keys):
         """The monomial texts of a list of keys, each built the first time it is printed."""
-        names = variable_names("t", self.rank)
-        return self.fill(self.texts, keys, lambda columns, n: monomial_texts(names, columns, n))
-
-    def fill(self, table, keys, build):
-        """table's texts of a list of keys; build(columns, count) makes those it lacks, once."""
-        new = [k for k in keys if k not in table]
+        new = [k for k in keys if k not in self.texts]
         if new:
-            table.update(zip(new, build(self.columns(new), len(new))))
-        return list(map(table.__getitem__, keys))
+            names = variable_names("t", self.rank)
+            self.texts.update(zip(new, monomial_texts(names, self.columns(new), len(new))))
+        return list(map(self.texts.__getitem__, keys))
 
 
 @lru_cache(maxsize=None)

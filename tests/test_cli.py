@@ -157,9 +157,10 @@ def random_json_coefficient(rng):
 def test_json_fragments_match_the_dict_route_at_every_depth():
     rng = random.Random(20)
     shapes = set()
-    for case in range(160):
-        rank, truncation = case % 4, rng.choice((0, 1, 3, 6))
-        if case % 8 == 5:  # rank 1, one monomial per degree: the shape of a weyl row
+    for case in range(180):
+        weyl_shape = case >= 160  # rank 1, one monomial per degree: the shape of a weyl row
+        rank, truncation = 1 if weyl_shape else case % 4, rng.choice((0, 1, 3, 6))
+        if weyl_shape:
             terms = {(d,): random_json_coefficient(rng) for d in range(0, truncation + 1, 2)}
         else:
             terms = {tuple(rng.randint(0, 3) for _ in range(rank)): random_json_coefficient(rng)
@@ -175,7 +176,6 @@ def test_json_fragments_match_the_dict_route_at_every_depth():
             # the JSON and the text both read one term table
             tables = [s.term_table(), a.term_table()]
             fragments = [series_to_json(s, tables[0]), rep_to_json(a, tables[1])]
-            assert fragments == [series_to_json(s), rep_to_json(a)]
             references = [reference_series_to_json(s), reference_rep_to_json(a)]
             for f, r in zip(fragments, references):
                 assert f == json.dumps(r, indent=2, sort_keys=True)
@@ -219,13 +219,13 @@ def test_a_series_renders_alike_on_a_warm_and_a_cold_ring_table():
         terms = {tuple(rng.randint(0, 3) for _ in range(rank)): random_json_coefficient(rng)
                  for _ in range(rng.choice((0, 1, 4, 12)))}
         x = GradedSeries(rank, truncation, terms)
-        warm = (series_to_json(x), str(x))  # the second rendering reads the filled tables
-        assert (series_to_json(x), str(x)) == warm
-        cold_ring = dataclasses.replace(x.ctx, texts={}, json_texts={})
+        warm = (series_to_json(x, x.term_table()), str(x))  # the second reads the filled table
+        assert (series_to_json(x, x.term_table()), str(x)) == warm
+        cold_ring = dataclasses.replace(x.ctx, texts={})
         cold = GradedSeries._trusted(cold_ring, dict(x.num), x.den)
-        assert cold == x and not cold_ring.json_texts
-        assert (series_to_json(cold), str(cold)) == warm
-        assert cold_ring.json_texts.keys() == cold_ring.texts.keys() == x.num.keys()
+        assert cold == x and not cold_ring.texts
+        assert (series_to_json(cold, cold.term_table()), str(cold)) == warm
+        assert cold_ring.texts.keys() == x.num.keys()
 
 
 def reference_sector_rows(sectors):
