@@ -9,7 +9,10 @@ re-verification included, reported in one line on stderr), 2 on bad flags or
 input (a negative truncation, a zero denominator, a model too large for the
 series pipeline), also in one line.
 A reader that closes the pipe early (`| head`) ends the run quietly with 1.
-A printed series or character's JSON and text read one ``term_table()``.
+A printed series or character's JSON and text read one ``term_table()``; a
+text run builds no JSON fragment.
+Flags are read in one pass against the parser's own declarations; argparse
+handles help, abbreviations and errors, each error in one line.
 """
 
 from __future__ import annotations
@@ -232,12 +235,13 @@ def cmd_chi(args) -> int:
     series, oracle = result.series, result.oracle_character
     series_table, oracle_table = series.term_table(), oracle.term_table()  # for JSON and text
     results = {
-        "series": series_to_json(series, series_table),
         "series_text": series.text(series_table),
         "degree_zero": str(series.constant_term()),
-        "oracle_character": rep_to_json(oracle, oracle_table),
         "oracle_character_text": oracle.text(oracle_table),
     }
+    if args.format == "json":  # a text run prints no JSON fragment, so it builds none
+        results["series"] = series_to_json(series, series_table)
+        results["oracle_character"] = rep_to_json(oracle, oracle_table)
     inputs = {"weights": args.weights, "twist": args.twist, "char": args.char}
     doc = make_document("chi", inputs, trunc, results, checks)
     lines = [
@@ -257,17 +261,20 @@ def cmd_weyl(args) -> int:
         # equal canonical series render alike: each distinct series is rendered once
         table = row.pipeline.term_table()
         text = row.pipeline.text(table)
-        rows.append({
-            "twist": row.twist,
-            "series": series_to_json(row.pipeline, table),
-            "series_text": text,
-            "closed_form_text": text if row.closed_form == row.pipeline else str(row.closed_form),
-            "sections_series_text": (
-                text if row.oracle_series == row.pipeline else str(row.oracle_series)
-            ),
-            "sections_text": str(row.oracle_character),
-            "pass": row.ok,
-        })
+        if args.format == "json":  # a text run prints only the row's line
+            rows.append({
+                "twist": row.twist,
+                "series": series_to_json(row.pipeline, table),
+                "series_text": text,
+                "closed_form_text": (
+                    text if row.closed_form == row.pipeline else str(row.closed_form)
+                ),
+                "sections_series_text": (
+                    text if row.oracle_series == row.pipeline else str(row.oracle_series)
+                ),
+                "sections_text": str(row.oracle_character),
+                "pass": row.ok,
+            })
         checks.append((f"n={row.twist} three-way agreement up to truncation", row.ok))
         lines.append(f"n={row.twist:>3} [{'pass' if row.ok else 'FAIL'}] chi = {text}")
     doc = make_document(
@@ -288,11 +295,9 @@ def cmd_pushforward(args) -> int:
         closed = segre_pushforward(model.ring, coeffs)
         checks.append(("odd-part closed form agreement up to truncation", closed == series))
     table = series.term_table()
-    results = {
-        "reduced_text": str(reduced),
-        "series": series_to_json(series, table),
-        "series_text": series.text(table),
-    }
+    results = {"reduced_text": str(reduced), "series_text": series.text(table)}
+    if args.format == "json":
+        results["series"] = series_to_json(series, table)
     doc = make_document(
         "pushforward", {"weights": args.weights, "poly": args.poly}, trunc, results, checks
     )
@@ -335,12 +340,13 @@ def cmd_sectors(args) -> int:
     partitions = dict.fromkeys(tuple(c.indices for c in s.components) for s in decomp.sectors)
     total = decomp.total_dimension
     results = {
-        "rows": sector_rows_to_json(decomp.sectors),
         "total_dimension": total,
         "untwisted_dimension": decomp.untwisted_dimension,
         "vistoli_kernel_dimension": vistoli_kernel_dimension(decomp),
         "free_module_dimension": free_module_dim,
     }
+    if args.format == "json":
+        results["rows"] = sector_rows_to_json(decomp.sectors)
     checks = [
         ("fixed components partition the coordinates",
          all(sorted(i for ix in key for i in ix) == everyone for key in partitions)),
@@ -400,9 +406,10 @@ def cmd_segal(args) -> int:
         "generators_text": [str(g) for g in generators],
         "bound": bound,
         "found": found,
-        "cofactors": None if not found else list(map(rep_to_json, cofactors, tables)),
         "cofactors_text": None if not found else list(map(RepRingElement.text, cofactors, tables)),
     }
+    if args.format == "json":
+        results["cofactors"] = None if not found else list(map(rep_to_json, cofactors, tables))
     checks = [
         ("certificate found within the search bound", found),
         # the search raises CertificateError unless its answer re-verifies
@@ -441,6 +448,14 @@ def cmd_selftest(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Argument parsing
+
+
+class OneLineErrorParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose errors are one line on stderr, with no usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
@@ -449,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every call returns the same parser object, so callers must not mutate
     it (add arguments, change defaults); ``parse_args`` leaves it as it is.
+    Its subparsers are of its own class, so every flag error is one line.
     """
-    parser = argparse.ArgumentParser(
+    parser = OneLineErrorParser(
         prog="equitau",
         description="Exact equivariant Riemann-Roch computations on projective-space models.",
     )
@@ -510,9 +526,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def flag_tables() -> dict:
+    """Per subcommand, (subparser, {exact option string: action}, defaults, required actions).
+
+    Read off ``build_parser()``'s own subparsers on first use, so the flags
+    are declared once.  Only actions that take one value are listed:
+    ``-h``/``--help`` takes none, so ``read_flags`` leaves it to argparse.
+    The defaults are the ones ``parse_args`` puts in its Namespace.
+    """
+    # argparse lists a parser's actions only in its ``_actions``
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    tables = {}
+    for name, sub in commands.items():
+        actions = sub._actions
+        defaults = {"command": name, "func": sub.get_default("func")}
+        # as parse_args does, leave out a SUPPRESS default, which --help's is
+        defaults.update((a.dest, a.default) for a in actions if a.default is not argparse.SUPPRESS)
+        flags = {s: a for a in actions if a.nargs is None for s in a.option_strings}
+        required = {a for a in actions if a.required}
+        tables[name] = (sub, flags, defaults, required)
+    return tables
+
+
+def read_flags(argv):
+    """``build_parser().parse_args(argv)``, read in one pass, or None to leave argv to argparse.
+
+    It reads a subcommand and then ``--flag value`` or ``--flag=value``
+    pairs, each flag an exact option string of that subcommand; a repeated
+    flag keeps its last value.  Anything else it declines, and prints
+    nothing: help, an abbreviation, an unknown flag, a value its type
+    refuses or outside its choices, a missing required flag, a separate
+    value that starts with "-", a flag with no value, "--".
+    """
+    table = flag_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    sub, flags, defaults, required = table
+    args = argparse.Namespace(**defaults)
+    seen = set()
+    i, end = 1, len(argv)
+    while i < end:
+        flag, eq, value = argv[i].partition("=")
+        action = flags.get(flag)
+        if action is None:
+            return None
+        if not eq:
+            i += 1
+            # argparse reads "--weights -1,2" as a missing value but "--twist -1" as one
+            if i == end or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+        i += 1
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # as argparse catches
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        action(sub, args, value, flag)
+        seen.add(action)
+    return args if required <= seen else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_flags(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)  # help, abbreviations and every error
     try:
         status = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit

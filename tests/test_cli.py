@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -458,6 +459,18 @@ def test_flag_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chi", "--weights", "1,-1"])  # missing --twist
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "equitau chi: error: the following arguments are required: --twist\n"
+
+
+def test_help_still_prints_the_usage_block(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["segal", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: equitau segal [-h] --n N --degree DEGREE")
+    assert "--bound BOUND" in out and "cofactor exponent box bound" in out
 
 
 def test_semantic_errors_exit_2(capsys):
@@ -578,9 +591,117 @@ def test_build_parser_is_built_once():
     assert equitau.cli.build_parser() is equitau.cli.build_parser()
 
 
+FLAG_VALUES = ["3", "0", "-1", "-5", "", "x", "1,-1", "-1,2", "0,1;1,0", "1/3", "2,1/6",
+               "text", "json", "xml", "007", " 4", "a=b", "9" * 30]
+ODD_FLAGS = ["--deg", "--w", "--tw", "--tr", "--form", "--foo", "-h", "--help", "--", "-1",
+             "-", "--weights-x", "--Trunc"]
+
+
+def converts(action, value):
+    try:
+        value = value if action.type is None else action.type(value)
+    except ValueError:
+        return False
+    return action.choices is None or value in action.choices
+
+
+def random_argv(rng, commands):
+    """A random argv, most often one read_flags can read, in both flag forms.
+
+    Each required flag is likely present, most values convert, and now and
+    then a token comes from ``ODD_FLAGS`` or a flag is left without a value.
+    """
+    name = rng.choice(commands + ["nope", ""])
+    flags = equitau.cli.flag_tables()[name][1] if name in commands else {"--n": None}
+    picked = [f for f, a in flags.items() if a is not None and a.required and rng.random() < 0.9]
+    picked += rng.choices(list(flags), k=rng.randrange(4))
+    rng.shuffle(picked)
+    argv = [name]
+    for flag in picked:
+        if rng.random() < 0.05:
+            flag = rng.choice(ODD_FLAGS)
+        action = flags.get(flag)
+        good = [v for v in FLAG_VALUES if action is not None and converts(action, v)]
+        value = rng.choice(good if good and rng.random() < 0.8 else FLAG_VALUES)
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    if rng.random() < 0.05:
+        argv.append(rng.choice(list(flags)))  # a flag with no value
+    return argv
+
+
+def test_read_flags_returns_what_argparse_returns_or_declines(capsys):
+    """Over a seeded corpus, the one-pass reader either declines or returns
+    the Namespace ``parse_args`` returns for the same argv."""
+    read_flags, parser = equitau.cli.read_flags, equitau.cli.build_parser()
+    commands = sorted(equitau.cli.flag_tables())
+    assert commands == ["chi", "pushforward", "sectors", "segal", "selftest", "support", "weyl"]
+    rng = random.Random(20261021)
+    accepted = {name: 0 for name in commands}
+    for _ in range(4000):
+        argv = random_argv(rng, commands)
+        args = read_flags(argv)
+        if args is not None:
+            assert args == parser.parse_args(argv), argv
+            accepted[args.command] += 1
+    assert min(accepted.values()) >= 50, accepted
+    accept = [
+        ["selftest"],
+        ["weyl", "--nmax", "3"],
+        ["chi", "--weights=-1,2", "--twist=-1", "--char=", "--trunc=0"],  # "=": any value
+        ["chi", "--weights", "1,-1", "--twist", "1", "--twist=2", "--format", "text"],
+        ["pushforward", "--poly=a=b", "--weights", ""],
+        ["sectors", "--order=3", "--orders", "6,12", "--weights=0,1;1,0"],
+        ["support", "--point=1/3", "--format=json", "--order", "007"],
+        ["segal", "--n=2", "--degree=3", "--bound=1", "--n", "3"],
+    ]
+    for argv in accept:
+        args = read_flags(argv)
+        assert args is not None and args == parser.parse_args(argv), argv
+    assert read_flags(accept[3]).twist == 2  # a repeated flag keeps its last value
+    decline = [
+        [],
+        ["nope", "--n=1"],  # an unknown subcommand
+        ["segal", "--n=2", "--deg=3"],  # an abbreviation
+        ["segal", "--n=2", "--degree=3", "--foo=1"],  # an unknown flag
+        ["chi", "-h"],
+        ["weyl", "--nmax=2", "--help"],
+        ["chi", "--weights=1,-1", "--twist=x"],  # the type raises
+        ["chi", "--weights=1,-1", "--twist=1", "--format=xml"],  # outside the choices
+        ["chi", "--weights=1,-1"],  # a required flag is missing
+        ["chi", "--weights", "-1,2", "--twist", "1"],  # argparse: --weights has no value
+        ["chi", "--weights", "1,-1", "--twist", "-1"],  # argparse: --twist is -1
+        ["chi", "--weights=1,-1", "--twist"],  # a trailing flag with no value
+        ["chi", "--", "--weights=1,-1", "--twist=1"],
+        ["chi", "--weights=1,-1", "--twist=1", "--"],
+    ]
+    for argv in decline:
+        assert read_flags(argv) is None, argv
+    assert capsys.readouterr() == ("", "")  # the reader prints nothing
+
+
+def benchmark_pool_argvs():
+    """Every CLI job's argv in the benchmark's hrr and certificates pools."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [job["argv"] for w in ("hrr", "certificates") for job in workloads.pool(w)]
+
+
+def test_every_benchmark_argv_is_read_in_one_pass():
+    argvs = benchmark_pool_argvs()
+    assert len(argvs) > 500
+    parser = equitau.cli.build_parser()
+    for argv in argvs:
+        assert argv[-2:] == ["--format", "json"]
+        args = equitau.cli.read_flags(argv)
+        assert args is not None and args == parser.parse_args(argv), argv
+
+
 def test_in_process_runs_match_fresh_processes(capsys, monkeypatch):
     """The cached parser keeps no state between calls: a mixed sequence of
-    in-process runs, errors first, prints what fresh interpreters print."""
+    in-process runs, errors first, prints to stdout and stderr what fresh
+    interpreters print."""
     monkeypatch.delenv("EQUITAU_TRUNC", raising=False)
     runs = [
         ["support", "--order", "6", "--point", "1/0"],  # exit 2, one-line error
@@ -591,12 +712,16 @@ def test_in_process_runs_match_fresh_processes(capsys, monkeypatch):
         ["segal", "--n", "2", "--degree", "4", "--bound", "1"],  # nothing found, exit 1
         ["weyl", "--nmax", "2", "--trunc", "6", "--format", "json"],
         ["support", "--orders", "4,8", "--point", "1/4,3/8"],
+        ["segal", "--n", "2", "--deg", "3", "--format", "json"],  # an abbreviation, via argparse
+        ["chi", "--weights", "1,-1", "--twist", "2", "--foo", "1"],  # unknown flag, exit 2
+        ["chi", "--weights", "1,-1", "--twist", "x"],  # bad int, exit 2
+        ["chi", "--weights", "1,-1", "--twist", "2", "--format", "xml"],  # bad choice, exit 2
     ]
     src = os.path.dirname(os.path.dirname(os.path.abspath(equitau.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     procs = [
         subprocess.Popen([sys.executable, "-m", "equitau.cli", *argv],
-                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         for argv in runs
     ]
     in_process = []
@@ -605,13 +730,16 @@ def test_in_process_runs_match_fresh_processes(capsys, monkeypatch):
             status = main(argv)
         except SystemExit as exc:
             status = exc.code
-        in_process.append((status, capsys.readouterr().out))
+        captured = capsys.readouterr()
+        in_process.append((status, captured.out, captured.err))
     fresh = []
     for proc in procs:
-        out, _ = proc.communicate(timeout=120)
-        fresh.append((proc.returncode, out.decode()))
+        out, err = proc.communicate(timeout=120)
+        fresh.append((proc.returncode, out.decode(), err.decode()))
     assert in_process == fresh
-    assert [status for status, _ in fresh] == [2, 2, 0, 0, 0, 1, 0, 0]
+    assert [status for status, _, _ in fresh] == [2, 2, 0, 0, 0, 1, 0, 0, 0, 2, 2, 2]
+    assert fresh[8][1] == fresh[2][1]  # --deg reads as --degree
+    assert all(len(err.splitlines()) == 1 for status, _, err in fresh if status == 2)
 
 
 @pytest.mark.parametrize(
