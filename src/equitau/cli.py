@@ -533,19 +533,26 @@ def flag_tables() -> dict:
     Read off ``build_parser()``'s own subparsers on first use, so the flags
     are declared once.  Only actions that take one value are listed:
     ``-h``/``--help`` takes none, so ``read_flags`` leaves it to argparse.
-    The defaults are the ones ``parse_args`` puts in its Namespace.
+    The defaults are the ones ``parse_args`` puts in its Namespace.  If the
+    parsers cannot be read so (argparse lists a parser's actions only in its
+    private ``_actions``), there is no table, and ``read_flags`` declines
+    every argv.
     """
-    # argparse lists a parser's actions only in its ``_actions``
-    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
-    tables = {}
-    for name, sub in commands.items():
-        actions = sub._actions
-        defaults = {"command": name, "func": sub.get_default("func")}
-        # as parse_args does, leave out a SUPPRESS default, which --help's is
-        defaults.update((a.dest, a.default) for a in actions if a.default is not argparse.SUPPRESS)
-        flags = {s: a for a in actions if a.nargs is None for s in a.option_strings}
-        required = {a for a in actions if a.required}
-        tables[name] = (sub, flags, defaults, required)
+    try:
+        (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+        tables = {}
+        for name, sub in commands.items():
+            actions = sub._actions
+            defaults = {"command": name, "func": sub.get_default("func")}
+            # as parse_args does, leave out a SUPPRESS default, which --help's is
+            defaults.update(
+                (a.dest, a.default) for a in actions if a.default is not argparse.SUPPRESS
+            )
+            flags = {s: a for a in actions if a.nargs is None for s in a.option_strings}
+            required = {a for a in actions if a.required}
+            tables[name] = (sub, flags, defaults, required)
+    except (AttributeError, TypeError, ValueError):  # not the shape this reads
+        return {}
     return tables
 
 

@@ -32,15 +32,42 @@ from .lattice import (
 )
 
 
-# Larger groups are refused before their orbits are listed.  No element is
-# visited, so the limit bounds the rows (one per cyclic subgroup, at most the
-# order) and the output; the largest benchmark job has order 720.
-GROUP_ORDER_LIMIT = 10**5
+# A table of more rows is refused before its orbits are listed.  The work
+# and the output are per row (one per cyclic subgroup), not per element:
+# Z/10^7 has 64 rows, (Z/2)^17 has 131,072.  Each cyclic order is split into
+# primes by trial division, about 0.16 s at the order limit, so a larger
+# order is refused before it is factored.
+SECTOR_ROW_LIMIT = 10**5
+CYCLIC_ORDER_LIMIT = 10**12
 
 
-def _check_group_order(group: GroupDescriptor) -> None:
-    if (order := group.order()) > GROUP_ORDER_LIMIT:
-        raise ValueError(f"the group has order {order} (limit {GROUP_ORDER_LIMIT})")
+def _check_sector_rows(orders: tuple[int, ...]) -> None:
+    """Refuse a group whose sector table would pass ``SECTOR_ROW_LIMIT`` rows.
+
+    Counts what ``character_orbits`` would list, level by level, without
+    listing it: a least prefix whose orders have lcm m extends by the
+    phi(gcd(m, o)) least residues of each order o dividing d (one for o = 1),
+    and each extension has lcm(m, o).  Every extension adds a row, so the
+    count stops as soon as it passes the limit.
+    """
+    if (big := max(orders, default=1)) > CYCLIC_ORDER_LIMIT:
+        raise ValueError(
+            f"the group has a cyclic factor of order {big} (limit {CYCLIC_ORDER_LIMIT})"
+        )
+    prefixes, phi = {1: 1}, cache(_totient)  # the number of least prefixes, by their lcm
+    for d in orders:
+        divisors, level, rows = _divisors(d), {}, 0
+        for m, count in prefixes.items():
+            for o in divisors:
+                count_o = count * phi(math.gcd(m, o))
+                rows += count_o
+                if rows > SECTOR_ROW_LIMIT:
+                    raise ValueError(
+                        f"the sector table would have more than {SECTOR_ROW_LIMIT} rows"
+                    )
+                lcm = math.lcm(m, o)
+                level[lcm] = level.get(lcm, 0) + count_o
+        prefixes = level
 
 
 def support_subgroup(group: GroupDescriptor, point: TorsionCharacterPoint) -> GroupDescriptor:
@@ -110,6 +137,14 @@ def _totient(n: int) -> int:
     return math.prod(p ** (k - 1) * (p - 1) for p, k in _factorization(n))
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1."""
+    divisors = [1]
+    for p, k in _factorization(n):
+        divisors = [q * p**j for q in divisors for j in range(k + 1)]
+    return divisors
+
+
 def _least_residues(d: int, divisors, m: int) -> list[tuple[int, int]]:
     """(least residue, order) of each orbit of Z/d under the units a = 1 (mod m), sorted.
 
@@ -144,10 +179,8 @@ def character_orbits(orders: tuple[int, ...]):
     """
     prefixes = [((), 1)]  # least prefixes in lexicographic order, with the lcm of their orders
     for d in orders:
-        divisors = [1]
-        for p, k in _factorization(d):
-            divisors = [q * p**j for q in divisors for j in range(k + 1)]
-        residues = cache(partial(_least_residues, d, divisors))  # one list per m, this call only
+        # one list per m, this call only
+        residues = cache(partial(_least_residues, d, _divisors(d)))
         prefixes = [(prefix + (r,), math.lcm(m, o))
                     for prefix, m in prefixes for r, o in residues(m)]
     sizes = cache(_totient)
@@ -168,8 +201,8 @@ def sector_dimensions(model: ProjSpaceModel) -> SectorDecomposition:
     group = model.group
     if not group.is_finite:
         raise ValueError("sector decomposition requires a finite acting group")
-    _check_group_order(group)
     orders = group.torsion_orders
+    _check_sector_rows(orders)
     lcm = math.lcm(*orders)
     weights = model.weights
     scaled = [[c * (lcm // d) for c, d in zip(w, orders)] for w in weights]
@@ -210,5 +243,4 @@ def ktheory_free_module_dimension(model: ProjSpaceModel) -> int:
     K_G(P(V)) is free of rank dim V over R(G), and dim_Q R(G)_Q = |N|, the
     size of the group-element basis of the group algebra.
     """
-    _check_group_order(model.group)
     return len(model.weights) * model.group.order()

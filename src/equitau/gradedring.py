@@ -30,7 +30,13 @@ by e^(c.t) by adding multiples of one place at a time to its keys.
 ``terms`` is a view {exponent tuple: Fraction}; ``coefficient`` is 0 for an
 exponent vector outside the ring.  A product sorts the right operand's items
 and ``_convolve`` adds the products into a dict, scanning the right operand
-only up to the bound.
+only up to the bound.  A product of two dense series runs output by output
+instead (``_dense_product``): a ring with at least ``DENSE_PAIRS_PER_OUTPUT``
+index pairs per monomial and at most ``DENSE_PAIR_CAP`` pairs in all builds,
+on its first such product, a plan that lists for each monomial the pairs of
+monomials whose product it is, and the plan serves every product whose
+operands each hold at least ``DENSE_SHARE`` of the ring's monomials.  Both
+routes sum the same integers, so they give the same series.
 
 BundleRingElement models the quotient (series ring)[h] / prod_i(h + w_i.t)
 for base weights w_i.  With l_i = w_i.t, the classes N_m = prod_(i<m)(h + l_i)
@@ -75,7 +81,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
+from operator import itemgetter, mul
 
 from ._format import monomial_texts, term_table, terms_string, terms_text, variable_names
 from ._sparse import SparseElement
@@ -258,11 +265,15 @@ class GradedSeries(SparseElement):
         if type(other) is not GradedSeries:
             return super().__mul__(other)
         self._check(other)
-        num = {}
-        _convolve(self.num.items(), sorted(other.num.items()), self.ctx.limit, num)
-        return GradedSeries._trusted(
-            self.ctx, {k: c for k, c in num.items() if c}, self.den * other.den
-        )
+        ctx, a, b = self.ctx, self.num, other.num
+        plan = _product_plan(ctx.rank, ctx.truncation)
+        if plan and len(a) >= plan[0] and len(b) >= plan[0]:
+            num = _dense_product(plan, a, b)
+        else:
+            num = {}
+            _convolve(a.items(), sorted(b.items()), ctx.limit, num)
+            num = {k: c for k, c in num.items() if c}
+        return GradedSeries._trusted(ctx, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -303,6 +314,69 @@ def _convolve(a, b, limit, out):
                 break
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
+
+
+# When a series product runs from a plan.  Set from alternated in-process
+# timings of products of two Chern characters of rank-zero characters (2
+# cores, Python 3.11.7, 25 rounds each, median ratio against ``_convolve``):
+# with (nearly) every monomial held, 1.6x at rank 2, truncation 12 (20 pairs
+# per output), 1.1-1.3x at 10-13 pairs per output, 0.9-1.1x at 7-9 (0.9x at
+# rank 1, truncation 12); at rank 2, truncation 12 with both operands thinned
+# to a share d of the monomials, 1.16x at d = 0.85, 1.08x at 0.8, 0.88x at
+# 0.7 and 0.52x at 0.5.  The cap keeps a plan small: the rank-2,
+# truncation-12 plan holds 62 KiB, and the rank-3, truncation-12 ring's
+# 18,564 pairs, 0.46 MiB, still fit.
+DENSE_PAIRS_PER_OUTPUT = 10
+DENSE_SHARE = Fraction(4, 5)
+DENSE_PAIR_CAP = 20_000
+
+
+@lru_cache(maxsize=32)  # the last 32 rings a product asked for, at most 0.5 MB each
+def _product_plan(rank, truncation):
+    """(least, keys, outputs) for the dense product in series_ring(rank, truncation), or None.
+
+    keys are the ring's C(N + r, r) monomial keys in order; outputs holds,
+    for each key k, (k, I, J) with ``itemgetter``s I and J of the index
+    pairs (i, j) with keys[i] + keys[j] = k, C(N + 2r, 2r) pairs in all.
+    Index len(keys) reads a padding 0, a second pair for k = 0, so that each
+    getter returns a tuple.  least is the fewest terms an operand may hold
+    (``DENSE_SHARE`` of the keys).  None for a ring with fewer than
+    ``DENSE_PAIRS_PER_OUTPUT`` pairs per key or more than ``DENSE_PAIR_CAP``
+    pairs, before anything is built.
+    """
+    size = math.comb(truncation + rank, rank)
+    pairs = math.comb(truncation + 2 * rank, 2 * rank)
+    if pairs < DENSE_PAIRS_PER_OUTPUT * size or pairs > DENSE_PAIR_CAP:
+        return None
+    ctx = series_ring(rank, truncation)
+    top, limit = ctx.top, ctx.limit
+    keys = [0]
+    for place in ctx.places:  # raise each key's exponent of t_i while its degree allows
+        keys = [k + e * place for k in keys for e in range(truncation + 1 - k // top)]
+    keys.sort()
+    where = {k: i for i, k in enumerate(keys)}
+    left, right = [[] for _ in keys], [[] for _ in keys]
+    for i, ka in enumerate(keys):
+        room = limit - ka
+        for j, kb in enumerate(keys):
+            if kb >= room:
+                break
+            o = where[ka + kb]
+            left[o].append(i)
+            right[o].append(j)
+    left[0].append(size)
+    right[0].append(size)
+    outputs = [(k, itemgetter(*i), itemgetter(*j)) for k, i, j in zip(keys, left, right)]
+    return math.ceil(DENSE_SHARE * size), keys, outputs
+
+
+def _dense_product(plan, a, b):
+    """The nonzero numerators of the product of the dicts a and b, one output at a time."""
+    _, keys, outputs = plan
+    zeros = repeat(0)
+    x = [*map(a.get, keys, zeros), 0]
+    y = [*map(b.get, keys, zeros), 0]
+    return {k: s for k, i, j in outputs if (s := sum(map(mul, i(x), j(y))))}
 
 
 def _horner(ctx, forms, hcoeffs, coords):

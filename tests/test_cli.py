@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
@@ -698,6 +699,33 @@ def test_every_benchmark_argv_is_read_in_one_pass():
         assert args is not None and args == parser.parse_args(argv), argv
 
 
+def test_unreadable_parser_actions_leave_every_run_to_argparse(capsys, monkeypatch):
+    """flag_tables reads argparse's private ``_actions``; without it, or from a
+    parser of another shape, there is no table and main prints what it printed."""
+    argvs = [
+        ["chi", "--weights", "1,-1", "--twist", "2", "--trunc", "6", "--format", "json"],
+        ["sectors", "--orders", "6,12", "--weights", "0,1;1,0"],
+        ["segal", "--n", "2", "--degree", "3", "--format", "json"],
+    ]
+    want = []
+    for argv in argvs:
+        want.append((main(argv), capsys.readouterr().out))
+    stripped = equitau.cli.build_parser.__wrapped__()  # a fresh parser, not the cached one
+    del stripped._actions
+    try:
+        for parser in (stripped, argparse.ArgumentParser()):  # no subcommands: another shape
+            equitau.cli.flag_tables.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(equitau.cli, "build_parser", lambda: parser)
+                assert equitau.cli.flag_tables() == {}
+            for argv, (status, out) in zip(argvs, want):
+                assert equitau.cli.read_flags(argv) is None
+                assert main(argv) == status
+                assert capsys.readouterr().out == out
+    finally:
+        equitau.cli.flag_tables.cache_clear()
+
+
 def test_in_process_runs_match_fresh_processes(capsys, monkeypatch):
     """The cached parser keeps no state between calls: a mixed sequence of
     in-process runs, errors first, prints to stdout and stderr what fresh
@@ -813,9 +841,13 @@ def test_sectors_refuses_a_group_too_large_to_enumerate(capsys, monkeypatch):
 
     monkeypatch.setattr(equitau.finitestab, "character_orbits", no_enumeration)
     monkeypatch.setattr(equitau.lattice.GroupDescriptor, "elements", no_enumeration)
-    assert main(["sectors", "--orders", "10,1000000", "--weights", "0,0;1,1"]) == 2
+    # (Z/2)^17 has 131,072 rows, one per cyclic subgroup
+    orders, zeros, ones = ",".join(["2"] * 17), ",".join(["0"] * 17), ",".join(["1"] * 17)
+    assert main(["sectors", "--orders", orders, "--weights", f"{zeros};{ones}"]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "equitau: error: the group has order 10000000 (limit 100000)\n")
+    assert (captured.out, captured.err) == (
+        "", "equitau: error: the sector table would have more than 100000 rows\n"
+    )
 
 
 def test_a_segal_search_just_under_the_unknown_limit_runs(capsys):

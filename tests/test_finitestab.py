@@ -271,20 +271,42 @@ def test_cyclic_groups_have_one_row_per_divisor():
         assert decomp.total_dimension == 2 * d
 
 
-def test_group_orders_past_the_limit_are_refused_before_enumeration(monkeypatch):
+def test_sector_tables_past_the_row_limit_are_refused_before_enumeration(monkeypatch):
     from equitau import finitestab
 
-    assert finitestab.GROUP_ORDER_LIMIT == 10**5
+    assert finitestab.SECTOR_ROW_LIMIT == 10**5
+    assert finitestab.CYCLIC_ORDER_LIMIT == 10**12
+    # order 100,004 but 16 rows, and order 10^7 but 64: both admitted
+    assert len(sector_dimensions(mu_model((2, 50002), [(0, 0), (1, 1)])).sectors) == 16
+    assert ktheory_free_module_dimension(mu_model((10**7,), [0, 1])) == 2 * 10**7
     enumerated = []
     monkeypatch.setattr(finitestab, "character_orbits", lambda orders: enumerated.append(orders) or [])
-    at_limit = mu_model((10**5,), [0, 1])
-    assert sector_dimensions(at_limit).sectors == ()  # admitted: only the stub ran
-    assert enumerated == [(10**5,)]
-    over = mu_model((2, 50002), [(0, 0), (1, 1)])  # order 100,004
-    for refused in (sector_dimensions, ktheory_free_module_dimension):
-        with pytest.raises(ValueError, match=r"order 100004 \(limit 100000\)"):
-            refused(over)
-    assert enumerated == [(10**5,)]  # the refusal came before the enumeration
+    assert sector_dimensions(mu_model((10**7,), [0, 1])).sectors == ()  # only the stub ran
+    assert enumerated == [(10**7,)]
+    refused = [
+        (mu_model((2,) * 17, [(0,) * 17, (1,) * 17]), r"more than 100000 rows"),  # 131,072 rows
+        (mu_model((10**12 + 39,), [0, 1]), r"order 1000000000039 \(limit 1000000000000\)"),
+    ]
+    for model, message in refused:
+        with pytest.raises(ValueError, match=message):
+            sector_dimensions(model)
+    assert enumerated == [(10**7,)]  # each refusal came before the enumeration
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_row_count_refuses_exactly_past_the_rows_listed(monkeypatch, seed):
+    from equitau import finitestab
+
+    rng = random.Random(seed)
+    sizes = (1, 2, 3, 4, 6, 8, 9, 12, 16, 30, 36, 60, 210, 720)
+    for _ in range(25):
+        orders = tuple(sorted(rng.choice(sizes) for _ in range(rng.randint(1, 3))))
+        rows = sum(1 for _ in character_orbits(orders))
+        monkeypatch.setattr(finitestab, "SECTOR_ROW_LIMIT", rows)
+        finitestab._check_sector_rows(orders)
+        monkeypatch.setattr(finitestab, "SECTOR_ROW_LIMIT", rows - 1)
+        with pytest.raises(ValueError, match=f"more than {rows - 1} rows"):
+            finitestab._check_sector_rows(orders)
 
 
 # The sectors models of the certificates benchmark pool, then seeded random ones.

@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from equitau import gradedring
 from equitau._format import rational_str, variable_names
 from equitau.gradedring import (
     BundleRing,
@@ -1157,3 +1160,108 @@ def test_bundle_rendering_matches_the_slot_by_slot_renderer():
         x = BundleRingElement(ring, slots)
         for y in (x, x * x, x * ring.hyperplane(), x - x):
             assert str(y) == repr(y) == reference_bundle_str(y), (case, weights, n)
+
+
+# ---------------------------------------------------------------------------
+# the dense product from a per-ring plan
+
+
+def fraction_product(a, b):
+    """a * b from the terms, in Fractions, truncated: the reference for both product routes."""
+    out = {}
+    for e, x in a.terms.items():
+        for f, y in b.terms.items():
+            g = tuple(i + j for i, j in zip(e, f))
+            if sum(g) <= a.truncation:
+                out[g] = out.get(g, 0) + x * y
+    return {g: c for g, c in out.items() if c}
+
+
+def random_share(rng, rank, truncation, share, low=0):
+    """A series on about `share` of the monomials of degree low..N, small numerators, den > 1."""
+    den = rng.choice((1, 2, 6, 35))
+    terms = {}
+    for e in itertools.product(range(truncation + 1), repeat=rank):
+        if low <= sum(e) <= truncation and rng.random() < share:
+            terms[e] = Fraction(rng.randint(-2, 2), den)  # small: outputs often cancel
+    return GradedSeries(rank, truncation, terms)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("truncation", [0, 1, 5, 12])
+def test_the_plan_convolve_and_fractions_agree(monkeypatch, rank, truncation):
+    # a plan for every ring, so that the small ones are checked too, in this test's own cache
+    monkeypatch.setattr(gradedring, "DENSE_PAIRS_PER_OUTPUT", 0)
+    plans = lru_cache(gradedring._product_plan.__wrapped__)
+    monkeypatch.setattr(gradedring, "_product_plan", plans)
+    plan = gradedring._product_plan(rank, truncation)
+    least, keys, _ = plan
+    assert len(keys) == math.comb(truncation + rank, rank) and keys == sorted(keys)
+    assert least == math.ceil(Fraction(4, 5) * len(keys))
+    ctx = gradedring.series_ring(rank, truncation)
+    rng = random.Random(f"plan/{rank}/{truncation}")
+    cases = 12 if rank < 3 or truncation < 12 else 2
+    cancelled = 0
+    for share in (0, 0.1, 0.5, 0.8, 0.95, 1):
+        for _ in range(cases):
+            a, b = (random_share(rng, rank, truncation, share) for _ in range(2))
+            convolved = {}
+            gradedring._convolve(a.num.items(), sorted(b.num.items()), ctx.limit, convolved)
+            dense = gradedring._dense_product(plan, a.num, b.num)
+            assert dense == {k: c for k, c in convolved.items() if c}
+            assert 0 not in dense.values() and list(dense) == sorted(dense)
+            product = GradedSeries._trusted(ctx, dense, a.den * b.den)
+            assert product == a * b == b * a
+            assert product.terms == fraction_product(a, b)
+            cancelled += len(dense) < len({k for k, c in convolved.items()})
+    # past degree N / 2 each, every product leaves the ring: the dense route gives 0
+    low = truncation // 2 + 1
+    for _ in range(cases):
+        a, b = (random_share(rng, rank, truncation, 1, low) for _ in range(2))
+        assert gradedring._dense_product(plan, a.num, b.num) == {}
+        assert (a * b).is_zero()
+    assert truncation < 2 or cancelled  # some outputs summed to 0 and were dropped
+
+
+def count_routes(monkeypatch):
+    """Count the products that run from the plan and the ones that convolve."""
+    counts = {"plan": 0, "convolve": 0}
+    dense, convolve = gradedring._dense_product, gradedring._convolve
+
+    def counting_dense(*args):
+        counts["plan"] += 1
+        return dense(*args)
+
+    def counting_convolve(*args):
+        counts["convolve"] += 1
+        return convolve(*args)
+
+    monkeypatch.setattr(gradedring, "_dense_product", counting_dense)
+    monkeypatch.setattr(gradedring, "_convolve", counting_convolve)
+    return counts
+
+
+def test_the_plan_serves_only_dense_operands_in_rings_with_enough_pairs(monkeypatch):
+    # (2, 12): 91 monomials, 1,820 pairs, 20 per output; (1, 12): 7 per output
+    assert gradedring._product_plan(1, 12) is None
+    assert gradedring._product_plan(3, 13) is None  # 27,132 pairs, past the cap
+    least, keys, outputs = gradedring._product_plan(2, 12)
+    assert (least, len(keys), len(outputs)) == (73, 91, 91)
+    counts = count_routes(monkeypatch)
+    rng = random.Random(33)
+    monomials = [e for e in itertools.product(range(13), repeat=2) if sum(e) <= 12]
+    full = [GradedSeries(2, 12, {e: rng.choice((-3, -1, 1, 2)) for e in monomials}) for _ in "ab"]
+    thin = GradedSeries._trusted(full[0].ctx, dict(list(full[0].num.items())[: least - 1]), 1)
+    assert full[0] * full[1] == GradedSeries(2, 12, fraction_product(*full))
+    assert counts == {"plan": 1, "convolve": 0}
+    assert thin * full[1] == full[1] * thin == GradedSeries(2, 12, fraction_product(thin, full[1]))
+    assert counts == {"plan": 1, "convolve": 2}
+
+
+def test_the_sparse_factors_of_newton_moments_convolve(monkeypatch):
+    # the tails S_m = S_(m-1).(1 + l_(m-1)) multiply a dense series by a two-term one
+    ring = BundleRing([(1, 0), (0, 1), (1, 1), (2, -1)], 2, 12)
+    coords = [dict(exp(GradedSeries.linear_form(2, 12, [1, 2])).num) for _ in ring.weights]
+    counts = count_routes(monkeypatch)
+    moments = newton_moments(ring, coords, 12 + len(ring.weights))
+    assert any(moments) and counts["plan"] == 0 and counts["convolve"] > 0
