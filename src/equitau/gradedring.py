@@ -95,8 +95,11 @@ class SeriesRing:
     Holds its monomials' key layout (module docstring): ``base`` B = N + 1,
     ``top`` B^r, ``digits`` (B^(r-1-i), the place of exponent i below the
     degree digit), ``places`` (top + digits[i], the key of t_i) and
-    ``limit`` B^(r+1); ``texts`` {key: monomial text} holds the keys printed
-    so far and takes no part in equality.  Build it with ``series_ring``.
+    ``limit`` B^(r+1); ``dense_least`` is the fewest terms each operand of a
+    product must hold for it to run from the ring's plan (``_dense_least``, 0
+    for a ring that gets no plan); ``texts`` {key: monomial text} holds the
+    keys printed so far and takes no part in equality.  Build it with
+    ``series_ring``.
     """
 
     rank: int
@@ -106,6 +109,7 @@ class SeriesRing:
     digits: tuple
     places: tuple
     limit: int
+    dense_least: int
     texts: dict = field(default_factory=dict, compare=False, repr=False)
 
     # Both conversions work a column (one variable) at a time over all the
@@ -146,7 +150,9 @@ def series_ring(rank, truncation) -> SeriesRing:
     digits = tuple(base ** (rank - 1 - i) for i in range(rank))
     # key(e) = sum_i e_i * places[i] = |e| * B^r + sum_i e_i * B^(r-1-i)
     places = tuple(top + d for d in digits)
-    return SeriesRing(rank, truncation, base, top, digits, places, base * top)
+    return SeriesRing(
+        rank, truncation, base, top, digits, places, base * top, _dense_least(rank, truncation)
+    )
 
 
 class GradedSeries(SparseElement):
@@ -266,9 +272,9 @@ class GradedSeries(SparseElement):
             return super().__mul__(other)
         self._check(other)
         ctx, a, b = self.ctx, self.num, other.num
-        plan = _product_plan(ctx.rank, ctx.truncation)
-        if plan and len(a) >= plan[0] and len(b) >= plan[0]:
-            num = _dense_product(plan, a, b)
+        least = ctx.dense_least
+        if least and len(a) >= least and len(b) >= least:
+            num = _dense_product(_product_plan(ctx.rank, ctx.truncation), a, b)
         else:
             num = {}
             _convolve(a.items(), sorted(b.items()), ctx.limit, num)
@@ -331,23 +337,31 @@ DENSE_SHARE = Fraction(4, 5)
 DENSE_PAIR_CAP = 20_000
 
 
-@lru_cache(maxsize=32)  # the last 32 rings a product asked for, at most 0.5 MB each
+def _dense_least(rank, truncation):
+    """The fewest terms each operand must hold for a product to run from a plan.
+
+    ``DENSE_SHARE`` of the ring's C(N + r, r) monomials, or 0 (no plan) for
+    a ring with fewer than ``DENSE_PAIRS_PER_OUTPUT`` pairs per monomial or
+    more than ``DENSE_PAIR_CAP`` of its C(N + 2r, 2r) pairs.
+    """
+    size = math.comb(truncation + rank, rank)
+    pairs = math.comb(truncation + 2 * rank, 2 * rank)
+    if pairs < DENSE_PAIRS_PER_OUTPUT * size or pairs > DENSE_PAIR_CAP:
+        return 0
+    return math.ceil(DENSE_SHARE * size)
+
+
+@lru_cache(maxsize=32)  # the last 32 rings with a dense product, at most 0.5 MB each
 def _product_plan(rank, truncation):
-    """(least, keys, outputs) for the dense product in series_ring(rank, truncation), or None.
+    """(keys, outputs) for the dense product in series_ring(rank, truncation).
 
     keys are the ring's C(N + r, r) monomial keys in order; outputs holds,
     for each key k, (k, I, J) with ``itemgetter``s I and J of the index
     pairs (i, j) with keys[i] + keys[j] = k, C(N + 2r, 2r) pairs in all.
     Index len(keys) reads a padding 0, a second pair for k = 0, so that each
-    getter returns a tuple.  least is the fewest terms an operand may hold
-    (``DENSE_SHARE`` of the keys).  None for a ring with fewer than
-    ``DENSE_PAIRS_PER_OUTPUT`` pairs per key or more than ``DENSE_PAIR_CAP``
-    pairs, before anything is built.
+    getter returns a tuple.  Built on the ring's first product whose
+    operands both hold ``dense_least`` terms, never for a ring without one.
     """
-    size = math.comb(truncation + rank, rank)
-    pairs = math.comb(truncation + 2 * rank, 2 * rank)
-    if pairs < DENSE_PAIRS_PER_OUTPUT * size or pairs > DENSE_PAIR_CAP:
-        return None
     ctx = series_ring(rank, truncation)
     top, limit = ctx.top, ctx.limit
     keys = [0]
@@ -364,15 +378,15 @@ def _product_plan(rank, truncation):
             o = where[ka + kb]
             left[o].append(i)
             right[o].append(j)
-    left[0].append(size)
-    right[0].append(size)
+    left[0].append(len(keys))
+    right[0].append(len(keys))
     outputs = [(k, itemgetter(*i), itemgetter(*j)) for k, i, j in zip(keys, left, right)]
-    return math.ceil(DENSE_SHARE * size), keys, outputs
+    return keys, outputs
 
 
 def _dense_product(plan, a, b):
     """The nonzero numerators of the product of the dicts a and b, one output at a time."""
-    _, keys, outputs = plan
+    keys, outputs = plan
     zeros = repeat(0)
     x = [*map(a.get, keys, zeros), 0]
     y = [*map(b.get, keys, zeros), 0]

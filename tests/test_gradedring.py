@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -1189,16 +1188,13 @@ def random_share(rng, rank, truncation, share, low=0):
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 @pytest.mark.parametrize("truncation", [0, 1, 5, 12])
-def test_the_plan_convolve_and_fractions_agree(monkeypatch, rank, truncation):
-    # a plan for every ring, so that the small ones are checked too, in this test's own cache
-    monkeypatch.setattr(gradedring, "DENSE_PAIRS_PER_OUTPUT", 0)
-    plans = lru_cache(gradedring._product_plan.__wrapped__)
-    monkeypatch.setattr(gradedring, "_product_plan", plans)
-    plan = gradedring._product_plan(rank, truncation)
-    least, keys, _ = plan
+def test_the_plan_convolve_and_fractions_agree(rank, truncation):
+    # a plan for every ring, the small ones too, outside the plan cache
+    plan = gradedring._product_plan.__wrapped__(rank, truncation)
+    keys, _ = plan
     assert len(keys) == math.comb(truncation + rank, rank) and keys == sorted(keys)
-    assert least == math.ceil(Fraction(4, 5) * len(keys))
     ctx = gradedring.series_ring(rank, truncation)
+    assert ctx.dense_least in (0, math.ceil(Fraction(4, 5) * len(keys)))
     rng = random.Random(f"plan/{rank}/{truncation}")
     cases = 12 if rank < 3 or truncation < 12 else 2
     cancelled = 0
@@ -1243,19 +1239,23 @@ def count_routes(monkeypatch):
 
 def test_the_plan_serves_only_dense_operands_in_rings_with_enough_pairs(monkeypatch):
     # (2, 12): 91 monomials, 1,820 pairs, 20 per output; (1, 12): 7 per output
-    assert gradedring._product_plan(1, 12) is None
-    assert gradedring._product_plan(3, 13) is None  # 27,132 pairs, past the cap
-    least, keys, outputs = gradedring._product_plan(2, 12)
-    assert (least, len(keys), len(outputs)) == (73, 91, 91)
+    assert gradedring.series_ring(1, 12).dense_least == 0
+    assert gradedring.series_ring(3, 13).dense_least == 0  # 27,132 pairs, past the cap
+    least = gradedring.series_ring(2, 12).dense_least
+    assert least == 73
     counts = count_routes(monkeypatch)
     rng = random.Random(33)
     monomials = [e for e in itertools.product(range(13), repeat=2) if sum(e) <= 12]
     full = [GradedSeries(2, 12, {e: rng.choice((-3, -1, 1, 2)) for e in monomials}) for _ in "ab"]
     thin = GradedSeries._trusted(full[0].ctx, dict(list(full[0].num.items())[: least - 1]), 1)
-    assert full[0] * full[1] == GradedSeries(2, 12, fraction_product(*full))
-    assert counts == {"plan": 1, "convolve": 0}
+    gradedring._product_plan.cache_clear()
     assert thin * full[1] == full[1] * thin == GradedSeries(2, 12, fraction_product(thin, full[1]))
+    assert counts == {"plan": 0, "convolve": 2}
+    assert gradedring._product_plan.cache_info().currsize == 0  # no plan for sparse products
+    assert full[0] * full[1] == GradedSeries(2, 12, fraction_product(*full))
     assert counts == {"plan": 1, "convolve": 2}
+    keys, outputs = gradedring._product_plan(2, 12)
+    assert (len(keys), len(outputs)) == (91, 91)
 
 
 def test_the_sparse_factors_of_newton_moments_convolve(monkeypatch):
