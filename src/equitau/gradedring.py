@@ -358,8 +358,11 @@ def _product_plan(rank, truncation):
     keys are the ring's C(N + r, r) monomial keys in order; outputs holds,
     for each key k, (k, I, J) with ``itemgetter``s I and J of the index
     pairs (i, j) with keys[i] + keys[j] = k, C(N + 2r, 2r) pairs in all.
-    Index len(keys) reads a padding 0, a second pair for k = 0, so that each
-    getter returns a tuple.  Built on the ring's first product whose
+    Index len(keys) reads a padding 0: a pair (len(keys), len(keys)) is added
+    where k has 1 pair, so that its getters return tuples, and where it has
+    20, so that they do not return 20-tuples: CPython 3.11 and 3.12 keep
+    every freed 20-tuple on a free list that they never take from (up to
+    2,000 of them, 0.37 MB).  Built on the ring's first product whose
     operands both hold ``dense_least`` terms, never for a ring without one.
     """
     ctx = series_ring(rank, truncation)
@@ -378,8 +381,10 @@ def _product_plan(rank, truncation):
             o = where[ka + kb]
             left[o].append(i)
             right[o].append(j)
-    left[0].append(len(keys))
-    right[0].append(len(keys))
+    for i, j in zip(left, right):
+        if len(i) in (1, 20):
+            i.append(len(keys))
+            j.append(len(keys))
     outputs = [(k, itemgetter(*i), itemgetter(*j)) for k, i, j in zip(keys, left, right)]
     return keys, outputs
 

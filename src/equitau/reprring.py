@@ -259,6 +259,7 @@ def chern_character(a: RepRingElement, truncation: int) -> GradedSeries:
                 walk(i + 1, key, merged, scale, room - e)
 
     walk(0, 0, values, top, truncation)
+    del walk  # its cell refers to it: break the cycle, so refcounting frees the branch state
     return GradedSeries._trusted(ctx, num, a.den * top)
 
 
@@ -292,6 +293,7 @@ def augmentation_order(a: RepRingElement, truncation: int):
                 walk(i + 1, merged, degree + e)
 
     walk(0, values, 0)
+    del walk  # as in chern_character
     return best if best <= truncation else None
 
 

@@ -1191,8 +1191,11 @@ def random_share(rng, rank, truncation, share, low=0):
 def test_the_plan_convolve_and_fractions_agree(rank, truncation):
     # a plan for every ring, the small ones too, outside the plan cache
     plan = gradedring._product_plan.__wrapped__(rank, truncation)
-    keys, _ = plan
+    keys, outputs = plan
     assert len(keys) == math.comb(truncation + rank, rank) and keys == sorted(keys)
+    # every getter returns a tuple, none of them a 20-tuple (see _product_plan)
+    padded = [0] * (len(keys) + 1)
+    assert all(type(got := i(padded)) is tuple and len(got) != 20 for _, i, _ in outputs)
     ctx = gradedring.series_ring(rank, truncation)
     assert ctx.dense_least in (0, math.ceil(Fraction(4, 5) * len(keys)))
     rng = random.Random(f"plan/{rank}/{truncation}")

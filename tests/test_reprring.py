@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -332,6 +333,19 @@ def test_augmentation_order_is_the_low_degree_of_the_chern_character():
         with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
             augmentation_order(a, truncation)
 
+
+
+def test_the_moment_walks_leave_no_garbage_cycle():
+    # the recursive walk refers to itself through its cell; unbroken, every
+    # call would leave its branch state for the cycle collector
+    a = (char(T2, 1, 2) - 1) * (char(T2, -1, 1) + char(T2, 2, 0) - 2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert not chern_character(a, 6).is_zero() and augmentation_order(a, 6) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 def reference_print_order(coords):
     """The print key (sum_i |c_i|, -c_1, ..., -c_r): total height, then descending lex."""
